@@ -113,6 +113,28 @@ void BM_2PLTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_2PLTransfer);
 
+// Single-read 2PL transactions over 1000 keys.  With several threads they
+// contend only where their keys share a lock-table stripe.
+void BM_2PLReadOnly(benchmark::State& state) {
+  static std::unique_ptr<txn::Local2PLStore> store;
+  if (state.thread_index() == 0) {
+    store = std::make_unique<txn::Local2PLStore>(std::make_shared<kv::ShardedStore>());
+    for (int i = 0; i < 1000; ++i) {
+      store->LoadPut("k" + std::to_string(i), std::string(100, 'x'));
+    }
+  }
+  uint64_t i = static_cast<uint64_t>(state.thread_index()) * 251;
+  std::string value;
+  for (auto _ : state) {
+    auto txn = store->Begin();
+    benchmark::DoNotOptimize(txn->Read("k" + std::to_string(i++ % 1000), &value));
+    txn->Commit();
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) store.reset();
+}
+BENCHMARK(BM_2PLReadOnly)->Threads(1)->Threads(4)->UseRealTime();
+
 std::unique_ptr<txn::OccEngine> MakeOccStore() {
   txn::OccOptions options;
   options.epoch_ms = 10;

@@ -1,65 +1,132 @@
 #include "txn/local_2pl.h"
 
 #include <chrono>
+#include <functional>
 
 namespace ycsbt {
 namespace txn {
+
+namespace {
+
+Status BusyOn(std::string_view what, std::string_view key) {
+  std::string msg(what);
+  msg.append(key);
+  return Status::Busy(msg);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // LockManager
 // ---------------------------------------------------------------------------
 
-Status LockManager::AcquireShared(uint64_t txn, const std::string& key) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Entry& entry = table_[key];
-  if (entry.exclusive_owner == txn) return Status::OK();  // already X-held
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(timeout_us_);
-  ++entry.waiters;
-  bool ok = cv_.wait_until(lock, deadline, [&] {
-    return table_[key].exclusive_owner == 0;
-  });
-  Entry& e = table_[key];
-  --e.waiters;
-  if (!ok) return Status::Busy("S-lock timeout on " + key);
-  e.sharers.insert(txn);
-  return Status::OK();
+LockManager::LockSet::Held* LockManager::LockSet::Find(size_t hash,
+                                                       std::string_view key) {
+  for (Held& held : held_) {
+    if (held.hash == hash && held.slot->key == key) return &held;
+  }
+  return nullptr;
 }
 
-Status LockManager::AcquireExclusive(uint64_t txn, const std::string& key) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Entry& entry = table_[key];
-  if (entry.exclusive_owner == txn) return Status::OK();
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(timeout_us_);
-  ++entry.waiters;
-  bool ok = cv_.wait_until(lock, deadline, [&] {
-    Entry& e = table_[key];
-    bool only_self_shares =
-        e.sharers.empty() || (e.sharers.size() == 1 && e.sharers.count(txn) == 1);
-    return e.exclusive_owner == 0 && only_self_shares;
-  });
-  Entry& e = table_[key];
-  --e.waiters;
-  if (!ok) return Status::Busy("X-lock timeout on " + key);
-  e.sharers.erase(txn);  // upgrade consumes the shared hold
-  e.exclusive_owner = txn;
-  return Status::OK();
+Status LockManager::AcquireShared(LockSet* set, std::string_view key) {
+  return Acquire(set, key, /*exclusive=*/false, nullptr);
 }
 
-void LockManager::ReleaseAll(uint64_t txn, const std::set<std::string>& keys) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& key : keys) {
-    auto it = table_.find(key);
-    if (it == table_.end()) continue;
-    Entry& e = it->second;
-    e.sharers.erase(txn);
-    if (e.exclusive_owner == txn) e.exclusive_owner = 0;
-    if (e.sharers.empty() && e.exclusive_owner == 0 && e.waiters == 0) {
-      table_.erase(it);
+Status LockManager::AcquireExclusive(LockSet* set, std::string_view key,
+                                     bool* newly) {
+  return Acquire(set, key, /*exclusive=*/true, newly);
+}
+
+Status LockManager::Acquire(LockSet* set, std::string_view key, bool exclusive,
+                            bool* newly) {
+  const size_t hash = std::hash<std::string_view>{}(key);
+  LockSet::Held* held = set->Find(hash, key);
+  if (held != nullptr && (held->exclusive || !exclusive)) {
+    if (newly != nullptr) *newly = false;
+    return Status::OK();
+  }
+  const bool upgrade = held != nullptr;  // holds S, wants X
+
+  Stripe& stripe = stripes_[hash % kStripes];
+  std::unique_lock<std::mutex> lock(stripe.mu);
+  Slot* slot = upgrade ? held->slot : nullptr;
+  if (slot == nullptr) {
+    Slot* free_slot = nullptr;
+    for (Slot& s : stripe.slots) {
+      if (s.hash == hash && s.key == key) {
+        slot = &s;
+        break;
+      }
+      if (free_slot == nullptr && s.sharers == 0 && s.waiters == 0 && !s.exclusive) {
+        free_slot = &s;
+      }
+    }
+    if (slot == nullptr) {
+      slot = free_slot != nullptr ? free_slot : &stripe.slots.emplace_back();
+      slot->hash = hash;
+      slot->key.assign(key);
     }
   }
-  cv_.notify_all();
+
+  // Two sharers waiting to upgrade each wait for the other to let go of its
+  // shared lock, which neither does before it commits.
+  if (upgrade && slot->upgrading) return BusyOn("X-lock upgrade deadlock on ", key);
+  const uint32_t own_shares = upgrade ? 1 : 0;
+  auto granted = [slot, exclusive, own_shares] {
+    return !slot->exclusive && (!exclusive || slot->sharers == own_shares);
+  };
+  if (!granted()) {
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::microseconds(timeout_us_);
+    ++slot->waiters;
+    if (upgrade) slot->upgrading = true;
+    bool ok = stripe.cv.wait_until(lock, deadline, granted);
+    --slot->waiters;
+    if (upgrade) slot->upgrading = false;
+    if (!ok) return BusyOn(exclusive ? "X-lock timeout on " : "S-lock timeout on ", key);
+  }
+  if (exclusive) {
+    slot->sharers -= own_shares;  // the upgrade consumes the shared hold
+    slot->exclusive = true;
+  } else {
+    ++slot->sharers;
+  }
+  lock.unlock();
+
+  if (upgrade) {
+    held->exclusive = true;
+  } else {
+    set->held_.push_back({hash, slot, exclusive});
+  }
+  if (newly != nullptr) *newly = true;
+  return Status::OK();
+}
+
+void LockManager::ReleaseAll(LockSet* set) {
+  for (const LockSet::Held& held : set->held_) {
+    Stripe& stripe = stripes_[held.hash % kStripes];
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(stripe.mu);
+      if (held.exclusive) {
+        held.slot->exclusive = false;
+      } else {
+        --held.slot->sharers;
+      }
+      wake = held.slot->waiters > 0;
+    }
+    if (wake) stripe.cv.notify_all();
+  }
+  set->held_.clear();
+}
+
+size_t LockManager::SlotCount() {
+  size_t count = 0;
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    count += stripe.slots.size();
+  }
+  return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -72,7 +139,7 @@ void LockManager::ReleaseAll(uint64_t txn, const std::set<std::string>& keys) {
 class Local2PLTxn : public Transaction {
  public:
   Local2PLTxn(Local2PLStore* store, uint64_t id)
-      : store_(store), id_(id), start_ts_(id) {}
+      : store_(store), start_ts_(id) {}
 
   ~Local2PLTxn() override {
     if (state_ == State::kActive) Abort();
@@ -82,12 +149,11 @@ class Local2PLTxn : public Transaction {
 
   Status Read(const std::string& key, std::string* value) override {
     if (state_ != State::kActive) return Status::InvalidArgument("txn finished");
-    Status s = store_->locks_.AcquireShared(id_, key);
+    Status s = store_->locks_.AcquireShared(&locks_, key);
     if (!s.ok()) {
       store_->lock_busy_.fetch_add(1, std::memory_order_relaxed);
       return s;
     }
-    locked_.insert(key);
     return store_->base_->Get(key, value);
   }
 
@@ -122,7 +188,7 @@ class Local2PLTxn : public Transaction {
 
   Status Commit() override {
     if (state_ != State::kActive) return Status::InvalidArgument("txn finished");
-    store_->locks_.ReleaseAll(id_, locked_);
+    store_->locks_.ReleaseAll(&locks_);
     state_ = State::kCommitted;
     store_->commits_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
@@ -130,7 +196,7 @@ class Local2PLTxn : public Transaction {
 
   Status Abort() override {
     if (state_ != State::kActive) return Status::InvalidArgument("txn finished");
-    // Undo in reverse order.
+    // Each key has one undo entry, its pre-image from before the first write.
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
       if (it->existed) {
         store_->base_->Put(it->key, it->old_value);
@@ -138,7 +204,7 @@ class Local2PLTxn : public Transaction {
         store_->base_->Delete(it->key);  // NotFound is fine
       }
     }
-    store_->locks_.ReleaseAll(id_, locked_);
+    store_->locks_.ReleaseAll(&locks_);
     state_ = State::kAborted;
     store_->aborts_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
@@ -153,21 +219,21 @@ class Local2PLTxn : public Transaction {
     std::string old_value;
   };
 
-  /// Takes the exclusive lock and snapshots the pre-image for undo.
+  /// Takes the exclusive lock and, on the key's first write, snapshots its
+  /// pre-image for undo.
   Status Prepare(const std::string& key) {
-    Status s = store_->locks_.AcquireExclusive(id_, key);
+    bool newly = false;
+    Status s = store_->locks_.AcquireExclusive(&locks_, key, &newly);
     if (!s.ok()) {
       store_->lock_busy_.fetch_add(1, std::memory_order_relaxed);
       return s;
     }
-    locked_.insert(key);
+    if (!newly) return Status::OK();
     UndoEntry undo;
     undo.key = key;
-    std::string old_value;
-    Status g = store_->base_->Get(key, &old_value);
+    Status g = store_->base_->Get(key, &undo.old_value);
     if (g.ok()) {
       undo.existed = true;
-      undo.old_value = std::move(old_value);
     } else if (!g.IsNotFound()) {
       return g;
     }
@@ -176,10 +242,9 @@ class Local2PLTxn : public Transaction {
   }
 
   Local2PLStore* store_;
-  const uint64_t id_;
   const uint64_t start_ts_;
   State state_ = State::kActive;
-  std::set<std::string> locked_;
+  LockManager::LockSet locks_;
   std::vector<UndoEntry> undo_;
 };
 
@@ -189,9 +254,7 @@ class Local2PLTxn : public Transaction {
 
 Local2PLStore::Local2PLStore(std::shared_ptr<kv::Store> base,
                              Local2PLOptions options)
-    : base_(std::move(base)),
-      options_(options),
-      locks_(options.lock_timeout_us) {}
+    : base_(std::move(base)), locks_(options.lock_timeout_us) {}
 
 std::unique_ptr<Transaction> Local2PLStore::Begin() {
   return std::make_unique<Local2PLTxn>(

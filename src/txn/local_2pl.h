@@ -2,12 +2,14 @@
 #define YCSBT_TXN_LOCAL_2PL_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 #include "txn/timestamp.h"
 #include "txn/transaction.h"
@@ -21,35 +23,85 @@ struct Local2PLOptions {
   uint64_t lock_timeout_us = 50'000;
 };
 
-/// Table of per-key shared/exclusive locks with waiting and timeout.
+/// Striped table of per-key shared/exclusive locks with waiting and timeout.
+///
+/// Keys hash to one of `kStripes` stripes, each with its own mutex,
+/// condition variable and lock slots, so transactions on different keys
+/// rarely contend, and a release wakes only its own stripe's waiters, and
+/// only when the released key has any.  A slot whose counts are all zero is
+/// free and is reused, keeping its key's capacity, by the next key that
+/// hashes to its stripe: a warmed-up table locks and unlocks without
+/// allocating.
 ///
 /// Deadlocks are resolved by timeout (a waiter that exceeds
 /// `lock_timeout_us` gives up with Busy and its transaction aborts) — the
 /// classic embedded-engine answer, contrasting with the client-coordinated
 /// library's *ordered locking*, which cannot deadlock in the first place.
+/// The one deadlock visible at a single key — two sharers that both want to
+/// upgrade — fails the second upgrader at once instead of after the timeout.
 class LockManager {
- public:
-  explicit LockManager(uint64_t timeout_us) : timeout_us_(timeout_us) {}
-
-  /// Acquires a shared lock for `txn`; Busy on timeout.
-  Status AcquireShared(uint64_t txn, const std::string& key);
-
-  /// Acquires (or upgrades to) an exclusive lock for `txn`; Busy on timeout.
-  Status AcquireExclusive(uint64_t txn, const std::string& key);
-
-  /// Releases every lock `txn` holds (commit/abort).
-  void ReleaseAll(uint64_t txn, const std::set<std::string>& keys);
-
  private:
-  struct Entry {
-    std::set<uint64_t> sharers;
-    uint64_t exclusive_owner = 0;  // 0 = none
-    int waiters = 0;
+  struct Slot {
+    size_t hash = 0;
+    std::string key;
+    uint32_t sharers = 0;
+    uint32_t waiters = 0;
+    bool exclusive = false;
+    /// A sharer is waiting to upgrade; a second one could never proceed.
+    bool upgrading = false;
   };
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::unordered_map<std::string, Entry> table_;
+ public:
+  static constexpr size_t kStripes = 64;
+
+  /// The locks one transaction holds.  Not thread-safe: one per
+  /// transaction, like the transaction itself.  A held slot is never reused
+  /// for another key, so the set points at slots instead of copying keys.
+  class LockSet {
+   private:
+    friend class LockManager;
+
+    struct Held {
+      size_t hash = 0;
+      Slot* slot = nullptr;
+      bool exclusive = false;
+    };
+
+    Held* Find(size_t hash, std::string_view key);
+
+    std::vector<Held> held_;
+  };
+
+  explicit LockManager(uint64_t timeout_us) : timeout_us_(timeout_us) {}
+
+  /// Acquires a shared lock on `key` into `set`; a no-op when `set` already
+  /// holds `key` in either mode.  Busy on timeout.
+  Status AcquireShared(LockSet* set, std::string_view key);
+
+  /// Acquires (or upgrades to) an exclusive lock on `key` into `set`; Busy
+  /// on timeout or on a certain upgrade deadlock.  On success `*newly` tells
+  /// whether `set` did not already hold `key` exclusively.
+  Status AcquireExclusive(LockSet* set, std::string_view key, bool* newly);
+
+  /// Releases every lock in `set` (commit/abort) and empties it.
+  void ReleaseAll(LockSet* set);
+
+  /// Slots allocated over all stripes.  Bounded by the most keys locked or
+  /// waited for at once, not by the number of distinct keys ever locked.
+  size_t SlotCount();
+
+ private:
+  struct alignas(64) Stripe {
+    std::mutex mu;
+    std::condition_variable cv;
+    /// A deque keeps slot addresses stable as the stripe grows; slots are
+    /// never removed.
+    std::deque<Slot> slots;
+  };
+
+  Status Acquire(LockSet* set, std::string_view key, bool exclusive, bool* newly);
+
+  Stripe stripes_[kStripes];
   const uint64_t timeout_us_;
 };
 
@@ -77,7 +129,6 @@ class Local2PLStore : public TransactionalKV {
   friend class Local2PLTxn;
 
   std::shared_ptr<kv::Store> base_;
-  Local2PLOptions options_;
   LockManager locks_;
   std::atomic<uint64_t> txn_counter_{1};
 

@@ -197,6 +197,150 @@ TEST_F(Local2PLTest, StatsCountOutcomes) {
   EXPECT_EQ(stats.aborts, 1u);
 }
 
+TEST_F(Local2PLTest, RepeatedLocksReleaseCleanly) {
+  // Re-reading and re-writing a held key must not count a second hold: a
+  // leaked share would make the next writer wait out the lock timeout.
+  store_->LoadPut("k", "v0");
+  auto txn = store_->Begin();
+  std::string value;
+  ASSERT_TRUE(txn->Read("k", &value).ok());
+  ASSERT_TRUE(txn->Read("k", &value).ok());
+  ASSERT_TRUE(txn->Write("k", "v1").ok());
+  ASSERT_TRUE(txn->Write("k", "v2").ok());
+  ASSERT_TRUE(txn->Read("k", &value).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+
+  auto next = store_->Begin();
+  Stopwatch watch;
+  ASSERT_TRUE(next->Write("k", "v3").ok());
+  EXPECT_LT(watch.ElapsedMicros(), 20'000u);
+  ASSERT_TRUE(next->Commit().ok());
+}
+
+TEST_F(Local2PLTest, UpgradeDeadlockFailsFast) {
+  // Two sharers of one key both upgrade: neither can proceed while the
+  // other holds its shared lock.  The second upgrader must give up at once,
+  // not after the (here very long) timeout, and the first then proceeds.
+  store_->LoadPut("k", "0");
+  Local2PLStore engine(base_, Local2PLOptions{.lock_timeout_us = 10'000'000});
+  std::atomic<int> read{0};
+  std::atomic<int> busy{0};
+  std::atomic<int> committed{0};
+  Stopwatch watch;
+  auto worker = [&] {
+    auto txn = engine.Begin();
+    std::string value;
+    ASSERT_TRUE(txn->Read("k", &value).ok());
+    read.fetch_add(1);
+    while (read.load() < 2) std::this_thread::yield();
+    Status s = txn->Write("k", "1");
+    if (s.ok()) {
+      ASSERT_TRUE(txn->Commit().ok());
+      committed.fetch_add(1);
+    } else {
+      EXPECT_TRUE(s.IsBusy());
+      busy.fetch_add(1);
+      txn->Abort();
+    }
+  };
+  std::thread t1(worker);
+  std::thread t2(worker);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(busy.load(), 1);
+  EXPECT_EQ(committed.load(), 1);
+  EXPECT_LT(watch.ElapsedSeconds(), 5.0);
+  EXPECT_EQ(engine.stats().lock_busy, 1u);
+}
+
+TEST(LockManagerTest, SlotsAreReusedAcrossKeys) {
+  // The lock table keeps no state for unlocked keys: 10k lock-and-release
+  // rounds on distinct keys leave at most one slot per stripe.
+  LockManager locks(/*timeout_us=*/1'000);
+  for (int i = 0; i < 10'000; ++i) {
+    LockManager::LockSet set;
+    bool newly = false;
+    ASSERT_TRUE(locks.AcquireExclusive(&set, "key" + std::to_string(i), &newly).ok());
+    locks.ReleaseAll(&set);
+  }
+  EXPECT_LE(locks.SlotCount(), LockManager::kStripes);
+}
+
+// Many threads lock random key sets in random modes, including upgrades,
+// over more keys than stripes so stripes are shared.  Shadow counters,
+// raised after each grant and lowered before each release, must never show
+// a writer beside another holder.
+TEST(Local2PLStressTest, LockModesStayExclusiveAcrossStripes) {
+  constexpr int kKeys = 96;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20000;
+  LockManager locks(/*timeout_us=*/1'000);  // deadlocks resolve quickly
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back("stress/" + std::to_string(i));
+  struct Shadow {
+    std::atomic<int> readers{0};
+    std::atomic<int> writers{0};
+  };
+  std::vector<Shadow> shadow(kKeys);
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> grants{0};
+
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      Random64 rng(static_cast<uint64_t>(t) + 7);
+      for (int round = 0; round < kRounds; ++round) {
+        LockManager::LockSet set;
+        std::vector<std::pair<int, bool>> held;  // key index, exclusive
+        const int want = 1 + static_cast<int>(rng.Uniform(4));
+        for (int n = 0; n < want; ++n) {
+          int k = static_cast<int>(rng.Uniform(kKeys));
+          bool dup = false;
+          for (const auto& h : held) dup = dup || h.first == k;
+          if (dup) continue;
+          const uint64_t mode = rng.Uniform(3);  // S, X, or S then X
+          if (mode != 1) {
+            if (!locks.AcquireShared(&set, keys[k]).ok()) break;
+            shadow[k].readers.fetch_add(1);
+            if (shadow[k].writers.load() != 0) failed = true;
+            held.emplace_back(k, false);
+          }
+          if (mode != 0) {
+            bool newly = false;
+            if (!locks.AcquireExclusive(&set, keys[k], &newly).ok()) break;
+            if (!newly) failed = true;
+            if (mode == 2) {
+              shadow[k].readers.fetch_sub(1);
+              held.back().second = true;
+            } else {
+              held.emplace_back(k, true);
+            }
+            if (shadow[k].writers.fetch_add(1) != 0) failed = true;
+            if (shadow[k].readers.load() != 0) failed = true;
+          }
+          grants.fetch_add(1);
+        }
+        for (const auto& [k, exclusive] : held) {
+          (exclusive ? shadow[k].writers : shadow[k].readers).fetch_sub(1);
+        }
+        locks.ReleaseAll(&set);
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(grants.load(), 0u);
+
+  // Nothing leaked: every key is free for an exclusive lock at once.
+  LockManager::LockSet all;
+  for (const auto& key : keys) {
+    bool newly = false;
+    ASSERT_TRUE(locks.AcquireExclusive(&all, key, &newly).ok()) << key;
+  }
+  locks.ReleaseAll(&all);
+  EXPECT_LE(locks.SlotCount(), static_cast<size_t>(kKeys));
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace ycsbt
