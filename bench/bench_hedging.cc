@@ -100,9 +100,9 @@ ModeRow RunPoint(bool full, int threads, bool hedging) {
       row.read_p999_us = op.p999_latency_us;
     }
   }
-  row.hedges_sent = r.hedges_sent;
-  row.hedges_won = r.hedges_won;
-  row.hedges_wasted = r.hedges_wasted;
+  row.hedges_sent = r.Counter("HEDGES SENT").value_or(0);
+  row.hedges_won = r.Counter("HEDGES WON").value_or(0);
+  row.hedges_wasted = r.Counter("HEDGES WASTED").value_or(0);
   return row;
 }
 

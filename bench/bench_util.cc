@@ -33,15 +33,5 @@ core::RunResult MustRun(const Properties& props) {
   return result;
 }
 
-core::RunResult MustRunWithFactory(const Properties& props, DBFactory* factory) {
-  core::RunResult result;
-  Status s = core::RunBenchmarkWithFactory(props, factory, &result);
-  if (!s.ok()) {
-    std::fprintf(stderr, "bench configuration failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  return result;
-}
-
 }  // namespace bench
 }  // namespace ycsbt

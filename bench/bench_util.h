@@ -34,10 +34,6 @@ struct SweepRow {
 /// Exits the process on configuration errors (bench binaries are scripts).
 core::RunResult MustRun(const Properties& props);
 
-/// Same, reusing an already-loaded factory (skipload is set for the caller).
-core::RunResult MustRunWithFactory(const Properties& props,
-                                   DBFactory* factory);
-
 }  // namespace bench
 }  // namespace ycsbt
 

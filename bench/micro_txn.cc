@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "txn/client_txn_store.h"
 #include "txn/local_2pl.h"
@@ -15,6 +16,14 @@
 namespace {
 
 using namespace ycsbt;
+
+/// "k<i>", built by appending: `"k" + std::to_string(i)` trips a false
+/// -Wrestrict in GCC 12 at -O3.
+std::string Key(uint64_t i) {
+  std::string key = "k";
+  key += std::to_string(i);
+  return key;
+}
 
 std::unique_ptr<txn::ClientTxnStore> MakeClientStore() {
   return std::make_unique<txn::ClientTxnStore>(
@@ -48,13 +57,13 @@ BENCHMARK(BM_TxRecordDecode);
 void BM_TxnReadOnly(benchmark::State& state) {
   auto store = MakeClientStore();
   for (int i = 0; i < 1000; ++i) {
-    store->LoadPut("k" + std::to_string(i), std::string(100, 'x'));
+    store->LoadPut(Key(i), std::string(100, 'x'));
   }
   uint64_t i = 0;
   std::string value;
   for (auto _ : state) {
     auto txn = store->Begin();
-    txn->Read("k" + std::to_string(i++ % 1000), &value);
+    txn->Read(Key(i++ % 1000), &value);
     txn->Commit();
   }
 }
@@ -64,13 +73,13 @@ void BM_TxnCommitByWriteSetSize(benchmark::State& state) {
   auto store = MakeClientStore();
   const int keys = static_cast<int>(state.range(0));
   for (int i = 0; i < 1000; ++i) {
-    store->LoadPut("k" + std::to_string(i), std::string(100, 'x'));
+    store->LoadPut(Key(i), std::string(100, 'x'));
   }
   uint64_t round = 0;
   for (auto _ : state) {
     auto txn = store->Begin();
     for (int k = 0; k < keys; ++k) {
-      txn->Write("k" + std::to_string((round * keys + k) % 1000),
+      txn->Write(Key((round * keys + k) % 1000),
                  std::string(100, 'y'));
     }
     benchmark::DoNotOptimize(txn->Commit());
@@ -120,14 +129,14 @@ void BM_2PLReadOnly(benchmark::State& state) {
   if (state.thread_index() == 0) {
     store = std::make_unique<txn::Local2PLStore>(std::make_shared<kv::ShardedStore>());
     for (int i = 0; i < 1000; ++i) {
-      store->LoadPut("k" + std::to_string(i), std::string(100, 'x'));
+      store->LoadPut(Key(i), std::string(100, 'x'));
     }
   }
   uint64_t i = static_cast<uint64_t>(state.thread_index()) * 251;
   std::string value;
   for (auto _ : state) {
     auto txn = store->Begin();
-    benchmark::DoNotOptimize(txn->Read("k" + std::to_string(i++ % 1000), &value));
+    benchmark::DoNotOptimize(txn->Read(Key(i++ % 1000), &value));
     txn->Commit();
   }
   state.SetItemsProcessed(state.iterations());
@@ -140,7 +149,7 @@ std::unique_ptr<txn::OccEngine> MakeOccStore() {
   options.epoch_ms = 10;
   auto store = std::make_unique<txn::OccEngine>(options);
   for (int i = 0; i < 1000; ++i) {
-    store->LoadPut("k" + std::to_string(i), std::string(100, 'x'));
+    store->LoadPut(Key(i), std::string(100, 'x'));
   }
   return store;
 }
@@ -151,7 +160,7 @@ void BM_OccTxnReadOnly(benchmark::State& state) {
   std::string value;
   for (auto _ : state) {
     auto txn = store->Begin();
-    txn->Read("k" + std::to_string(i++ % 1000), &value);
+    txn->Read(Key(i++ % 1000), &value);
     txn->Commit();
   }
 }
@@ -164,7 +173,7 @@ void BM_OccCommitByWriteSetSize(benchmark::State& state) {
   for (auto _ : state) {
     auto txn = store->Begin();
     for (int k = 0; k < keys; ++k) {
-      txn->Write("k" + std::to_string((round * keys + k) % 1000),
+      txn->Write(Key((round * keys + k) % 1000),
                  std::string(100, 'y'));
     }
     benchmark::DoNotOptimize(txn->Commit());

@@ -104,6 +104,17 @@ ReplicationStats ReplicatedCloudStore::DrainStats() {
   return out;
 }
 
+void ReplicatedCloudStore::Collect(LayerStats* out) {
+  ReplicationStats drained = DrainStats();
+  out->Count("FAILOVERS", drained.failovers);
+  out->Count("NOT-LEADER REJECTS", drained.not_leader_rejects);
+  out->Count("LOST-TAIL WRITES", drained.lost_tail_writes);
+  out->Count("STALE READS", drained.stale_reads);
+  out->Count("REPLICA APPLIES", drained.replica_applies);
+  out->Count("PARTITION REJECTS", drained.partition_rejects);
+  out->Distribution("REPLICA-LAG", std::move(drained.replica_lag));
+}
+
 bool ReplicatedCloudStore::VisibleLocked(const PendingApply& p) const {
   if (opts_.replica_lag_ops > 0) return seq_ >= p.visible_seq;
   return WallMicros() >= p.visible_at_us;

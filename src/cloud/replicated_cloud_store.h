@@ -13,6 +13,7 @@
 #include "common/histogram.h"
 #include "common/properties.h"
 #include "common/random.h"
+#include "common/stats_layer.h"
 #include "kv/store.h"
 
 namespace ycsbt {
@@ -62,8 +63,9 @@ struct ReplicationOptions {
                                ReplicationOptions* out);
 };
 
-/// Counters and the lag histogram, drained once per measured run (the
-/// `FAILOVER-*` / `NOT-LEADER` / `STALE-READ` / `REPLICA-LAG` series).
+/// Counters and the lag histogram since the last drain (`Collect` reports
+/// them as the `FAILOVERS` / `NOT-LEADER REJECTS` / ... lines and the
+/// `REPLICA-LAG` series).
 struct ReplicationStats {
   uint64_t writes_replicated = 0;  ///< replication records enqueued
   uint64_t replica_applies = 0;    ///< records drained into follower views
@@ -111,7 +113,7 @@ struct ReplicationStats {
 ///     arrival `partition_at`, answering `Unavailable` until
 ///     `partition_ops` rejections have been charged to it (the circuit
 ///     breaker satellite: only that backend's breaker opens).
-class ReplicatedCloudStore : public kv::Store {
+class ReplicatedCloudStore : public kv::Store, public StatsLayer {
  public:
   /// `base` is the authoritative store (normally a SimCloudStore so every
   /// routed request pays cloud latency); `raw` is the latency-free engine
@@ -153,9 +155,12 @@ class ReplicatedCloudStore : public kv::Store {
   const ReplicationOptions& options() const { return opts_; }
 
   ReplicationStats stats() const;
-  /// Snapshot-and-reset, the per-run drain the runner's series are built
-  /// from (pre-run drain discards the load phase).
+  /// Snapshot-and-reset of the counters; `Collect` drains through it.
   ReplicationStats DrainStats();
+
+  const char* name() const override { return "replication"; }
+  void Collect(LayerStats* out) override;
+  void Arm(bool armed) override { set_fault_enabled(armed); }
 
  private:
   /// One undelivered replication record: the key's state BEFORE the write

@@ -60,6 +60,14 @@ TokenBucket& SimCloudStore::ContainerFor(const std::string& key) {
   return *container_limits_[h % container_limits_.size()];
 }
 
+void SimCloudStore::Collect(LayerStats* out) {
+  CloudStats now = stats();
+  out->Count("CLOUD REQUESTS", now.requests - collected_.requests);
+  out->Count("CLOUD THROTTLED", now.throttled - collected_.throttled);
+  out->Count("CLOUD QUEUE-DELAYED", now.queue_delayed - collected_.queue_delayed);
+  collected_ = now;
+}
+
 void SimCloudStore::ScaleLatency(double factor) {
   profile_.read_latency_median_us *= factor;
   profile_.write_latency_median_us *= factor;

@@ -8,6 +8,7 @@
 
 #include "common/latency_model.h"
 #include "common/rate_limiter.h"
+#include "common/stats_layer.h"
 #include "kv/store.h"
 
 namespace ycsbt {
@@ -89,7 +90,7 @@ struct CloudStats {
 /// request whose queueing delay would outlive the deadline is rejected
 /// immediately as `RateLimited` (with a `retry_after_us=` hint) instead of
 /// sleeping out a wait whose answer is already useless.
-class SimCloudStore : public kv::Store {
+class SimCloudStore : public kv::Store, public StatsLayer {
  public:
   explicit SimCloudStore(CloudProfile profile,
                          std::shared_ptr<kv::Store> backing = nullptr);
@@ -128,6 +129,10 @@ class SimCloudStore : public kv::Store {
                       ok_.load()};
   }
 
+  const char* name() const override { return "cloud"; }
+  /// `CLOUD REQUESTS` / `CLOUD THROTTLED` / `CLOUD QUEUE-DELAYED`.
+  void Collect(LayerStats* out) override;
+
   /// Scales all latency parameters by `factor` (tests use ~0.01 so suites
   /// stay fast while exercising the same code paths).
   void ScaleLatency(double factor);
@@ -158,6 +163,7 @@ class SimCloudStore : public kv::Store {
   std::atomic<uint64_t> throttled_{0};
   std::atomic<uint64_t> queue_delayed_{0};
   std::atomic<uint64_t> ok_{0};
+  CloudStats collected_;  ///< `stats()` as of the previous Collect
 };
 
 }  // namespace cloud

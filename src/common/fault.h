@@ -58,7 +58,7 @@ class CrashInjector {
 /// *count-based* by default — expressed in armed request/write arrivals, the
 /// same discipline as the circuit breaker's `cooldown_rejects` — so a
 /// single-threaded same-seed run replays the identical fault timeline and
-/// the identical `FAILOVER-*`/`NOT-LEADER` counters.  `election_us` is the
+/// the identical `FAILOVERS` / `NOT-LEADER REJECTS` counters.  `election_us` is the
 /// one wall-clock escape hatch, for tests that need an election to span
 /// real status windows.
 ///

@@ -99,10 +99,11 @@ std::vector<Status> RpcExecutor::ParallelForEach(
   for (size_t h = 0; h < helpers; ++h) {
     Submit([&state, run_items] {
       run_items();
-      {
-        std::lock_guard<std::mutex> lock(state.done_mu);
-        state.helpers_done++;
-      }
+      // Notify under the lock: once the caller sees the last helper done it
+      // returns and destroys `state`, so no helper may touch it after
+      // releasing `done_mu`.
+      std::lock_guard<std::mutex> lock(state.done_mu);
+      state.helpers_done++;
       state.done_cv.notify_one();
     });
   }
@@ -120,6 +121,13 @@ FanoutStats RpcExecutor::DrainStats() {
   FanoutStats out = stats_;
   stats_ = FanoutStats();
   return out;
+}
+
+void RpcExecutor::Collect(LayerStats* out) {
+  FanoutStats drained = DrainStats();
+  out->Count("FANOUT BATCHES", drained.batches);
+  out->Count("FANOUT ITEMS", drained.items);
+  out->Distribution("RPC-FANOUT", std::move(drained.width));
 }
 
 }  // namespace ycsbt

@@ -10,13 +10,14 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/stats_layer.h"
 #include "common/status.h"
 
 namespace ycsbt {
 
-/// Counters for the fan-out layer, drained once per run by the runner and
-/// rendered as the `RPC-FANOUT` width series plus the `FANOUT BATCHES` /
-/// `FANOUT AVG WIDTH` summary lines.
+/// Counters for the fan-out layer since the last drain; `Collect` reports
+/// them as the `FANOUT BATCHES` / `FANOUT ITEMS` lines and the `RPC-FANOUT`
+/// width series.
 struct FanoutStats {
   /// `ParallelForEach` calls that actually fanned out (>= 2 items, pool on).
   uint64_t batches = 0;
@@ -50,7 +51,7 @@ struct FanoutStats {
 /// With zero threads the executor is disabled and `ParallelForEach`
 /// degenerates to a plain sequential loop (the seed behaviour), which is
 /// what `txn.fanout_threads=0` selects.
-class RpcExecutor {
+class RpcExecutor : public StatsLayer {
  public:
   /// `threads` pool workers (0 disables the pool), at most `max_inflight`
   /// items of one batch in flight at once (0 = use `threads`), worker RNGs
@@ -77,6 +78,9 @@ class RpcExecutor {
   /// Snapshot-and-reset of the fan-out counters accumulated since the last
   /// drain.
   FanoutStats DrainStats();
+
+  const char* name() const override { return "fanout"; }
+  void Collect(LayerStats* out) override;
 
  private:
   void WorkerLoop(size_t worker_index);

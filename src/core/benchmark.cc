@@ -43,24 +43,12 @@ Status RunBenchmarkWithFactory(const Properties& props, DBFactory* factory,
     if (!s.ok()) return s;
     // Faults perturb only the measured run — the load phase must populate
     // the table completely and the validation sweep must see the store as
-    // it is.  Same for the replicated store's failover script and replica
-    // lag: while disarmed it replicates synchronously (read routing stays
-    // on, so a stale-mode validation still audits the lagging view).
-    if (factory->fault_store() != nullptr) factory->fault_store()->set_enabled(true);
-    if (factory->storage_fault_env() != nullptr) {
-      factory->storage_fault_env()->set_enabled(true);
-    }
-    if (factory->replicated_store() != nullptr) {
-      factory->replicated_store()->set_fault_enabled(true);
-    }
+    // it is.  (A disarmed replicated store replicates synchronously; its
+    // read routing stays on, so a stale-mode validation still audits the
+    // lagging view.)
+    for (StatsLayer* layer : factory->stats_layers()) layer->Arm(true);
     s = runner.Run(run, result);
-    if (factory->fault_store() != nullptr) factory->fault_store()->set_enabled(false);
-    if (factory->storage_fault_env() != nullptr) {
-      factory->storage_fault_env()->set_enabled(false);
-    }
-    if (factory->replicated_store() != nullptr) {
-      factory->replicated_store()->set_fault_enabled(false);
-    }
+    for (StatsLayer* layer : factory->stats_layers()) layer->Arm(false);
     if (!s.ok()) return s;
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <deque>
 #include <iterator>
 #include <limits>
@@ -29,115 +28,10 @@ RunSummary RunResult::MakeSummary() const {
   summary.has_validation = validation.performed;
   summary.validation_passed = validation.passed;
   summary.extra = validation.report;
-  if (retries_enabled) {
-    summary.extra.emplace_back("TX-RETRIES", std::to_string(retries));
-    char per_txn[32];
-    std::snprintf(per_txn, sizeof(per_txn), "%.4f",
-                  operations == 0 ? 0.0
-                                  : static_cast<double>(retries) /
-                                        static_cast<double>(operations));
-    summary.extra.emplace_back("RETRIES PER TXN", per_txn);
-    summary.extra.emplace_back("TIME IN BACKOFF(us)",
-                               std::to_string(backoff_time_us));
-    summary.extra.emplace_back("TX-GIVEUPS", std::to_string(giveups));
-  }
-  if (roll_forwards != 0 || roll_backs != 0 || injected_crashes != 0 ||
-      ambiguous_commits != 0) {
-    summary.extra.emplace_back("RECOVERY ROLLFORWARDS",
-                               std::to_string(roll_forwards));
-    summary.extra.emplace_back("RECOVERY ROLLBACKS", std::to_string(roll_backs));
-    summary.extra.emplace_back("INJECTED CRASHES",
-                               std::to_string(injected_crashes));
-    summary.extra.emplace_back("AMBIGUOUS COMMITS",
-                               std::to_string(ambiguous_commits));
-  }
-  if (stall_events != 0) {
-    summary.extra.emplace_back("WATCHDOG STALLS", std::to_string(stall_events));
-  }
-  if (recovery_reported) {
-    summary.extra.emplace_back("RECOVERY-REPLAYED",
-                               std::to_string(recovery_wal_replayed));
-    summary.extra.emplace_back("RECOVERY-SKIPPED",
-                               std::to_string(recovery_wal_skipped));
-    summary.extra.emplace_back("RECOVERY-TRUNCATED-BYTES",
-                               std::to_string(recovery_truncated_bytes));
-    summary.extra.emplace_back(
-        "CKPT-SCRUB", recovery_ckpt_scrubbed ? "1 (" + recovery_scrub_reason + ")"
-                                             : "0");
-    summary.extra.emplace_back("CKPT-RECORDS",
-                               std::to_string(recovery_ckpt_records));
-  }
-  if (storage_faults_enabled) {
-    summary.extra.emplace_back("STORAGE-FAULTS INJECTED",
-                               std::to_string(storage_faults_injected));
-    summary.extra.emplace_back("STORAGE-ENV CRASHED",
-                               storage_env_crashed ? "1" : "0");
-  }
-  if (resilience_enabled) {
-    summary.extra.emplace_back("BREAKER OPENS", std::to_string(breaker_opens));
-    summary.extra.emplace_back("BREAKER FAST-FAILS",
-                               std::to_string(breaker_fast_fails));
-    summary.extra.emplace_back("BREAKER PROBES", std::to_string(breaker_probes));
-    summary.extra.emplace_back("BREAKER RECLOSES",
-                               std::to_string(breaker_recloses));
-    summary.extra.emplace_back("HEDGES SENT", std::to_string(hedges_sent));
-    summary.extra.emplace_back("HEDGES WON", std::to_string(hedges_won));
-    summary.extra.emplace_back("HEDGES WASTED", std::to_string(hedges_wasted));
-    summary.extra.emplace_back("DEADLINE ABANDONS",
-                               std::to_string(deadline_abandons));
-  }
-  if (shed_enabled) {
-    summary.extra.emplace_back("SHED TXNS", std::to_string(shed_txns));
-    summary.extra.emplace_back("SHED READS", std::to_string(shed_reads));
-  }
-  if (arrival_enabled) {
-    summary.extra.emplace_back("ARRIVAL DROPS", std::to_string(arrival_drops));
-    summary.extra.emplace_back("BACKLOG PEAK", std::to_string(backlog_peak));
-    summary.extra.emplace_back("SCHED-LAG MAX(us)",
-                               std::to_string(sched_lag_max_us));
-  }
-  if (wal_appends != 0) {
-    summary.extra.emplace_back("WAL APPENDS", std::to_string(wal_appends));
-    summary.extra.emplace_back("WAL SYNCS", std::to_string(wal_syncs));
-    summary.extra.emplace_back("WAL GROUP BATCHES", std::to_string(wal_batches));
-    char avg[32];
-    std::snprintf(avg, sizeof(avg), "%.2f", wal_avg_batch);
-    summary.extra.emplace_back("WAL AVG BATCH", avg);
-    summary.extra.emplace_back("WAL MAX BATCH", std::to_string(wal_max_batch));
-  }
-  if (fanout_batches != 0) {
-    summary.extra.emplace_back("FANOUT BATCHES", std::to_string(fanout_batches));
-    summary.extra.emplace_back("FANOUT ITEMS", std::to_string(fanout_items));
-    char favg[32];
-    std::snprintf(favg, sizeof(favg), "%.2f", fanout_avg_width);
-    summary.extra.emplace_back("FANOUT AVG WIDTH", favg);
-  }
-  if (occ_enabled) {
-    summary.extra.emplace_back("OCC COMMITS", std::to_string(occ_commits));
-    summary.extra.emplace_back("OCC ABORTS", std::to_string(occ_aborts));
-    summary.extra.emplace_back("OCC VALIDATE FAILS",
-                               std::to_string(occ_validation_fails));
-    summary.extra.emplace_back("EPOCH ADVANCES",
-                               std::to_string(occ_epoch_advances));
-    summary.extra.emplace_back("OCC VERSIONS RETIRED",
-                               std::to_string(occ_versions_retired));
-    summary.extra.emplace_back("OCC VERSIONS FREED",
-                               std::to_string(occ_versions_freed));
-  }
-  if (replication_enabled) {
-    summary.extra.emplace_back("FAILOVERS", std::to_string(failovers));
-    summary.extra.emplace_back("NOT-LEADER REJECTS",
-                               std::to_string(not_leader_rejects));
-    summary.extra.emplace_back("LOST-TAIL WRITES",
-                               std::to_string(lost_tail_writes));
-    summary.extra.emplace_back("STALE READS", std::to_string(stale_reads));
-    summary.extra.emplace_back("REPLICA APPLIES",
-                               std::to_string(replica_applies));
-    summary.extra.emplace_back("PARTITION REJECTS",
-                               std::to_string(partition_rejects));
-  }
+  summary.counters = layers;
   summary.intervals = intervals;
-  summary.open_loop = arrival_enabled;
+  // The runner reports arrival lines exactly for open-loop runs.
+  summary.open_loop = Counter("ARRIVAL DROPS").has_value();
   return summary;
 }
 
@@ -422,6 +316,15 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
                                                     factory_->resilient_store());
   }
 
+  // Everything the stack's layers did before this point (load phase, an
+  // earlier run) is collected and thrown away, so the post-run collection
+  // reports this run window only.
+  const std::vector<StatsLayer*>& stack = factory_->stats_layers();
+  {
+    LayerStats discarded;
+    for (StatsLayer* layer : stack) layer->Collect(&discarded);
+  }
+
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
       auto raw = factory_->CreateClient();
@@ -660,40 +563,6 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
     });
   }
 
-  // Snapshot the transaction library's recovery counters so the run's delta
-  // (what happened *during* this window) can be reported afterwards.
-  txn::TxnStats txn_before;
-  txn::ClientTxnStore* txn_store = factory_->client_txn_store();
-  if (txn_store != nullptr) txn_before = txn_store->stats();
-
-  // The OCC engine counts load-phase LoadPuts and ticker epochs too, so its
-  // report is likewise a run-window delta.
-  txn::OccStats occ_before;
-  txn::OccEngine* occ = factory_->occ_engine();
-  if (occ != nullptr) occ_before = occ->stats();
-
-  // Same for the resilience layer: the load phase goes through it too, so
-  // the report must be the run-window delta.
-  kv::ResilientStore* resilience = factory_->resilient_store();
-  kv::ResilienceStats res_before;
-  if (resilience != nullptr) res_before = resilience->stats();
-
-  // Discard WAL durability counters the load phase accumulated, so the
-  // post-run drain reports this run window only.
-  kv::ShardedStore* engine = factory_->local_engine();
-  bool track_wal = engine != nullptr && engine->wal_enabled();
-  if (track_wal) engine->DrainWalStats();
-
-  // Likewise the fan-out executor: drop batches the load phase issued.
-  const std::shared_ptr<RpcExecutor>& fanout = factory_->rpc_executor();
-  if (fanout != nullptr) fanout->DrainStats();
-
-  // And the replication layer: the load phase replicates synchronously but
-  // still counts applies, so drop those too.
-  const std::shared_ptr<cloud::ReplicatedCloudStore>& replicated =
-      factory_->replicated_store();
-  if (replicated != nullptr) replicated->DrainStats();
-
   Stopwatch run_watch;
   start_gate.CountDown();
 
@@ -830,184 +699,53 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
   result->failed = SumProgress(progress, &ClientProgress::failed);
   result->throughput_ops_sec =
       runtime_sec > 0.0 ? static_cast<double>(result->operations) / runtime_sec : 0.0;
-  result->retries_enabled = options.wrap_in_transactions && options.retry.enabled();
   result->retries = SumProgress(progress, &ClientProgress::retries);
   result->giveups = SumProgress(progress, &ClientProgress::giveups);
   result->backoff_time_us = SumProgress(progress, &ClientProgress::backoff_us);
   result->stall_events = stall_events;
-  if (open_loop) {
-    result->arrival_enabled = true;
-    result->arrival_drops = SumProgress(progress, &ClientProgress::arrival_drops);
-    result->backlog_peak = MaxProgress(progress, &ClientProgress::backlog_peak);
-    result->sched_lag_max_us =
-        MaxProgress(progress, &ClientProgress::sched_lag_max_us);
-  }
-
-  if (txn_store != nullptr) {
-    // Recovery work done during the run window, as deltas against the
-    // pre-run snapshot, surfaced both in the result and as zero-latency
-    // count series so both exporters render them.
-    txn::TxnStats after = txn_store->stats();
-    result->roll_forwards = after.roll_forwards - txn_before.roll_forwards;
-    result->roll_backs = after.roll_backs - txn_before.roll_backs;
-    result->injected_crashes = after.injected_crashes - txn_before.injected_crashes;
-    result->ambiguous_commits =
-        after.ambiguous_commits - txn_before.ambiguous_commits;
-    measurements_->RecordMany(measurements_->RegisterOp("TXN-RECOVERY-FORWARD"), 0,
-                              Status::Code::kOk, result->roll_forwards);
-    measurements_->RecordMany(measurements_->RegisterOp("TXN-RECOVERY-BACK"), 0,
-                              Status::Code::kOk, result->roll_backs);
-  }
-
-  if (occ != nullptr) {
-    // OCC commit-protocol outcomes during the run window: summary counters
-    // plus zero-latency count series so both exporters render them.
-    txn::OccStats after = occ->stats();
-    result->occ_enabled = true;
-    result->occ_commits = after.commits - occ_before.commits;
-    result->occ_aborts = after.aborts - occ_before.aborts;
-    result->occ_validation_fails =
-        after.validation_fails - occ_before.validation_fails;
-    result->occ_epoch_advances =
-        after.epoch_advances - occ_before.epoch_advances;
-    result->occ_versions_retired =
-        after.versions_retired - occ_before.versions_retired;
-    result->occ_versions_freed =
-        after.versions_freed - occ_before.versions_freed;
-    measurements_->RecordMany(measurements_->RegisterOp("OCC-ABORT"), 0,
-                              Status::Code::kConflict, result->occ_aborts);
-    measurements_->RecordMany(measurements_->RegisterOp("OCC-VALIDATE-FAIL"), 0,
-                              Status::Code::kConflict,
-                              result->occ_validation_fails);
-    measurements_->RecordMany(measurements_->RegisterOp("EPOCH-ADVANCE"), 0,
-                              Status::Code::kOk, result->occ_epoch_advances);
-  }
-
-  if (resilience != nullptr) {
-    // Overload-tolerance activity during the run window, as series both
-    // exporters render plus summary counters.
-    kv::ResilienceStats after = resilience->stats();
-    result->resilience_enabled = true;
-    result->breaker_opens = after.breaker.opens - res_before.breaker.opens;
-    result->breaker_fast_fails =
-        after.breaker.fast_fails - res_before.breaker.fast_fails;
-    result->breaker_probes =
-        after.breaker.probes_sent - res_before.breaker.probes_sent;
-    result->breaker_recloses =
-        after.breaker.recloses - res_before.breaker.recloses;
-    result->hedges_sent = after.hedges_sent - res_before.hedges_sent;
-    result->hedges_won = after.hedges_won - res_before.hedges_won;
-    result->hedges_wasted = after.hedges_wasted - res_before.hedges_wasted;
-    result->deadline_abandons =
-        after.deadline_rejects - res_before.deadline_rejects;
-    measurements_->RecordMany(measurements_->RegisterOp("BREAKER-OPEN"), 0,
-                              Status::Code::kOk, result->breaker_opens);
-    measurements_->RecordMany(measurements_->RegisterOp("BREAKER-PROBE"), 0,
-                              Status::Code::kOk, result->breaker_probes);
-    measurements_->RecordMany(measurements_->RegisterOp("HEDGE-SENT"), 0,
-                              Status::Code::kOk, result->hedges_sent);
-    measurements_->RecordMany(measurements_->RegisterOp("HEDGE-WON"), 0,
-                              Status::Code::kOk, result->hedges_won);
-    measurements_->RecordMany(measurements_->RegisterOp("HEDGE-WASTED"), 0,
-                              Status::Code::kOk, result->hedges_wasted);
-    measurements_->RecordMany(measurements_->RegisterOp("DEADLINE-ABANDON"), 0,
-                              Status::Code::kTimeout, result->deadline_abandons);
-  }
-
+  result->arrival_drops = SumProgress(progress, &ClientProgress::arrival_drops);
+  result->backlog_peak = MaxProgress(progress, &ClientProgress::backlog_peak);
+  result->sched_lag_max_us = MaxProgress(progress, &ClientProgress::sched_lag_max_us);
   if (brownout != nullptr) {
-    result->shed_enabled = true;
     result->shed_txns = brownout->sheds();
     result->shed_reads = brownout->shed_reads();
   }
 
-  if (track_wal) {
-    // Fold the WAL's run-window durability stats into the shared series so
-    // both exporters render WAL-SYNC (fdatasync latency) and WAL-BATCH
-    // (records per write batch) with full percentile lines.
-    kv::WalStats wal = engine->DrainWalStats();
-    result->wal_appends = wal.appends;
-    result->wal_syncs = wal.syncs;
-    result->wal_batches = wal.batches;
-    result->wal_avg_batch = wal.batch_records.Mean();
-    result->wal_max_batch = wal.batch_records.Max();
-    measurements_->MergeHistogram(measurements_->RegisterOp("WAL-SYNC"),
-                                  wal.sync_latency_us, Status::Code::kOk);
-    measurements_->MergeHistogram(measurements_->RegisterOp("WAL-BATCH"),
-                                  wal.batch_records, Status::Code::kOk);
+  // The runner's own lines, for the features this run switched on.
+  LayerCounters runner{"runner", {}, {}};
+  if (options.wrap_in_transactions && options.retry.enabled()) {
+    runner.counters.emplace_back("TX-RETRIES", result->retries);
+    runner.counters.emplace_back("TIME IN BACKOFF(us)", result->backoff_time_us);
+    runner.counters.emplace_back("TX-GIVEUPS", result->giveups);
+  }
+  if (options.status_interval_seconds > 0.0 && options.stall_windows > 0) {
+    runner.counters.emplace_back("WATCHDOG STALLS", result->stall_events);
+  }
+  if (brownout != nullptr) {
+    runner.counters.emplace_back("SHED TXNS", result->shed_txns);
+    runner.counters.emplace_back("SHED READS", result->shed_reads);
+  }
+  if (open_loop) {
+    runner.counters.emplace_back("ARRIVAL DROPS", result->arrival_drops);
+    runner.counters.emplace_back("BACKLOG PEAK", result->backlog_peak);
+    runner.counters.emplace_back("SCHED-LAG MAX(us)", result->sched_lag_max_us);
+  }
+  result->layers.clear();
+  if (!runner.counters.empty()) result->layers.push_back(std::move(runner));
 
-    // What startup recovery did to reach this run's initial state, surfaced
-    // as summary lines and as series so both exporters render them
-    // (DESIGN.md §14): RECOVERY-REPLAYED / RECOVERY-TRUNCATED-BYTES counts,
-    // and CKPT-SCRUB as an error-coded event when the snapshot was damaged.
-    const kv::RecoveryReport& rec = engine->recovery_report();
-    result->recovery_reported = true;
-    result->recovery_ckpt_records = rec.checkpoint_records;
-    result->recovery_wal_replayed = rec.wal_records_replayed;
-    result->recovery_wal_skipped = rec.wal_records_skipped;
-    result->recovery_truncated_bytes = rec.truncated_bytes;
-    result->recovery_ckpt_scrubbed = rec.checkpoint_scrubbed;
-    result->recovery_scrub_reason = rec.scrub_reason;
-    measurements_->RecordMany(measurements_->RegisterOp("RECOVERY-REPLAYED"), 0,
-                              Status::Code::kOk, rec.wal_records_replayed);
-    measurements_->RecordMany(
-        measurements_->RegisterOp("RECOVERY-TRUNCATED-BYTES"), 0,
-        Status::Code::kOk, rec.truncated_bytes);
-    if (rec.checkpoint_scrubbed) {
-      measurements_->RecordMany(measurements_->RegisterOp("CKPT-SCRUB"), 0,
-                                Status::Code::kIOError, 1);
+  // Each stack layer's window: counters into the result, distributions into
+  // the series of the same name so both exporters render their percentiles.
+  for (StatsLayer* layer : stack) {
+    LayerStats stats;
+    layer->Collect(&stats);
+    for (auto& [name, histogram] : stats.histograms) {
+      measurements_->MergeHistogram(measurements_->RegisterOp(name), histogram,
+                                    Status::Code::kOk);
     }
+    result->layers.push_back(
+        {layer->name(), std::move(stats.counters), std::move(stats.notes)});
   }
-
-  if (kv::FaultInjectingEnv* senv = factory_->storage_fault_env()) {
-    // Storage-layer injections during the run window (the env is armed only
-    // around the measured phase, so the stats are already run-scoped).
-    kv::StorageFaultStats ss = senv->stats();
-    result->storage_faults_enabled = true;
-    result->storage_faults_injected = ss.TotalInjected();
-    result->storage_env_crashed = ss.crashed;
-    measurements_->RecordMany(measurements_->RegisterOp("STORAGE-FAULT"), 0,
-                              Status::Code::kIOError, ss.TotalInjected());
-  }
-
-  if (fanout != nullptr) {
-    // Fold the run window's batch widths into the shared series so both
-    // exporters render RPC-FANOUT with full percentile lines.
-    FanoutStats fs = fanout->DrainStats();
-    result->fanout_batches = fs.batches;
-    result->fanout_items = fs.items;
-    result->fanout_avg_width = fs.width.Mean();
-    if (fs.batches != 0) {
-      measurements_->MergeHistogram(measurements_->RegisterOp("RPC-FANOUT"),
-                                    fs.width, Status::Code::kOk);
-    }
-  }
-
-  if (replicated != nullptr) {
-    // Replication/failover activity during the run window, surfaced as
-    // result fields and as series so both exporters render the headline
-    // FAILOVER-*/NOT-LEADER/STALE-READ counters and the REPLICA-LAG
-    // distribution.
-    cloud::ReplicationStats rs = replicated->DrainStats();
-    result->replication_enabled = true;
-    result->failovers = rs.failovers;
-    result->not_leader_rejects = rs.not_leader_rejects;
-    result->lost_tail_writes = rs.lost_tail_writes;
-    result->stale_reads = rs.stale_reads;
-    result->replica_applies = rs.replica_applies;
-    result->partition_rejects = rs.partition_rejects;
-    measurements_->RecordMany(measurements_->RegisterOp("NOT-LEADER"), 0,
-                              Status::Code::kNotLeader, rs.not_leader_rejects);
-    measurements_->RecordMany(measurements_->RegisterOp("FAILOVER-ELECTION"), 0,
-                              Status::Code::kOk, rs.failovers);
-    measurements_->RecordMany(measurements_->RegisterOp("FAILOVER-LOST-TAIL"), 0,
-                              Status::Code::kTimeout, rs.lost_tail_writes);
-    measurements_->RecordMany(measurements_->RegisterOp("STALE-READ"), 0,
-                              Status::Code::kOk, rs.stale_reads);
-    if (rs.replica_lag.Count() != 0) {
-      measurements_->MergeHistogram(measurements_->RegisterOp("REPLICA-LAG"),
-                                    rs.replica_lag, Status::Code::kOk);
-    }
-  }
+  result->wal_appends = result->Counter("WAL APPENDS").value_or(0);
 
   result->op_stats = measurements_->Snapshot();
   result->intervals = measurements_->Intervals();

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "common/retry_policy.h"
+#include "common/stats_layer.h"
 #include "core/arrival.h"
 #include "core/brownout.h"
 #include "core/workload.h"
@@ -102,92 +105,25 @@ struct RunResult {
   uint64_t committed = 0;   ///< transactions whose commit succeeded
   uint64_t failed = 0;      ///< workload failures + failed commits
 
-  // Retry-loop accounting (all zero when retries are off).
-  bool retries_enabled = false;
+  // The runner's own accounting (zero when the feature is off).
   uint64_t retries = 0;          ///< extra attempts made across all txns
   uint64_t giveups = 0;          ///< txns that failed with retries available exhausted
   uint64_t backoff_time_us = 0;  ///< total wall time spent sleeping between attempts
+  uint64_t stall_events = 0;     ///< watchdog stall flags raised
+  uint64_t shed_txns = 0;        ///< transactions shed by the brownout controller
+  uint64_t shed_reads = 0;       ///< of those, read-only ones dropped first
+  uint64_t arrival_drops = 0;    ///< open-loop arrivals dropped over a full backlog
+  uint64_t backlog_peak = 0;     ///< deepest per-thread pending backlog seen
+  uint64_t sched_lag_max_us = 0; ///< worst intended-vs-actual start lag
 
-  // Recovery/fault accounting for the run window (txn+ bindings only).
-  uint64_t roll_forwards = 0;     ///< abandoned committed txns repaired
-  uint64_t roll_backs = 0;        ///< abandoned uncommitted txns undone
-  uint64_t injected_crashes = 0;  ///< commit-pipeline crash points fired
-  uint64_t ambiguous_commits = 0; ///< lost TSR replies settled by re-read
+  /// WAL records acknowledged during the run (the engine layer's
+  /// `WAL APPENDS`; 0 without a WAL).
+  uint64_t wal_appends = 0;
 
-  uint64_t stall_events = 0;  ///< watchdog stall flags raised
-
-  // Overload-tolerance accounting for the run window (all zero unless the
-  // factory wired a resilience layer / the runner a brownout controller).
-  bool resilience_enabled = false;
-  uint64_t breaker_opens = 0;      ///< Closed/Half-Open -> Open transitions
-  uint64_t breaker_fast_fails = 0; ///< arrivals rejected while Open
-  uint64_t breaker_probes = 0;     ///< Half-Open trial requests admitted
-  uint64_t breaker_recloses = 0;   ///< Half-Open -> Closed recoveries
-  uint64_t hedges_sent = 0;        ///< duplicate reads issued
-  uint64_t hedges_won = 0;         ///< hedges whose answer was used
-  uint64_t hedges_wasted = 0;      ///< hedges cancelled/discarded on arrival
-  uint64_t deadline_abandons = 0;  ///< ops failed fast on an expired deadline
-  bool shed_enabled = false;
-  uint64_t shed_txns = 0;   ///< transactions shed by the brownout controller
-  uint64_t shed_reads = 0;  ///< of those, read-only ones dropped first
-
-  // Open-loop arrival accounting for the run window (all zero unless
-  // `arrival.rate > 0` switched the runner to open-loop mode).
-  bool arrival_enabled = false;
-  uint64_t arrival_drops = 0;     ///< arrivals dropped over a full backlog
-  uint64_t backlog_peak = 0;      ///< deepest per-thread pending backlog seen
-  uint64_t sched_lag_max_us = 0;  ///< worst intended-vs-actual start lag
-
-  // WAL durability accounting for the run window (all zero unless the
-  // binding runs on the local engine with a WAL configured).
-  uint64_t wal_appends = 0;     ///< WAL records acknowledged during the run
-  uint64_t wal_syncs = 0;       ///< fdatasync calls issued during the run
-  uint64_t wal_batches = 0;     ///< write batches (== appends without group commit)
-  double wal_avg_batch = 0.0;   ///< mean records per batch
-  int64_t wal_max_batch = 0;    ///< largest batch observed
-
-  // Crash-recovery accounting from the local engine's `Open()` — what the
-  // startup preceding this run replayed, skipped, truncated and scrubbed
-  // (all zero unless the binding runs on the local engine with a WAL).
-  bool recovery_reported = false;
-  uint64_t recovery_ckpt_records = 0;     ///< entries loaded from the snapshot
-  uint64_t recovery_wal_replayed = 0;     ///< WAL records applied
-  uint64_t recovery_wal_skipped = 0;      ///< WAL frames under the watermark
-  uint64_t recovery_truncated_bytes = 0;  ///< torn WAL tail chopped off
-  bool recovery_ckpt_scrubbed = false;    ///< snapshot failed validation,
-  std::string recovery_scrub_reason;      ///< fell back to WAL-only + why
-
-  // Storage fault injection for the run window (all zero unless
-  // `storage.fault.*` armed a `kv::FaultInjectingEnv` under the engine).
-  bool storage_faults_enabled = false;
-  uint64_t storage_faults_injected = 0;  ///< torn/failed/flipped ops injected
-  bool storage_env_crashed = false;      ///< a crash point froze the env
-
-  // RPC fan-out accounting for the run window (all zero unless
-  // `txn.fanout_threads > 0` and some multi-key phase actually batched).
-  uint64_t fanout_batches = 0;    ///< ParallelForEach calls that fanned out
-  uint64_t fanout_items = 0;      ///< total items across those batches
-  double fanout_avg_width = 0.0;  ///< mean items per batch
-
-  // OCC engine accounting for the run window (all zero unless the binding
-  // is `occ+memkv`): commit-protocol outcomes and the epoch machinery.
-  bool occ_enabled = false;
-  uint64_t occ_commits = 0;           ///< transactions the engine committed
-  uint64_t occ_aborts = 0;            ///< engine-level aborts (incl. validation)
-  uint64_t occ_validation_fails = 0;  ///< commits rejected by read-set validation
-  uint64_t occ_epoch_advances = 0;    ///< global-epoch ticks during the run
-  uint64_t occ_versions_retired = 0;  ///< old versions handed to retire lists
-  uint64_t occ_versions_freed = 0;    ///< retired versions actually reclaimed
-
-  // Multi-region replication accounting for the run window (all zero unless
-  // `cloud.regions > 1` wired a `cloud::ReplicatedCloudStore`).
-  bool replication_enabled = false;
-  uint64_t failovers = 0;           ///< completed leader elections
-  uint64_t not_leader_rejects = 0;  ///< requests refused mid-election
-  uint64_t lost_tail_writes = 0;    ///< applied-but-unacked election writes
-  uint64_t stale_reads = 0;         ///< reads served from a lagging view
-  uint64_t replica_applies = 0;     ///< replication records delivered
-  uint64_t partition_rejects = 0;   ///< requests refused by a partition
+  /// Every counter line of the run, grouped by layer: first the runner's own
+  /// (`runner`: retry, shed, arrival and watchdog lines for the features
+  /// switched on), then each registered stack layer's in registration order.
+  std::vector<LayerCounters> layers;
 
   ValidationResult validation;
   std::vector<OpStats> op_stats;
@@ -200,6 +136,11 @@ struct RunResult {
     return operations == 0 ? 0.0
                            : static_cast<double>(failed) /
                                  static_cast<double>(operations);
+  }
+
+  /// The counter line `name` from `layers`; nullopt when no layer reported it.
+  std::optional<uint64_t> Counter(std::string_view name) const {
+    return FindCounter(layers, name);
   }
 
   /// Converts to the exporter's run summary (Listing-3 shape).

@@ -27,10 +27,13 @@ std::shared_ptr<kv::Store> DBFactory::MakeLocalEngine() {
     storage_fault_env_ = std::make_unique<kv::FaultInjectingEnv>(
         kv::Env::Default(), storage_faults);
     options.env = storage_fault_env_.get();
+    Register(storage_fault_env_.get());
   }
   auto store = std::make_shared<kv::ShardedStore>(options);
   local_engine_status_ = store->Open();  // no-op for volatile stores
   local_engine_ = store;
+  // Without a WAL the engine has nothing to report.
+  if (store->wal_enabled()) Register(store.get());
   return store;
 }
 
@@ -52,6 +55,7 @@ void DBFactory::MaybeInjectFaults() {
   if (!options.Any()) return;
   fault_store_ = std::make_shared<kv::FaultInjectingStore>(front_store_, options);
   front_store_ = fault_store_;
+  Register(fault_store_.get());
 }
 
 void DBFactory::MaybeAddResilience() {
@@ -73,6 +77,7 @@ void DBFactory::MaybeAddResilience() {
         [rep](const std::string& key) { return rep->BreakerBackendFor(key); });
   }
   front_store_ = resilient_store_;
+  Register(resilient_store_.get());
 }
 
 void DBFactory::MaybeAttachExecutor() {
@@ -83,6 +88,7 @@ void DBFactory::MaybeAttachExecutor() {
   // entire run (worker RNG draws included).
   uint64_t seed = props_.GetUint("seed", 0x5EEDBA5Eull);
   rpc_executor_ = std::make_shared<RpcExecutor>(threads, max_inflight, seed);
+  Register(rpc_executor_.get());
   if (cloud_ != nullptr) cloud_->set_executor(rpc_executor_);
   if (local_engine_ != nullptr) local_engine_->set_executor(rpc_executor_);
   if (resilient_store_ != nullptr) resilient_store_->set_executor(rpc_executor_);
@@ -111,6 +117,7 @@ Status DBFactory::BuildBase(const std::string& base_name) {
         props_.GetDouble("cloud.max_queue_delay_us", profile.max_queue_delay_us);
     cloud_ = std::make_shared<cloud::SimCloudStore>(profile, MakeLocalEngine());
     if (!local_engine_status_.ok()) return local_engine_status_;
+    Register(cloud_.get());
     double scale = props_.GetDouble("cloud.latency_scale", 1.0);
     if (scale != 1.0) cloud_->ScaleLatency(scale);
     front_store_ = cloud_;
@@ -124,6 +131,7 @@ Status DBFactory::BuildBase(const std::string& base_name) {
       replicated_ = std::make_shared<cloud::ReplicatedCloudStore>(
           cloud_, local_engine_, ropts);
       front_store_ = replicated_;
+      Register(replicated_.get());
     }
     return Status::OK();
   }
@@ -190,6 +198,7 @@ Status DBFactory::Init() {
     auto store = std::make_shared<txn::ClientTxnStore>(front_store_, ts, options);
     client_txn_store_ = store.get();
     txn_kv_ = store;
+    Register(store.get());
     initialized_ = true;
     return Status::OK();
   }
@@ -206,6 +215,7 @@ Status DBFactory::Init() {
     auto engine = std::make_shared<txn::OccEngine>(options);
     occ_engine_ = engine.get();
     txn_kv_ = engine;
+    Register(engine.get());
     initialized_ = true;
     return Status::OK();
   }
@@ -218,7 +228,9 @@ Status DBFactory::Init() {
     txn::Local2PLOptions options;
     options.lock_timeout_us =
         props_.GetUint("2pl.lock_timeout_us", options.lock_timeout_us);
-    txn_kv_ = std::make_shared<txn::Local2PLStore>(front_store_, options);
+    auto store = std::make_shared<txn::Local2PLStore>(front_store_, options);
+    txn_kv_ = store;
+    Register(store.get());
     initialized_ = true;
     return Status::OK();
   }

@@ -4,11 +4,13 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cloud/replicated_cloud_store.h"
 #include "cloud/sim_cloud_store.h"
 #include "common/properties.h"
 #include "common/rpc_executor.h"
+#include "common/stats_layer.h"
 #include "db/db.h"
 #include "kv/fault_env.h"
 #include "kv/fault_injecting_store.h"
@@ -83,6 +85,10 @@ namespace ycsbt {
 /// failover/partition faults; `cloud.read_mode`, `cloud.replica_lag_*`,
 /// `cloud.fault.*`).  The resilience layer then runs one breaker per
 /// *region* and charges each key's breaker to the region serving it.
+///
+/// Every layer that reports stats is registered as it is built, bottom-up
+/// (`stats_layers()`, DESIGN.md §17): the runner collects them around the
+/// measured run and the benchmark driver arms their faults through them.
 class DBFactory {
  public:
   explicit DBFactory(Properties props) : props_(std::move(props)) {}
@@ -111,19 +117,21 @@ class DBFactory {
                                         : std::string(value);
   }
 
+  /// The stats-reporting layers of the stack, in build order (bottom-up).
+  /// The pointees are owned by this factory.
+  const std::vector<StatsLayer*>& stats_layers() const { return stats_layers_; }
+
   /// Substrate handles (may be null depending on the binding) — used by
   /// benches and tests to reach behind the DB abstraction.
   const std::shared_ptr<kv::Store>& front_store() const { return front_store_; }
   const std::shared_ptr<cloud::SimCloudStore>& cloud_store() const { return cloud_; }
-  /// Non-null iff `cloud.regions > 1` on a cloud binding; the benchmark
-  /// driver arms its fault script with `set_fault_enabled` around the run.
+  /// Non-null iff `cloud.regions > 1` on a cloud binding.
   const std::shared_ptr<cloud::ReplicatedCloudStore>& replicated_store() const {
     return replicated_;
   }
   const std::shared_ptr<txn::TransactionalKV>& txn_kv() const { return txn_kv_; }
   txn::ClientTxnStore* client_txn_store() const { return client_txn_store_; }
-  /// Non-null iff the binding is `occ+memkv` — used to drain OCC commit
-  /// counters into the measurements.
+  /// Non-null iff the binding is `occ+memkv`.
   txn::OccEngine* occ_engine() const { return occ_engine_; }
   /// Non-null iff fault injection is configured; arm with `set_enabled`.
   kv::FaultInjectingStore* fault_store() const { return fault_store_.get(); }
@@ -134,15 +142,17 @@ class DBFactory {
   /// Non-null iff the overload-tolerance layer is configured.
   kv::ResilientStore* resilient_store() const { return resilient_store_.get(); }
   /// Non-null iff the binding runs on the local engine (directly or below
-  /// decorators) — used to drain WAL durability stats into the measurements.
+  /// decorators) — the bulk-load target.
   kv::ShardedStore* local_engine() const { return local_engine_.get(); }
-  /// Non-null iff `txn.fanout_threads > 0` — used to drain fan-out stats.
+  /// Non-null iff `txn.fanout_threads > 0`.
   const std::shared_ptr<RpcExecutor>& rpc_executor() const {
     return rpc_executor_;
   }
 
  private:
   Status BuildBase(const std::string& base_name);
+
+  void Register(StatsLayer* layer) { stats_layers_.push_back(layer); }
 
   /// Builds the local `kv::ShardedStore` engine from `memkv.*` properties
   /// and remembers it in `local_engine_`.
@@ -167,10 +177,11 @@ class DBFactory {
 
   Properties props_;
   std::string name_;
+  /// Storage fault layer under the local engine; must outlive it, so it is
+  /// declared before every member that shares ownership of the engine.
+  std::unique_ptr<kv::FaultInjectingEnv> storage_fault_env_;
   std::shared_ptr<kv::Store> front_store_;
   std::shared_ptr<kv::ShardedStore> local_engine_;
-  /// Storage fault layer under the local engine; must outlive it.
-  std::unique_ptr<kv::FaultInjectingEnv> storage_fault_env_;
   /// Outcome of the local engine's `Open()` (checkpoint load + WAL replay);
   /// surfaced by `Init` instead of being swallowed.
   Status local_engine_status_;
@@ -182,6 +193,7 @@ class DBFactory {
   std::shared_ptr<txn::TransactionalKV> txn_kv_;
   txn::ClientTxnStore* client_txn_store_ = nullptr;  // owned via txn_kv_
   txn::OccEngine* occ_engine_ = nullptr;             // owned via txn_kv_
+  std::vector<StatsLayer*> stats_layers_;
   uint64_t basic_delay_us_ = 0;
   bool initialized_ = false;
 };

@@ -117,6 +117,14 @@ StorageFaultStats FaultInjectingEnv::stats() const {
   return stats_;
 }
 
+void FaultInjectingEnv::Collect(LayerStats* out) {
+  StorageFaultStats now = stats();
+  out->Count("STORAGE-FAULTS INJECTED",
+             now.TotalInjected() - collected_.TotalInjected());
+  out->Count("STORAGE-ENV CRASHED", now.crashed && !collected_.crashed ? 1 : 0);
+  collected_ = std::move(now);
+}
+
 Status FaultInjectingEnv::CrashedStatus() const {
   return Status::IOError("injected: env crashed (simulated kernel crash)");
 }

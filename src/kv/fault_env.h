@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/properties.h"
+#include "common/stats_layer.h"
 #include "kv/env.h"
 
 namespace ycsbt {
@@ -122,7 +123,7 @@ struct StorageFaultStats {
 /// permit), and every subsequent operation fails with an IOError.  Recovery
 /// then reopens the frozen files through a fresh Env, exactly like a process
 /// restart after kill -9.
-class FaultInjectingEnv : public Env {
+class FaultInjectingEnv : public Env, public StatsLayer {
  public:
   FaultInjectingEnv(Env* base, StorageFaultOptions options);
 
@@ -135,6 +136,12 @@ class FaultInjectingEnv : public Env {
 
   const StorageFaultOptions& options() const { return options_; }
   StorageFaultStats stats() const;
+
+  const char* name() const override { return "storage-fault"; }
+  /// `STORAGE-FAULTS INJECTED` and `STORAGE-ENV CRASHED` (1 when a crash
+  /// point froze the env in the window).
+  void Collect(LayerStats* out) override;
+  void Arm(bool armed) override { set_enabled(armed); }
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   // Env interface.
@@ -187,6 +194,7 @@ class FaultInjectingEnv : public Env {
   uint64_t bytes_appended_ = 0;
 
   StorageFaultStats stats_;
+  StorageFaultStats collected_;  ///< `stats()` as of the previous Collect
 };
 
 }  // namespace kv

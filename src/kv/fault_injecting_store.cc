@@ -61,6 +61,18 @@ FaultStats FaultInjectingStore::stats() const {
   return s;
 }
 
+void FaultInjectingStore::Collect(LayerStats* out) {
+  FaultStats now = stats();
+  out->Count("FAULT REQUESTS", now.requests - collected_.requests);
+  out->Count("FAULT ERRORS", now.errors - collected_.errors);
+  out->Count("FAULT TIMEOUTS", now.timeouts - collected_.timeouts);
+  out->Count("FAULT THROTTLES", now.throttles - collected_.throttles);
+  out->Count("FAULT LATENCY SPIKES", now.latency_spikes - collected_.latency_spikes);
+  out->Count("FAULT LOST REPLIES", now.lost_replies - collected_.lost_replies);
+  out->Count("FAULT CRASHES", now.crashes - collected_.crashes);
+  collected_ = now;
+}
+
 double FaultInjectingStore::Draw(uint64_t ticket, uint64_t salt) const {
   uint64_t v = Mix64(options_.seed ^ Mix64(ticket ^ (salt * 0x9E3779B97F4A7C15ull)));
   return static_cast<double>(v >> 11) * (1.0 / 9007199254740992.0);

@@ -7,6 +7,7 @@
 
 #include "common/fault.h"
 #include "common/properties.h"
+#include "common/stats_layer.h"
 #include "kv/store.h"
 
 namespace ycsbt {
@@ -88,7 +89,7 @@ struct FaultStats {
 /// The same object implements `CrashInjector`, so the transaction library
 /// can consult the identical deterministic schedule at its commit-pipeline
 /// crash points.
-class FaultInjectingStore : public Store, public CrashInjector {
+class FaultInjectingStore : public Store, public CrashInjector, public StatsLayer {
  public:
   FaultInjectingStore(std::shared_ptr<Store> base, FaultOptions options);
 
@@ -101,6 +102,12 @@ class FaultInjectingStore : public Store, public CrashInjector {
 
   const FaultOptions& options() const { return options_; }
   FaultStats stats() const;
+
+  const char* name() const override { return "fault"; }
+  /// `FAULT REQUESTS` (seen while armed) and one `FAULT <KIND>` line per
+  /// injected fault kind.
+  void Collect(LayerStats* out) override;
+  void Arm(bool armed) override { set_enabled(armed); }
 
   // kv::Store interface.
   Status Get(const std::string& key, std::string* value,
@@ -155,6 +162,7 @@ class FaultInjectingStore : public Store, public CrashInjector {
   std::atomic<uint64_t> latency_spikes_{0};
   std::atomic<uint64_t> lost_replies_{0};
   std::atomic<uint64_t> crashes_{0};
+  FaultStats collected_;  ///< `stats()` as of the previous Collect
 };
 
 }  // namespace kv

@@ -423,5 +423,19 @@ ResilienceStats ResilientStore::stats() const {
   return s;
 }
 
+void ResilientStore::Collect(LayerStats* out) {
+  ResilienceStats now = stats();
+  const ResilienceStats& was = collected_;
+  out->Count("BREAKER OPENS", now.breaker.opens - was.breaker.opens);
+  out->Count("BREAKER FAST-FAILS", now.breaker.fast_fails - was.breaker.fast_fails);
+  out->Count("BREAKER PROBES", now.breaker.probes_sent - was.breaker.probes_sent);
+  out->Count("BREAKER RECLOSES", now.breaker.recloses - was.breaker.recloses);
+  out->Count("HEDGES SENT", now.hedges_sent - was.hedges_sent);
+  out->Count("HEDGES WON", now.hedges_won - was.hedges_won);
+  out->Count("HEDGES WASTED", now.hedges_wasted - was.hedges_wasted);
+  out->Count("DEADLINE ABANDONS", now.deadline_rejects - was.deadline_rejects);
+  collected_ = now;
+}
+
 }  // namespace kv
 }  // namespace ycsbt

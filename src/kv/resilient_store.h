@@ -15,6 +15,7 @@
 #include "common/circuit_breaker.h"
 #include "common/op_context.h"
 #include "common/properties.h"
+#include "common/stats_layer.h"
 #include "kv/store.h"
 
 namespace ycsbt {
@@ -50,7 +51,8 @@ struct ResilienceOptions {
   static ResilienceOptions FromProperties(const Properties& props);
 };
 
-/// Counters the decorator exposes for the runner's series/summary lines.
+/// Monotonic counters the decorator exposes; `Collect` reports their growth
+/// as the `BREAKER *` / `HEDGES *` / `DEADLINE ABANDONS` summary lines.
 struct ResilienceStats {
   BreakerStats breaker;
   uint64_t hedges_sent = 0;    ///< hedge requests issued
@@ -85,7 +87,7 @@ struct ResilienceStats {
 /// around post-commit-point cleanup) bypass all three: a committed
 /// transaction's roll-forward must not be cut off mid-flight just because
 /// its deadline expired, and hedging it would duplicate mutations.
-class ResilientStore : public Store {
+class ResilientStore : public Store, public StatsLayer {
  public:
   /// `backends` must match the partitioning of the store below (the cloud
   /// profile's container count) so each breaker fences one real backend.
@@ -133,6 +135,10 @@ class ResilientStore : public Store {
   }
 
   ResilienceStats stats() const;
+
+  const char* name() const override { return "resilience"; }
+  void Collect(LayerStats* out) override;
+
   /// True while any backend's breaker is Open — the brownout trigger.
   bool AnyBreakerOpen() const {
     return breakers_ != nullptr && breakers_->AnyOpen();
@@ -209,6 +215,7 @@ class ResilientStore : public Store {
   std::atomic<uint64_t> hedges_won_{0};
   std::atomic<uint64_t> hedges_wasted_{0};
   std::atomic<uint64_t> deadline_rejects_{0};
+  ResilienceStats collected_;  ///< `stats()` as of the previous Collect
 
   /// Recent primary-read latencies feeding the adaptive hedge delay.
   mutable std::mutex samples_mu_;

@@ -55,6 +55,24 @@ ShardedStore::ShardedStore(StoreOptions options) : options_(std::move(options)) 
 
 ShardedStore::~ShardedStore() = default;
 
+void ShardedStore::Collect(LayerStats* out) {
+  WalStats wal = DrainWalStats();
+  out->Count("WAL APPENDS", wal.appends);
+  out->Count("WAL SYNCS", wal.syncs);
+  out->Count("WAL GROUP BATCHES", wal.batches);
+  out->Count("WAL MAX BATCH", static_cast<uint64_t>(wal.batch_records.Max()));
+  out->Distribution("WAL-SYNC", std::move(wal.sync_latency_us));
+  out->Distribution("WAL-BATCH", std::move(wal.batch_records));
+  out->Count("RECOVERY-REPLAYED", recovery_.wal_records_replayed);
+  out->Count("RECOVERY-SKIPPED", recovery_.wal_records_skipped);
+  out->Count("RECOVERY-TRUNCATED-BYTES", recovery_.truncated_bytes);
+  out->Count("CKPT-SCRUB", recovery_.checkpoint_scrubbed ? 1 : 0);
+  if (recovery_.checkpoint_scrubbed) {
+    out->Note("CKPT-SCRUB REASON", recovery_.scrub_reason);
+  }
+  out->Count("CKPT-RECORDS", recovery_.checkpoint_records);
+}
+
 Status ShardedStore::Open() {
   if (options_.wal_path.empty()) return Status::OK();
   if (open_) return Status::InvalidArgument("store already open");

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats_layer.h"
 #include "common/status.h"
 #include "kv/skiplist.h"
 #include "kv/wal.h"
@@ -210,7 +211,7 @@ Status ApplyWriteOp(Store& store, const WriteOp& op, uint64_t* etag_out);
 /// This is the WiredTiger stand-in of the evaluation (DESIGN.md
 /// *Substitutions*): the Tier-6 experiments (Figs 4, 5) run the Closed
 /// Economy Workload against it through the `RawHttpDB` binding.
-class ShardedStore : public Store {
+class ShardedStore : public Store, public StatsLayer {
  public:
   explicit ShardedStore(StoreOptions options = {});
   ~ShardedStore() override;
@@ -290,12 +291,19 @@ class ShardedStore : public Store {
   bool wal_enabled() const { return !options_.wal_path.empty(); }
 
   /// Snapshot-and-reset of the WAL's durability counters (sync latency,
-  /// batch sizes) accumulated since the last drain — the source of the
-  /// measurement layer's `WAL-SYNC` / `WAL-BATCH` series.
+  /// batch sizes) accumulated since the last drain; `Collect` drains
+  /// through it.
   WalStats DrainWalStats() { return wal_.DrainStats(); }
 
   /// What the last `Open()` replayed, skipped, truncated and scrubbed.
   const RecoveryReport& recovery_report() const { return recovery_; }
+
+  const char* name() const override { return "engine"; }
+  /// Drains the WAL's counters (`WAL APPENDS` / `WAL SYNCS` /
+  /// `WAL GROUP BATCHES` / `WAL MAX BATCH`, the `WAL-SYNC` and `WAL-BATCH`
+  /// series) and restates the recovery report (`RECOVERY-*`, `CKPT-*`).
+  /// Only meaningful with a WAL; the factory registers the engine only then.
+  void Collect(LayerStats* out) override;
 
   /// True once a checkpoint-path failure has fail-stopped the store: every
   /// later mutation fails with the poison status, reads keep working off the

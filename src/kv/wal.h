@@ -70,8 +70,8 @@ struct WalOptions {
   Env* env = nullptr;
 };
 
-/// Durability counters of one `WriteAheadLog`, drained (snapshot + reset) by
-/// the measurement layer so each benchmark run reports its own window.
+/// Durability counters of one `WriteAheadLog`, drained (snapshot + reset) so
+/// each benchmark run reports its own window.
 struct WalStats {
   uint64_t appends = 0;  ///< records acknowledged (written + flushed)
   uint64_t syncs = 0;    ///< fdatasync calls issued

@@ -13,28 +13,30 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
     switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
-        out += c;
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
     }
   }
   return out;
 }
-
-}  // namespace
 
 std::string TextExporter::Export(const RunSummary& summary,
                                  const std::vector<OpStats>& ops) {
@@ -46,6 +48,14 @@ std::string TextExporter::Export(const RunSummary& summary,
   }
   for (const auto& [key, value] : summary.extra) {
     out << "[" << key << "], " << value << "\n";
+  }
+  for (const auto& layer : summary.counters) {
+    for (const auto& [key, value] : layer.counters) {
+      out << "[" << key << "], " << value << "\n";
+    }
+    for (const auto& [key, text] : layer.notes) {
+      out << "[" << key << "], " << text << "\n";
+    }
   }
   if (summary.has_validation && !summary.validation_passed) {
     out << "Database validation failed\n";
@@ -103,13 +113,34 @@ std::string JsonExporter::Export(const RunSummary& summary,
     out << "\"validation_passed\":" << (summary.validation_passed ? "true" : "false")
         << ",";
   }
-  if (!summary.extra.empty()) {
+  std::vector<std::pair<std::string, std::string>> extra = summary.extra;
+  for (const auto& layer : summary.counters) {
+    extra.insert(extra.end(), layer.notes.begin(), layer.notes.end());
+  }
+  if (!extra.empty()) {
     out << "\"extra\":{";
     bool first = true;
-    for (const auto& [key, value] : summary.extra) {
+    for (const auto& [key, value] : extra) {
       if (!first) out << ",";
       first = false;
       out << "\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
+    }
+    out << "},";
+  }
+  if (!summary.counters.empty()) {
+    out << "\"counters\":{";
+    bool first_layer = true;
+    for (const auto& layer : summary.counters) {
+      if (!first_layer) out << ",";
+      first_layer = false;
+      out << "\"" << JsonEscape(layer.layer) << "\":{";
+      bool first = true;
+      for (const auto& [key, value] : layer.counters) {
+        if (!first) out << ",";
+        first = false;
+        out << "\"" << JsonEscape(key) << "\":" << value;
+      }
+      out << "}";
     }
     out << "},";
   }

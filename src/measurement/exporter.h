@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_layer.h"
 #include "measurement/measurements.h"
 
 namespace ycsbt {
@@ -21,6 +22,10 @@ struct RunSummary {
   bool validation_passed = true;
   /// Ordered key/value lines emitted before [OVERALL].
   std::vector<std::pair<std::string, std::string>> extra;
+  /// Per-layer counter lines, emitted after `extra` (text: `[NAME], value`;
+  /// JSON: a `counters` object of numbers grouped by layer).  A layer's notes
+  /// follow its counters in the text export and join `extra` in the JSON.
+  std::vector<LayerCounters> counters;
   /// Per-window progress trajectory from the status thread (empty when the
   /// run had no status interval); rendered as `[INTERVAL]` lines / an
   /// `intervals` array after the overall figures.
@@ -30,6 +35,10 @@ struct RunSummary {
   /// Closed-loop output is byte-identical to what it always was.
   bool open_loop = false;
 };
+
+/// `s` as the body of a JSON string literal: quotes, backslashes and every
+/// control character escaped.
+std::string JsonEscape(const std::string& s);
 
 /// Renders measurements in the YCSB text format of the paper's Listing 3:
 ///

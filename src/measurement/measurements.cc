@@ -54,15 +54,6 @@ void Measurements::Record(OpId op, int64_t latency_us, Status::Code code) {
   ++cell->returns[static_cast<size_t>(code)];
 }
 
-void Measurements::RecordMany(OpId op, int64_t latency_us, Status::Code code,
-                              uint64_t count) {
-  if (count == 0) return;
-  Series* cell = SeriesFor(op);
-  std::lock_guard<std::mutex> lock(cell->mu);
-  for (uint64_t i = 0; i < count; ++i) cell->histogram.Add(latency_us);
-  cell->returns[static_cast<size_t>(code)] += count;
-}
-
 void Measurements::MergeHistogram(OpId op, const Histogram& histogram,
                                   Status::Code code) {
   if (histogram.Count() == 0) return;

@@ -158,11 +158,6 @@ class Measurements {
   /// Records one completed operation into the shared series.
   void Record(OpId op, int64_t latency_us, Status::Code code);
 
-  /// Records `count` identical completions in one locked pass — how derived
-  /// counters (recovery roll-forwards, watchdog stalls) enter the series
-  /// pipeline as a batch after the fact.
-  void RecordMany(OpId op, int64_t latency_us, Status::Code code, uint64_t count);
-
   /// Folds a subsystem-owned histogram into `op`'s series in one locked pass,
   /// counting its samples under `code` — how aggregates accumulated outside
   /// the measurement layer (the WAL's sync-latency and batch-size stats)

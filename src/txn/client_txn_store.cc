@@ -1108,5 +1108,14 @@ TxnStats ClientTxnStore::stats() const {
   return s;
 }
 
+void ClientTxnStore::Collect(LayerStats* out) {
+  TxnStats now = stats();
+  out->Count("RECOVERY ROLLFORWARDS", now.roll_forwards - collected_.roll_forwards);
+  out->Count("RECOVERY ROLLBACKS", now.roll_backs - collected_.roll_backs);
+  out->Count("INJECTED CRASHES", now.injected_crashes - collected_.injected_crashes);
+  out->Count("AMBIGUOUS COMMITS", now.ambiguous_commits - collected_.ambiguous_commits);
+  collected_ = now;
+}
+
 }  // namespace txn
 }  // namespace ycsbt

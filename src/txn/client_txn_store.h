@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_layer.h"
 #include "txn/record_codec.h"
 #include "txn/timestamp.h"
 #include "txn/transaction.h"
@@ -61,7 +62,7 @@ struct LoadedRecord {
 ///
 /// Thread safety: the store object is shared by all client threads; each
 /// `Transaction` belongs to one thread.
-class ClientTxnStore : public TransactionalKV {
+class ClientTxnStore : public TransactionalKV, public StatsLayer {
  public:
   /// @param base underlying store (local engine or simulated cloud store).
   /// @param ts_source timestamp source shared by this client process.
@@ -88,6 +89,11 @@ class ClientTxnStore : public TransactionalKV {
                       uint64_t snapshot_ts, std::vector<TxScanEntry>* out);
 
   TxnStats stats() const;
+
+  const char* name() const override { return "txn"; }
+  /// The recovery and fault work of the window: `RECOVERY ROLLFORWARDS` /
+  /// `RECOVERY ROLLBACKS` / `INJECTED CRASHES` / `AMBIGUOUS COMMITS`.
+  void Collect(LayerStats* out) override;
   const TxnOptions& options() const { return options_; }
   kv::Store* base() const { return base_.get(); }
 
@@ -140,6 +146,7 @@ class ClientTxnStore : public TransactionalKV {
   std::atomic<uint64_t> reader_aborts_{0};
   std::atomic<uint64_t> injected_crashes_{0};
   std::atomic<uint64_t> ambiguous_commits_{0};
+  TxnStats collected_;  ///< `stats()` as of the previous Collect
 };
 
 }  // namespace txn

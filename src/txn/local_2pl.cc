@@ -290,5 +290,13 @@ TxnStats Local2PLStore::stats() const {
   return s;
 }
 
+void Local2PLStore::Collect(LayerStats* out) {
+  TxnStats now = stats();
+  out->Count("2PL COMMITS", now.commits - collected_.commits);
+  out->Count("2PL ABORTS", now.aborts - collected_.aborts);
+  out->Count("2PL LOCK BUSY", now.lock_busy - collected_.lock_busy);
+  collected_ = now;
+}
+
 }  // namespace txn
 }  // namespace ycsbt

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/stats_layer.h"
 #include "txn/timestamp.h"
 #include "txn/transaction.h"
 
@@ -111,7 +112,7 @@ class LockManager {
 /// distribution).  Serializable for point accesses; scans read committed
 /// current values without range locks (no phantom protection), which is
 /// sufficient for the post-quiesce Tier-6 validation scan.
-class Local2PLStore : public TransactionalKV {
+class Local2PLStore : public TransactionalKV, public StatsLayer {
  public:
   explicit Local2PLStore(std::shared_ptr<kv::Store> base,
                          Local2PLOptions options = {});
@@ -125,6 +126,10 @@ class Local2PLStore : public TransactionalKV {
 
   TxnStats stats() const;
 
+  const char* name() const override { return "2pl"; }
+  /// `2PL COMMITS` / `2PL ABORTS` / `2PL LOCK BUSY` (lock timeouts).
+  void Collect(LayerStats* out) override;
+
  private:
   friend class Local2PLTxn;
 
@@ -135,6 +140,7 @@ class Local2PLStore : public TransactionalKV {
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_{0};
   std::atomic<uint64_t> lock_busy_{0};
+  TxnStats collected_;  ///< `stats()` as of the previous Collect
 };
 
 }  // namespace txn

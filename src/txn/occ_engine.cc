@@ -329,6 +329,17 @@ OccStats OccEngine::stats() const {
   return s;
 }
 
+void OccEngine::Collect(LayerStats* out) {
+  OccStats now = stats();
+  out->Count("OCC COMMITS", now.commits - collected_.commits);
+  out->Count("OCC ABORTS", now.aborts - collected_.aborts);
+  out->Count("OCC VALIDATE FAILS", now.validation_fails - collected_.validation_fails);
+  out->Count("EPOCH ADVANCES", now.epoch_advances - collected_.epoch_advances);
+  out->Count("OCC VERSIONS RETIRED", now.versions_retired - collected_.versions_retired);
+  out->Count("OCC VERSIONS FREED", now.versions_freed - collected_.versions_freed);
+  collected_ = now;
+}
+
 bool OccEngine::DebugTidOf(const std::string& key, uint64_t* tid) const {
   Record* rec = FindRecord(key);
   if (rec == nullptr) return false;

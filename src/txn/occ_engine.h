@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stats_layer.h"
 #include "common/status.h"
 #include "txn/transaction.h"
 
@@ -42,8 +43,8 @@ struct OccOptions {
   size_t index_shards = 64;
 };
 
-/// Monotonic counters exposed for benches, tests and the runner's
-/// OCC-ABORT / OCC-VALIDATE-FAIL / EPOCH-ADVANCE series.
+/// Monotonic counters exposed for benches and tests; `Collect` reports their
+/// growth as the `OCC *` / `EPOCH ADVANCES` summary lines.
 struct OccStats {
   uint64_t commits = 0;
   uint64_t aborts = 0;            ///< explicit aborts + failed validations
@@ -65,7 +66,7 @@ struct OccStats {
 /// Concurrency contract: any number of threads may run transactions and the
 /// committed-read helpers concurrently.  A `Transaction` handle stays on the
 /// thread that called `Begin()` (the YCSB+T client model).
-class OccEngine : public TransactionalKV {
+class OccEngine : public TransactionalKV, public StatsLayer {
  public:
   explicit OccEngine(OccOptions options = {});
   ~OccEngine() override;
@@ -80,6 +81,10 @@ class OccEngine : public TransactionalKV {
                        std::vector<TxScanEntry>* out) override;
 
   OccStats stats() const;
+
+  const char* name() const override { return "occ"; }
+  void Collect(LayerStats* out) override;
+
   uint64_t current_epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
@@ -212,6 +217,7 @@ class OccEngine : public TransactionalKV {
 
   std::atomic<uint64_t> epoch_{1};
   std::atomic<uint64_t> epoch_advances_{0};
+  OccStats collected_;  ///< `stats()` as of the previous Collect
 
   mutable std::mutex threads_mu_;
   std::vector<std::unique_ptr<ThreadState>> thread_states_;

@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/op_context.h"
 #include "common/retry_policy.h"
+#include "str_cat.h"
 
 namespace ycsbt {
 namespace cloud {
@@ -258,14 +259,14 @@ TEST(SimCloudStoreTest, MultipleContainersRaiseTheAggregateCap) {
     p.containers = containers;
     SimCloudStore store(p);
     // Spread keys so hashing actually uses all containers.
-    for (int i = 0; i < 64; ++i) store.Put("k" + std::to_string(i), "v");
+    for (int i = 0; i < 64; ++i) store.Put(StrCat("k", i), "v");
     // Drain the burst buckets.
     std::string value;
-    for (int i = 0; i < 200; ++i) store.Get("k" + std::to_string(i % 64), &value);
+    for (int i = 0; i < 200; ++i) store.Get(StrCat("k", i % 64), &value);
     Stopwatch watch;
     int ops = 0;
     while (watch.ElapsedSeconds() < 0.25) {
-      store.Get("k" + std::to_string(ops % 64), &value);
+      store.Get(StrCat("k", ops % 64), &value);
       ++ops;
     }
     return ops / watch.ElapsedSeconds();

@@ -283,7 +283,7 @@ TEST_F(ArrivalRunnerTest, IntendedStartLatencyExposesCoordinatedOmission) {
   RunResult result;
   ASSERT_TRUE(runner.Run(run, &result).ok());
 
-  ASSERT_TRUE(result.arrival_enabled);
+  ASSERT_TRUE(result.Counter("ARRIVAL DROPS").has_value());
   OpStats actual = measurements_.SnapshotOp("TX-SLOW");
   OpStats intended = measurements_.SnapshotOp("TX-SLOW-INTENDED");
   ASSERT_EQ(actual.operations, 60u);
@@ -337,14 +337,7 @@ TEST_F(ArrivalRunnerTest, BacklogOverflowDropsConsumeQuota) {
   // The drops surface in the exported summary.
   RunSummary summary = result.MakeSummary();
   EXPECT_TRUE(summary.open_loop);
-  bool saw_drops = false;
-  for (const auto& [key, value] : summary.extra) {
-    if (key == "ARRIVAL DROPS") {
-      saw_drops = true;
-      EXPECT_EQ(value, std::to_string(result.arrival_drops));
-    }
-  }
-  EXPECT_TRUE(saw_drops);
+  EXPECT_EQ(FindCounter(summary.counters, "ARRIVAL DROPS"), result.arrival_drops);
 }
 
 TEST_F(ArrivalRunnerTest, FullBacklogFlipsTheBrownoutShedPath) {
@@ -363,7 +356,7 @@ TEST_F(ArrivalRunnerTest, FullBacklogFlipsTheBrownoutShedPath) {
   ASSERT_TRUE(runner.Run(run, &result).ok());
   // Once the backlog fills, admission flips to the shed path: some quota
   // slots are shed instead of executed (plus the drops from overflow).
-  EXPECT_TRUE(result.shed_enabled);
+  ASSERT_TRUE(result.Counter("SHED TXNS").has_value());
   EXPECT_GT(result.shed_txns + result.arrival_drops, 0u);
   EXPECT_EQ(w.transactions.load(), result.operations);
 }

@@ -11,6 +11,7 @@
 
 #include "kv/skiplist.h"
 #include "kv/store.h"
+#include "str_cat.h"
 
 namespace ycsbt {
 namespace kv {
@@ -24,7 +25,7 @@ std::string Key(int i) {
 
 std::vector<std::pair<std::string, std::string>> SortedRun(int from, int to) {
   std::vector<std::pair<std::string, std::string>> records;
-  for (int i = from; i < to; ++i) records.emplace_back(Key(i), "v" + Key(i));
+  for (int i = from; i < to; ++i) records.emplace_back(Key(i), StrCat("v", Key(i)));
   return records;
 }
 
@@ -37,7 +38,7 @@ TEST(BulkLoadTest, LoadsSortedRunAcrossShards) {
   std::string value;
   for (int i = 0; i < 500; i += 37) {
     ASSERT_TRUE(store.Get(Key(i), &value).ok());
-    EXPECT_EQ(value, "v" + Key(i));
+    EXPECT_EQ(value, StrCat("v", Key(i)));
   }
   // The merged scan must come back globally ordered despite sharding.
   std::vector<ScanEntry> out;
@@ -89,7 +90,7 @@ TEST(BulkLoadTest, OverwritesAndInterleavesWithExistingKeys) {
   ASSERT_TRUE(store.BulkLoad(SortedRun(0, 10)).ok());
   std::string value;
   ASSERT_TRUE(store.Get(Key(5), &value).ok());
-  EXPECT_EQ(value, "v" + Key(5));  // run overwrites the equal key
+  EXPECT_EQ(value, StrCat("v", Key(5)));  // run overwrites the equal key
   ASSERT_TRUE(store.Get(Key(250), &value).ok());
   EXPECT_EQ(value, "kept");  // keys outside the run are untouched
   EXPECT_EQ(store.Count(), 11u);
@@ -127,7 +128,7 @@ TEST(BulkLoadTest, ReplaysFromWalAfterRestart) {
   std::string value;
   uint64_t etag = 0;
   ASSERT_TRUE(store.Get(Key(299), &value, &etag).ok());
-  EXPECT_EQ(value, "v" + Key(299));
+  EXPECT_EQ(value, StrCat("v", Key(299)));
   EXPECT_EQ(etag, tail_etag - 1);  // per-record etags survive replay
   // The etag source resumes past everything the log produced.
   uint64_t next = 0;
@@ -148,14 +149,14 @@ TEST(MultiGetTest, ReportsMissingKeysPerRow) {
   store.MultiGet(keys, &results);
   ASSERT_EQ(results.size(), keys.size());
   EXPECT_TRUE(results[0].status.ok());
-  EXPECT_EQ(results[0].value, "v" + Key(3));
+  EXPECT_EQ(results[0].value, StrCat("v", Key(3)));
   EXPECT_GT(results[0].etag, 0u);
   EXPECT_TRUE(results[1].status.IsNotFound());
   EXPECT_TRUE(results[2].status.ok());
-  EXPECT_EQ(results[2].value, "v" + Key(7));
+  EXPECT_EQ(results[2].value, StrCat("v", Key(7)));
   EXPECT_TRUE(results[3].status.IsNotFound());
   EXPECT_TRUE(results[4].status.ok());
-  EXPECT_EQ(results[4].value, "v" + Key(0));
+  EXPECT_EQ(results[4].value, StrCat("v", Key(0)));
 }
 
 TEST(SortedInserterTest, FreshCursorOverPopulatedListStartsMidRange) {

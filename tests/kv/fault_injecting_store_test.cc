@@ -1,4 +1,5 @@
 #include "kv/fault_injecting_store.h"
+#include "str_cat.h"
 
 #include <gtest/gtest.h>
 
@@ -97,9 +98,9 @@ TEST(FaultInjectingStoreTest, SameSeedSameSequenceIsIdentical) {
     auto store = MakeStore(o);
     std::vector<Status::Code> outcomes;
     for (int i = 0; i < 400; ++i) {
-      std::string key = "k" + std::to_string(i % 32);
+      std::string key = StrCat("k", i % 32);
       Status s = (i % 3 == 0) ? store->Get(key, nullptr)
-                              : store->Put(key, "v" + std::to_string(i));
+                              : store->Put(key, StrCat("v", i));
       outcomes.push_back(s.code());
     }
     return std::make_pair(outcomes, store->stats());

@@ -1,4 +1,5 @@
 #include "kv/skiplist.h"
+#include "str_cat.h"
 
 #include <gtest/gtest.h>
 
@@ -82,7 +83,7 @@ TEST(SkipListTest, MatchesReferenceMapUnderRandomOps) {
   std::map<std::string, uint64_t> reference;
   Random64 rng(2024);
   for (int i = 0; i < 20000; ++i) {
-    std::string key = "k" + std::to_string(rng.Uniform(500));
+    std::string key = StrCat("k", rng.Uniform(500));
     switch (rng.Uniform(4)) {
       case 0:
       case 1: {  // upsert

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "kv/store.h"
+#include "str_cat.h"
 
 namespace ycsbt {
 namespace kv {
@@ -78,10 +79,10 @@ TEST_P(StoreConfigSweep, ScanIsTotallyOrdered) {
 
 TEST_P(StoreConfigSweep, CountMatchesScan) {
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(store_->Put("n" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(store_->Put(StrCat("n", i), "v").ok());
   }
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store_->Delete("n" + std::to_string(i * 3)).ok());
+    ASSERT_TRUE(store_->Delete(StrCat("n", i * 3)).ok());
   }
   std::vector<ScanEntry> rows;
   ASSERT_TRUE(store_->Scan("", 1000, &rows).ok());
@@ -93,7 +94,7 @@ TEST_P(StoreConfigSweep, EtagsUniqueAcrossShards) {
   std::set<uint64_t> seen;
   for (int i = 0; i < 200; ++i) {
     uint64_t etag = 0;
-    ASSERT_TRUE(store_->Put("e" + std::to_string(i), "v", &etag).ok());
+    ASSERT_TRUE(store_->Put(StrCat("e", i), "v", &etag).ok());
     EXPECT_TRUE(seen.insert(etag).second) << "etag reused";
   }
 }

@@ -1,4 +1,5 @@
 #include "kv/store.h"
+#include "str_cat.h"
 
 #include <gtest/gtest.h>
 
@@ -307,7 +308,7 @@ TEST_F(CheckpointStoreTest, CheckpointTruncatesWalAndSurvivesRestart) {
     ShardedStore store(CheckpointOptions());
     ASSERT_TRUE(store.Open().ok());
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(store.Put("k" + std::to_string(i), std::to_string(i)).ok());
+      ASSERT_TRUE(store.Put(StrCat("k", i), std::to_string(i)).ok());
     }
     ASSERT_TRUE(store.Delete("k50").ok());
     size_t wal_before = FileSize(wal_path_);
@@ -368,9 +369,7 @@ TEST_F(CheckpointStoreTest, RepeatedCheckpointsCompose) {
   ASSERT_TRUE(store.Open().ok());
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(
-          store.Put("r" + std::to_string(round) + "k" + std::to_string(i), "v")
-              .ok());
+      ASSERT_TRUE(store.Put(StrCat("r", round, "k", i), "v").ok());
     }
     ASSERT_TRUE(store.Checkpoint().ok());
   }

@@ -13,6 +13,7 @@
 #include "kv/fault_env.h"
 #include "kv/store.h"
 #include "kv/wal.h"
+#include "str_cat.h"
 
 namespace ycsbt {
 namespace kv {
@@ -69,7 +70,7 @@ TEST_F(WalGroupCommitTest, ConcurrentSyncAppendsAllReplay) {
       for (int i = 0; i < kPerThread; ++i) {
         WalRecord r{WalRecord::Kind::kPut,
                     static_cast<uint64_t>(t * kPerThread + i + 1),
-                    "k" + std::to_string(t) + "_" + std::to_string(i), "v"};
+                    StrCat("k", t, "_", i), "v"};
         uint64_t lsn = 0;
         if (!wal.Append(r, /*sync=*/true, &lsn).ok() || lsn == 0) {
           failures.fetch_add(1);
@@ -317,7 +318,7 @@ TEST_F(WalGroupCommitTest, StoreGroupCommitRoundTripAndReopen) {
     for (int t = 0; t < kThreads; ++t) {
       pool.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          std::string key = "u" + std::to_string(t) + "_" + std::to_string(i);
+          std::string key = StrCat("u", t, "_", i);
           if (!store.Put(key, "val" + key).ok()) failures.fetch_add(1);
         }
       });
@@ -332,7 +333,7 @@ TEST_F(WalGroupCommitTest, StoreGroupCommitRoundTripAndReopen) {
   EXPECT_EQ(reopened.Count(), static_cast<size_t>(kThreads * kPerThread));
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      std::string key = "u" + std::to_string(t) + "_" + std::to_string(i);
+      std::string key = StrCat("u", t, "_", i);
       std::string value;
       ASSERT_TRUE(reopened.Get(key, &value).ok()) << key;
       EXPECT_EQ(value, "val" + key);

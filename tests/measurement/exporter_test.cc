@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace ycsbt {
 namespace {
 
@@ -177,6 +179,20 @@ TEST(JsonExporterTest, EscapesSpecialCharacters) {
   std::string out = JsonExporter::Export(s, {});
   EXPECT_NE(out.find("KEY \\\"quoted\\\""), std::string::npos);
   EXPECT_NE(out.find("line\\nbreak\\\\slash"), std::string::npos);
+}
+
+TEST(JsonExporterTest, EscapesEveryControlCharacter) {
+  RunSummary s;
+  s.extra = {{"CKPT-SCRUB REASON", "tab\there\x01" "ctl\r"}};
+  OpStats op;
+  op.name = "OP\tNAME";
+  op.operations = 1;
+  std::string out = JsonExporter::Export(s, {op});
+  EXPECT_NE(out.find("\"tab\\there\\u0001ctl\\r\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"name\":\"OP\\tNAME\""), std::string::npos) << out;
+  EXPECT_TRUE(std::none_of(out.begin(), out.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << "raw control character in " << out;
 }
 
 }  // namespace

@@ -58,12 +58,18 @@ TEST(TxRecordCodecTest, RejectsGarbage) {
 }
 
 TEST(TxRecordCodecTest, RollForwardPromotesPending) {
-  TxRecord record;
-  record.commit_ts = 10;
-  record.value = "v1";
-  record.lock_owner = "me";
-  record.lock_ts = 5;
-  record.pending_value = "v2";
+  // Built whole rather than field by field: assigning a short literal into
+  // a default-constructed member string trips GCC 12's -O3
+  // -Wmaybe-uninitialized on the string's inline buffer.
+  TxRecord record{.commit_ts = 10,
+                  .value = "v1",
+                  .has_prev = false,
+                  .prev_commit_ts = 0,
+                  .prev_value = "",
+                  .lock_owner = "me",
+                  .lock_ts = 5,
+                  .pending_value = "v2",
+                  .pending_delete = false};
   record.RollForward(20);
   EXPECT_EQ(record.commit_ts, 20u);
   EXPECT_EQ(record.value, "v2");
@@ -85,13 +91,15 @@ TEST(TxRecordCodecTest, RollForwardOfFreshInsertHasNoPrev) {
 }
 
 TEST(TxRecordCodecTest, ClearLockResetsLockBlockOnly) {
-  TxRecord record;
-  record.commit_ts = 7;
-  record.value = "kept";
-  record.lock_owner = "me";
-  record.lock_ts = 1;
-  record.pending_value = "dropped";
-  record.pending_delete = true;
+  TxRecord record{.commit_ts = 7,
+                  .value = "kept",
+                  .has_prev = false,
+                  .prev_commit_ts = 0,
+                  .prev_value = "",
+                  .lock_owner = "me",
+                  .lock_ts = 1,
+                  .pending_value = "dropped",
+                  .pending_delete = true};
   record.ClearLock();
   EXPECT_FALSE(record.Locked());
   EXPECT_FALSE(record.pending_delete);

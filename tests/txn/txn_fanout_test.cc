@@ -227,10 +227,12 @@ TEST(TxnFanoutTest, CewWithFanoutReplaysTheSequentialRunExactly) {
   run(0, &sequential, &seq_state, nullptr);
   run(4, &fanned, &fan_state, &report);
 
-  EXPECT_EQ(sequential.fanout_batches, 0u);
-  EXPECT_GT(fanned.fanout_batches, 0u)
+  EXPECT_FALSE(sequential.Counter("FANOUT BATCHES").has_value())
+      << "no executor, no fan-out layer";
+  EXPECT_GT(fanned.Counter("FANOUT BATCHES"), 0u)
       << "CEW multi-key transactions must reach the executor";
-  EXPECT_GE(fanned.fanout_avg_width, 2.0);
+  EXPECT_GE(fanned.Counter("FANOUT ITEMS").value_or(0),
+            2 * fanned.Counter("FANOUT BATCHES").value_or(0));
 
   EXPECT_EQ(seq_state, fan_state)
       << "fan-out changed the committed economy state";
@@ -243,7 +245,7 @@ TEST(TxnFanoutTest, CewWithFanoutReplaysTheSequentialRunExactly) {
 
   // The new series reach the text exporter.
   EXPECT_NE(report.find("[FANOUT BATCHES], "), std::string::npos) << report;
-  EXPECT_NE(report.find("[FANOUT AVG WIDTH], "), std::string::npos);
+  EXPECT_NE(report.find("[FANOUT ITEMS], "), std::string::npos);
   EXPECT_NE(report.find("[RPC-FANOUT], Operations, "), std::string::npos);
 }
 
@@ -268,9 +270,9 @@ TEST(TxnFanoutTest, ChaosCewWithFanoutKeepsTheEconomyConsistent) {
       core::RunBenchmarkWithFactory(p, &factory, &result, &report).ok());
 
   EXPECT_GT(factory.fault_store()->stats().TotalInjected(), 0u);
-  EXPECT_GT(result.injected_crashes, 0u);
+  EXPECT_GT(result.Counter("INJECTED CRASHES"), 0u);
   EXPECT_GT(result.retries, 0u);
-  EXPECT_GT(result.fanout_batches, 0u);
+  EXPECT_GT(result.Counter("FANOUT BATCHES"), 0u);
   EXPECT_GT(result.committed, 0u);
   EXPECT_EQ(result.operations, result.committed + result.failed);
 
@@ -295,7 +297,7 @@ TEST(TxnFanoutTest, ChaosCewWithNoWaitLocksKeepsTheEconomyConsistent) {
   core::RunResult result;
   ASSERT_TRUE(core::RunBenchmark(p, &result).ok());
   EXPECT_GT(result.committed, 0u);
-  EXPECT_GT(result.fanout_batches, 0u);
+  EXPECT_GT(result.Counter("FANOUT BATCHES"), 0u);
   EXPECT_EQ(result.operations, result.committed + result.failed);
   EXPECT_TRUE(result.validation.performed);
   EXPECT_TRUE(result.validation.passed)
@@ -335,7 +337,7 @@ TEST(TxnFanoutTest, ChaosCountersReplayUnderAFixedSeedWithFanout) {
   run(&b, &fb);
 
   EXPECT_GT(fa.TotalInjected(), 0u);
-  EXPECT_GT(a.fanout_batches, 0u);
+  EXPECT_GT(a.Counter("FANOUT BATCHES"), 0u);
   EXPECT_EQ(fa.requests, fb.requests);
   EXPECT_EQ(fa.errors, fb.errors);
   EXPECT_EQ(fa.timeouts, fb.timeouts);
@@ -347,8 +349,8 @@ TEST(TxnFanoutTest, ChaosCountersReplayUnderAFixedSeedWithFanout) {
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.failed, b.failed);
   EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.fanout_batches, b.fanout_batches);
-  EXPECT_EQ(a.fanout_items, b.fanout_items);
+  EXPECT_EQ(a.Counter("FANOUT BATCHES"), b.Counter("FANOUT BATCHES"));
+  EXPECT_EQ(a.Counter("FANOUT ITEMS"), b.Counter("FANOUT ITEMS"));
 }
 
 }  // namespace
