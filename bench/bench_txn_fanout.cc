@@ -2,10 +2,12 @@
 // latency and throughput vs write-set size, with the parallel RPC fan-out
 // (DESIGN.md §10) off and on, against the simulated WAS container.
 //
-// The mechanism under test: a W-key commit issues ~2W+3 sequential WAN round
-// trips in the seed pipeline (W write-set reads, W lock CASes, the TSR put,
-// the roll-forward, the TSR delete).  With a fan-out executor the
-// per-key-independent phases overlap:
+// The mechanism under test: a blind W-key commit issues 3W+2 sequential WAN
+// round trips without fan-out (W write-set reads, W lock CASes, the TSR put,
+// W roll-forwards, the TSR delete).  The transactions here write without
+// reading; one that read its keys first skips the W write-set reads (2W+2),
+// because the lock round reuses its snapshot reads.  With a fan-out executor
+// the per-key-independent phases overlap:
 //   - `ordered` lock mode prefetches the write set with one batched MultiGet
 //     and fans out roll-forward and lock release, but still CASes the locks
 //     one at a time in global key order (the deadlock-freedom argument), so

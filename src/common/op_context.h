@@ -30,6 +30,8 @@ struct OpContext {
   uint64_t deadline_ns = 0;
   /// Deadline/breaker enforcement suspended (post-commit-point cleanup).
   bool exempt = false;
+  /// This request is a hedge: a duplicate of a read already in flight.
+  bool hedge = false;
 
   /// Captures the calling thread's ambient context, to be re-installed on
   /// another thread with `OpContextAdoptScope` (the Snapshot/Adopt pair the
@@ -96,6 +98,21 @@ class OpExemptScope {
 
   OpExemptScope(const OpExemptScope&) = delete;
   OpExemptScope& operator=(const OpExemptScope&) = delete;
+
+ private:
+  OpContext saved_;
+};
+
+/// RAII: marks the enclosed request as a hedge duplicate (see
+/// `ResilientStore`), so layers below can tell it from the original.
+class OpHedgeScope {
+ public:
+  OpHedgeScope() : saved_(internal::tls_op_context) {
+    internal::tls_op_context.hedge = true;
+  }
+  ~OpHedgeScope() { internal::tls_op_context = saved_; }
+  OpHedgeScope(const OpHedgeScope&) = delete;
+  OpHedgeScope& operator=(const OpHedgeScope&) = delete;
 
  private:
   OpContext saved_;

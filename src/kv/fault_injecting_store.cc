@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/latency_model.h"
+#include "common/op_context.h"
 
 namespace ycsbt {
 namespace kv {
@@ -58,6 +59,8 @@ FaultStats FaultInjectingStore::stats() const {
   s.latency_spikes = latency_spikes_.load(std::memory_order_relaxed);
   s.lost_replies = lost_replies_.load(std::memory_order_relaxed);
   s.crashes = crashes_.load(std::memory_order_relaxed);
+  s.hedges = hedges_.load(std::memory_order_relaxed);
+  s.hedge_faults = hedge_faults_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -70,6 +73,8 @@ void FaultInjectingStore::Collect(LayerStats* out) {
   out->Count("FAULT LATENCY SPIKES", now.latency_spikes - collected_.latency_spikes);
   out->Count("FAULT LOST REPLIES", now.lost_replies - collected_.lost_replies);
   out->Count("FAULT CRASHES", now.crashes - collected_.crashes);
+  out->Count("FAULT HEDGES", now.hedges - collected_.hedges);
+  out->Count("FAULT HEDGE FAULTS", now.hedge_faults - collected_.hedge_faults);
   collected_ = now;
 }
 
@@ -80,30 +85,46 @@ double FaultInjectingStore::Draw(uint64_t ticket, uint64_t salt) const {
 
 Status FaultInjectingStore::BeginRequest() {
   if (!enabled()) return Status::OK();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t ticket = ticket_.fetch_add(1, std::memory_order_relaxed);
+  // A hedge (a duplicate of a read already in flight) is faulted like any
+  // request, but from its own ticket stream and on its own counters:
+  // whether a hedge fires is a wall-clock decision, and must not shift the
+  // primaries' schedule or its counts.
+  const bool hedge = CurrentOpContext().hedge;
+  auto count = [&](std::atomic<uint64_t>& primary_counter) {
+    (hedge ? hedge_faults_ : primary_counter)
+        .fetch_add(1, std::memory_order_relaxed);
+  };
+  (hedge ? hedges_ : requests_).fetch_add(1, std::memory_order_relaxed);
+  uint64_t ticket =
+      hedge ? hedge_ticket_.fetch_add(1, std::memory_order_relaxed) | kHedgeStream
+            : ticket_.fetch_add(1, std::memory_order_relaxed);
 
   if (options_.latency_spike_rate > 0.0 &&
       Draw(ticket, /*salt=*/1) < options_.latency_spike_rate) {
-    latency_spikes_.fetch_add(1, std::memory_order_relaxed);
+    count(latency_spikes_);
     SleepMicros(options_.latency_spike_us);
   }
 
   if (options_.throttle_rate > 0.0) {
     // Drain an in-progress burst first: any request arriving during a burst
-    // is rejected regardless of its own draw.
+    // is rejected regardless of its own draw.  A hedge is rejected by a
+    // burst too, but neither drains nor starts one, for the same reason it
+    // draws from its own stream.
     int left = throttle_burst_left_.load(std::memory_order_relaxed);
-    while (left > 0 && !throttle_burst_left_.compare_exchange_weak(
-                           left, left - 1, std::memory_order_relaxed)) {
+    while (!hedge && left > 0 &&
+           !throttle_burst_left_.compare_exchange_weak(
+               left, left - 1, std::memory_order_relaxed)) {
     }
     if (left > 0) {
-      throttles_.fetch_add(1, std::memory_order_relaxed);
+      count(throttles_);
       return Status::RateLimited("injected: throttle burst");
     }
     if (Draw(ticket, /*salt=*/2) < options_.throttle_rate) {
-      throttle_burst_left_.store(options_.throttle_burst - 1,
-                                 std::memory_order_relaxed);
-      throttles_.fetch_add(1, std::memory_order_relaxed);
+      if (!hedge) {
+        throttle_burst_left_.store(options_.throttle_burst - 1,
+                                   std::memory_order_relaxed);
+      }
+      count(throttles_);
       return Status::RateLimited("injected: throttled");
     }
   }
@@ -114,10 +135,10 @@ Status FaultInjectingStore::BeginRequest() {
     // (not retryable per Status::IsRetryable) — so a retry loop's giveup
     // path is exercised alongside its success path.
     if ((Mix64(options_.seed ^ ticket) & 1) != 0) {
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      count(timeouts_);
       return Status::Timeout("injected: transient timeout");
     }
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    count(errors_);
     return Status::IOError("injected: transient io error");
   }
   return Status::OK();

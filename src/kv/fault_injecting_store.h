@@ -51,7 +51,8 @@ struct FaultOptions {
 
 /// Counters of every fault actually injected, for tests and determinism
 /// checks (`fault.seed` fixed => identical counts for identical request
-/// streams).
+/// streams).  All but the last two count primary requests only; hedges,
+/// whose number is a wall-clock matter, are counted apart.
 struct FaultStats {
   uint64_t requests = 0;        ///< requests seen while armed
   uint64_t errors = 0;          ///< injected IOError rejections
@@ -60,6 +61,8 @@ struct FaultStats {
   uint64_t latency_spikes = 0;  ///< injected latency spikes
   uint64_t lost_replies = 0;    ///< mutations applied but reported lost
   uint64_t crashes = 0;         ///< commit-pipeline crash points fired
+  uint64_t hedges = 0;          ///< hedge requests seen while armed
+  uint64_t hedge_faults = 0;    ///< spikes, throttles and errors on hedges
 
   uint64_t TotalInjected() const {
     return errors + timeouts + throttles + lost_replies + crashes;
@@ -73,7 +76,11 @@ struct FaultStats {
 /// (seed, ticket), so a single-threaded request stream replays the exact
 /// same fault schedule run after run, and a fixed-length multi-threaded run
 /// injects the same fault *counts* (the set of firing tickets is fixed even
-/// when their assignment to threads races).
+/// when their assignment to threads races).  Hedged duplicates of a read
+/// (`OpContext::hedge`) are faulted too, but draw from a second ticket
+/// stream, never drain or start a throttle burst and are counted apart:
+/// whether a hedge fires is a wall-clock decision, and must not shift the
+/// primaries' schedule or its counts.
 ///
 /// Faults injected per request, in order:
 ///   1. latency spike (sleep, then proceed);
@@ -105,7 +112,7 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
 
   const char* name() const override { return "fault"; }
   /// `FAULT REQUESTS` (seen while armed) and one `FAULT <KIND>` line per
-  /// injected fault kind.
+  /// injected fault kind, then `FAULT HEDGES` and `FAULT HEDGE FAULTS`.
   void Collect(LayerStats* out) override;
   void Arm(bool armed) override { set_enabled(armed); }
 
@@ -148,10 +155,14 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
   /// stream `salt` (distinct salts give independent streams).
   double Draw(uint64_t ticket, uint64_t salt) const;
 
+  /// Top bit set on hedge tickets: their draws never repeat a primary's.
+  static constexpr uint64_t kHedgeStream = uint64_t{1} << 63;
+
   std::shared_ptr<Store> base_;
   FaultOptions options_;
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> ticket_{0};
+  std::atomic<uint64_t> hedge_ticket_{0};  ///< tagged with `kHedgeStream`
   std::atomic<uint64_t> crash_ticket_{0};
   std::atomic<int> throttle_burst_left_{0};
 
@@ -162,6 +173,8 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
   std::atomic<uint64_t> latency_spikes_{0};
   std::atomic<uint64_t> lost_replies_{0};
   std::atomic<uint64_t> crashes_{0};
+  std::atomic<uint64_t> hedges_{0};
+  std::atomic<uint64_t> hedge_faults_{0};
   FaultStats collected_;  ///< `stats()` as of the previous Collect
 };
 

@@ -187,6 +187,7 @@ Status ResilientStore::HedgedRead(const std::string& key, const ReadFn& op,
     ReadResult hedge;
     if (send) {
       hedges_sent_.fetch_add(1, std::memory_order_relaxed);
+      OpHedgeScope hedge_scope;
       hedge.status = op(*base_, &hedge);
       if (hb != nullptr) hb->OnResult(hedge.status, hedge_probe);
     }

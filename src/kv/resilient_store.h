@@ -79,9 +79,10 @@ struct ResilienceStats {
 ///     loop cools down instead of hammering the saturated container.
 ///  3. *Hedged reads*: an idempotent Get/Scan whose primary has not answered
 ///     within the (p95-adaptive) hedge delay issues one duplicate request
-///     and takes the first usable answer.  Mutations — lock puts, TSR puts,
-///     deletes of the transaction protocol above — are never hedged, by
-///     construction: only `Get`/`Scan` ever reach the hedging path.
+///     (marked with `OpHedgeScope`) and takes the first usable answer.
+///     Mutations — lock puts, TSR puts, deletes of the transaction protocol
+///     above — are never hedged, by construction: only `Get`/`Scan` ever
+///     reach the hedging path.
 ///
 /// Exempt sections (`OpExemptScope`, installed by the transaction library
 /// around post-commit-point cleanup) bypass all three: a committed

@@ -351,10 +351,6 @@ Status ShardedStore::MultiPut(
     (void)value;
     if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
   }
-  // Contiguous etag range: entry i carries first + i, mirroring kBulkPut.
-  uint64_t first_etag =
-      etag_source_.fetch_add(records.size(), std::memory_order_relaxed) + 1;
-
   // Lock every involved shard together (index order, deduped — the order
   // every multi-shard path uses) so readers can't see half the batch.
   std::set<size_t> shard_idx;
@@ -365,6 +361,13 @@ Status ShardedStore::MultiPut(
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(shard_idx.size());
   for (size_t idx : shard_idx) locks.emplace_back(shards_[idx]->mu);
+
+  // Contiguous etag range: entry i carries first + i, mirroring kBulkPut.
+  // Drawn under the shard locks, like every single-key mutation's etag: a
+  // checkpoint (which holds every shard lock) must not record a watermark
+  // covering etags whose frame it has not seen, or replay would skip it.
+  uint64_t first_etag =
+      etag_source_.fetch_add(records.size(), std::memory_order_relaxed) + 1;
 
   // One kTxnPut frame = the whole transaction's durability: recovery replays
   // all of it or none of it, never a partial multi-key commit.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "common/clock.h"
 #include "common/latency_model.h"
@@ -295,34 +296,58 @@ class ClientTxn : public Transaction {
     TxRecord record;        // the locked record as written
   };
 
+  /// What the snapshot read of one key saw.  `version_ts` is the version it
+  /// returned (0 = nothing visible).  `lock_hint` is the load exactly as it
+  /// came back from the store when it needed no lock resolution — an
+  /// unlocked record with its etag, or NotFound at `kEtagAbsent` — and is
+  /// reused as `AcquireOne`'s first attempt instead of re-reading the key.
+  struct ReadEntry {
+    uint64_t version_ts = 0;
+    std::optional<LoadedRecord> lock_hint;
+  };
+
   /// Shared tail of `Read`/`MultiRead`: takes the freshly-loaded (or
   /// prefetched) record plus its load status and finishes the snapshot read
   /// — lock resolution, version selection, and `reads_` bookkeeping.
   Status FinishRead(const std::string& key, TxRecord record, uint64_t etag,
                     Status s, std::string* value) {
     if (s.IsNotFound()) {
-      reads_[key] = 0;
+      reads_[key] = ReadEntry{0, LoadedRecord{s, TxRecord{}, kv::kEtagAbsent}};
       return s;
     }
     if (!s.ok()) return s;
 
-    s = ResolveForRead(key, &record, &etag);
-    if (s.IsNotFound()) {
-      reads_[key] = 0;
-      return s;
+    // A locked record's view is resolved (and possibly repaired) here, so
+    // it is no longer the stored state: such keys get no lock hint.
+    const bool resolved = record.Locked();
+    if (resolved) {
+      s = ResolveForRead(key, &record, &etag);
+      if (s.IsNotFound()) {
+        reads_[key] = ReadEntry{};
+        return s;
+      }
+      if (!s.ok()) return s;
     }
-    if (!s.ok()) return s;
 
     uint64_t version_ts = 0;
     std::string out;
     s = VisibleVersion(record, start_ts_, &out, &version_ts);
-    if (s.IsNotFound()) {
-      reads_[key] = 0;
-      return s;
+    ReadEntry entry{s.ok() ? version_ts : 0, std::nullopt};
+    if (!resolved) {
+      entry.lock_hint = LoadedRecord{Status::OK(), std::move(record), etag};
     }
-    reads_[key] = version_ts;
+    reads_[key] = std::move(entry);
+    if (s.IsNotFound()) return s;
     if (value != nullptr) *value = std::move(out);
     return Status::OK();
+  }
+
+  /// The snapshot read's load of `key`, when it can stand in for the lock
+  /// round's first read; nullptr for keys never read or read through a lock.
+  const LoadedRecord* LockHint(const std::string& key) const {
+    auto it = reads_.find(key);
+    if (it == reads_.end() || !it->second.lock_hint) return nullptr;
+    return &*it->second.lock_hint;
   }
 
   /// True when batched store ops should replace per-key loops: an enabled
@@ -441,12 +466,16 @@ class ClientTxn : public Transaction {
     }
   }
 
-  /// Lock acquisition (DESIGN.md §10).  Ordered mode (default): prefetch the
-  /// whole write set with one batched read, then CAS the lock puts
-  /// sequentially in global key order — the classical deadlock-freedom
-  /// argument needs only the *puts* ordered (every client acquires in the
-  /// same total order, so no wait cycle can form), so the reads may overlap
-  /// freely.  No-wait mode fans the whole read+CAS round out in parallel.
+  /// Lock acquisition (DESIGN.md §10).  Each key's first lock attempt starts
+  /// from a hint instead of a fresh read: the snapshot read's own load when
+  /// the transaction read the key (`LockHint`), else — with fan-out — one
+  /// batched prefetch of the remaining keys.  A stale hint is harmless: the
+  /// lock is an etag CAS, so staleness loses the CAS and the retry re-reads.
+  /// Ordered mode (default) then CASes the lock puts sequentially in global
+  /// key order — the classical deadlock-freedom argument needs only the
+  /// *puts* ordered (every client acquires in the same total order, so no
+  /// wait cycle can form), so the reads may overlap freely.  No-wait mode
+  /// fans the whole read+CAS round out in parallel.
   Status AcquireLocks() {
     uint64_t now_us = WallMicros();
     bool fanout = UseBatches(writes_.size());
@@ -454,21 +483,29 @@ class ClientTxn : public Transaction {
                       TxnOptions::LockAcquireMode::kNoWait) {
       return AcquireLocksNoWait(now_us);
     }
+    std::vector<const LoadedRecord*> hints;
+    std::vector<size_t> fetch_index;
+    std::vector<std::string> fetch_keys;
+    hints.reserve(writes_.size());
+    for (const auto& [key, pending] : writes_) {
+      hints.push_back(LockHint(key));
+      if (fanout && hints.back() == nullptr) {
+        fetch_index.push_back(hints.size() - 1);
+        fetch_keys.push_back(key);
+      }
+    }
     std::vector<LoadedRecord> prefetched;
-    if (fanout) {
-      std::vector<std::string> keys;
-      keys.reserve(writes_.size());
-      for (const auto& [key, pending] : writes_) keys.push_back(key);
-      store_->MultiLoadRecords(keys, &prefetched);
+    if (!fetch_keys.empty()) {
+      store_->MultiLoadRecords(fetch_keys, &prefetched);
+      for (size_t j = 0; j < fetch_keys.size(); ++j) {
+        hints[fetch_index[j]] = &prefetched[j];
+      }
     }
     size_t index = 0;
     for (const auto& [key, pending] : writes_) {  // std::map: sorted keys
-      const LoadedRecord* hint =
-          prefetched.empty() ? nullptr : &prefetched[index];
-      ++index;
       AcquiredLock lock;
-      Status s =
-          AcquireOne(key, pending, now_us, hint, /*no_wait=*/false, &lock);
+      Status s = AcquireOne(key, pending, now_us, hints[index++],
+                            /*no_wait=*/false, &lock);
       if (!s.ok()) return s;
       acquired_.push_back(std::move(lock));
     }
@@ -482,19 +519,21 @@ class ClientTxn : public Transaction {
   Status AcquireLocksNoWait(uint64_t now_us) {
     std::vector<const std::string*> keys;
     std::vector<const PendingWrite*> pendings;
+    std::vector<const LoadedRecord*> hints;
     keys.reserve(writes_.size());
     pendings.reserve(writes_.size());
+    hints.reserve(writes_.size());
     for (const auto& [key, pending] : writes_) {
       keys.push_back(&key);
       pendings.push_back(&pending);
+      hints.push_back(LockHint(key));
     }
     std::vector<AcquiredLock> slots(keys.size());
     std::vector<char> held(keys.size(), 0);
     std::vector<Status> statuses = store_->options_.executor->ParallelForEach(
         keys.size(), [&](size_t i) {
-          Status s = AcquireOne(*keys[i], *pendings[i], now_us,
-                                /*prefetched=*/nullptr, /*no_wait=*/true,
-                                &slots[i]);
+          Status s = AcquireOne(*keys[i], *pendings[i], now_us, hints[i],
+                                /*no_wait=*/true, &slots[i]);
           if (s.ok()) held[i] = 1;
           return s;
         });
@@ -511,22 +550,22 @@ class ClientTxn : public Transaction {
     return failure;
   }
 
-  /// One key's lock round: read (or consume the batched prefetch on the
-  /// first attempt), run the conflict checks, CAS the lock put.  On success
-  /// `*out` holds the acquired lock; the caller owns tracking it.
+  /// One key's lock round: read (or consume the hint on the first attempt),
+  /// run the conflict checks, CAS the lock put.  On success `*out` holds the
+  /// acquired lock; the caller owns tracking it.
   Status AcquireOne(const std::string& key, const PendingWrite& pending,
-                    uint64_t now_us, const LoadedRecord* prefetched,
+                    uint64_t now_us, const LoadedRecord* hint,
                     bool no_wait, AcquiredLock* out) {
     for (int attempt = 0; attempt <= store_->options_.lock_wait_retries; ++attempt) {
       TxRecord record;
       uint64_t etag = kv::kEtagAbsent;
       Status s;
-      if (attempt == 0 && prefetched != nullptr) {
-        // A stale prefetch is harmless: the CAS re-checks the etag, and any
+      if (attempt == 0 && hint != nullptr) {
+        // A stale hint is harmless: the CAS re-checks the etag, and any
         // retry re-reads fresh.
-        s = prefetched->status;
-        record = prefetched->record;
-        etag = prefetched->etag;
+        s = hint->status;
+        record = hint->record;
+        etag = hint->etag;
       } else {
         s = store_->LoadRecord(key, &record, &etag);
       }
@@ -566,7 +605,8 @@ class ClientTxn : public Transaction {
       // semantics.
       if (!exists) {
         auto read_it = reads_.find(key);
-        bool saw_it_exist = read_it != reads_.end() && read_it->second != 0;
+        bool saw_it_exist =
+            read_it != reads_.end() && read_it->second.version_ts != 0;
         if (pending.is_delete || saw_it_exist) {
           store_->conflicts_.fetch_add(1, std::memory_order_relaxed);
           return Status::Conflict("key vanished under txn: " + key);
@@ -613,10 +653,10 @@ class ClientTxn : public Transaction {
     std::vector<uint64_t> observed;
     keys.reserve(reads_.size());
     observed.reserve(reads_.size());
-    for (const auto& [key, observed_ts] : reads_) {
+    for (const auto& [key, entry] : reads_) {
       if (writes_.count(key) != 0) continue;  // re-checked by the lock CAS
       keys.push_back(key);
-      observed.push_back(observed_ts);
+      observed.push_back(entry.version_ts);
     }
     std::vector<LoadedRecord> loaded;
     if (UseBatches(keys.size())) {
@@ -821,7 +861,7 @@ class ClientTxn : public Transaction {
   State state_ = State::kActive;
 
   std::map<std::string, PendingWrite> writes_;  // sorted: ordered locking
-  std::map<std::string, uint64_t> reads_;       // key -> observed version ts
+  std::map<std::string, ReadEntry> reads_;      // the snapshot's read set
   std::vector<AcquiredLock> acquired_;
 
   // Decorrelated-jitter state for LockWaitSleep (seeded per transaction;

@@ -39,7 +39,9 @@ struct LoadedRecord {
 ///  - **Write/Delete**: buffered locally until commit.
 ///  - **Commit**: (1) acquire write locks in global key order — ordered
 ///    locking makes deadlock impossible without a lock manager; each lock is
-///    one conditional put that embeds the pending value; (2) conflict check:
+///    one conditional put that embeds the pending value, CASed against the
+///    etag the transaction's own read saw when it read the key (a stale etag
+///    just loses the CAS and is re-read); (2) conflict check:
 ///    any record committed after start_ts aborts us (first-committer-wins,
 ///    snapshot isolation); (3) the *commit point*: a must-not-exist
 ///    conditional put of the TSR with the commit timestamp; (4) roll every

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/op_context.h"
+
 namespace ycsbt {
 namespace kv {
 namespace {
@@ -117,6 +119,66 @@ TEST(FaultInjectingStoreTest, SameSeedSameSequenceIsIdentical) {
 
   auto [outcomes_c, stats_c] = run(9999);
   EXPECT_NE(outcomes_a, outcomes_c);  // a different seed is a different world
+}
+
+TEST(FaultInjectingStoreTest, HedgesDrawFromTheirOwnStream) {
+  // Whether a hedge fires is a wall-clock decision; if hedges drew from the
+  // primaries' tickets, one extra hedge would shift every later fault of a
+  // same-seed run.  They are faulted all the same, and counted apart.
+  auto outcomes = [](int hedges) {
+    auto store = MakeStore(ErrorOnlyOptions(0.5));
+    int hedge_faults = 0;
+    {
+      OpHedgeScope hedge;
+      for (int i = 0; i < hedges; ++i) {
+        if (!store->Get("k", nullptr).IsNotFound()) ++hedge_faults;
+      }
+    }
+    if (hedges > 0) {
+      EXPECT_GT(hedge_faults, 0) << "hedges must be faulted";
+      EXPECT_LT(hedge_faults, hedges);
+    }
+    FaultStats before = store->stats();
+    EXPECT_EQ(before.requests, 0u);
+    EXPECT_EQ(before.errors + before.timeouts, 0u);
+    EXPECT_EQ(before.hedges, static_cast<uint64_t>(hedges));
+    EXPECT_EQ(before.hedge_faults, static_cast<uint64_t>(hedge_faults));
+    std::vector<Status::Code> codes;
+    for (int i = 0; i < 64; ++i) codes.push_back(store->Get("k", nullptr).code());
+    EXPECT_EQ(store->stats().requests, 64u);
+    return codes;
+  };
+  EXPECT_EQ(outcomes(32), outcomes(0));
+}
+
+TEST(FaultInjectingStoreTest, HedgeFailsUnderCertainErrors) {
+  auto store = MakeStore(ErrorOnlyOptions(1.0));
+  OpHedgeScope hedge;
+  Status s = store->Get("k", nullptr);
+  EXPECT_TRUE(s.IsIOError() || s.IsTimeout()) << s.ToString();
+  EXPECT_EQ(store->stats().hedge_faults, 1u);
+}
+
+TEST(FaultInjectingStoreTest, ThrottleBurstRejectsHedgesWithoutDrainingIt) {
+  FaultOptions o;
+  o.throttle_rate = 1.0;  // every draw throttles
+  o.throttle_burst = 3;
+  auto store = MakeStore(o);
+  auto message = [&] { return store->Get("k", nullptr).ToString(); };
+  EXPECT_NE(message().find("injected: throttled"), std::string::npos);
+  {
+    OpHedgeScope hedge;  // 2 burst slots left: hedges meet the burst
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_NE(message().find("throttle burst"), std::string::npos) << i;
+    }
+  }
+  // The hedges drained nothing: the next two primaries still meet the
+  // burst, and only the third draws (and throttles) on its own.
+  EXPECT_NE(message().find("throttle burst"), std::string::npos);
+  EXPECT_NE(message().find("throttle burst"), std::string::npos);
+  EXPECT_NE(message().find("injected: throttled"), std::string::npos);
+  EXPECT_EQ(store->stats().throttles, 4u);
+  EXPECT_EQ(store->stats().hedge_faults, 4u);
 }
 
 TEST(FaultInjectingStoreTest, LostReplyAppliesTheMutation) {

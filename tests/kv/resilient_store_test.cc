@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,8 +33,14 @@ class ScriptedStore : public kv::Store {
   Status fail_with = Status::OK();        // every op fails with this when set
   Status second_get_status = Status::OK();  // gets after the first fail so
   uint64_t first_read_sleep_us = 0;         // get/scan #0 stalls this long
+  std::mutex mu;                            // guards get_was_hedge
+  std::vector<bool> get_was_hedge;          // OpContext::hedge per get
 
   Status Get(const std::string&, std::string* value, uint64_t* etag) override {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      get_was_hedge.push_back(CurrentOpContext().hedge);
+    }
     int n = gets.fetch_add(1);
     if (n == 0 && first_read_sleep_us > 0) SleepMicros(first_read_sleep_us);
     if (!fail_with.ok()) return fail_with;
@@ -306,6 +314,23 @@ TEST(ResilientStoreTest, ExemptReadsSkipTheHedgingPath) {
   EXPECT_EQ(base->gets.load(), 1);
 }
 
+TEST(ResilientStoreTest, OnlyTheHedgeIsMarkedAsOne) {
+  // Layers below (the fault decorator) tell a hedge from its primary by
+  // `OpContext::hedge`.
+  auto base = std::make_shared<ScriptedStore>();
+  base->first_read_sleep_us = 100'000;
+  kv::ResilientStore store(base, HedgeOptions(1000), 1);
+  std::string value;
+  ASSERT_TRUE(store.Get("k", &value).ok());
+  EXPECT_EQ(store.stats().hedges_sent, 1u);
+  while (base->gets.load() < 2) SleepMicros(100);
+  std::lock_guard<std::mutex> lock(base->mu);
+  EXPECT_EQ(std::count(base->get_was_hedge.begin(), base->get_was_hedge.end(),
+                       true),
+            1);
+  EXPECT_FALSE(CurrentOpContext().hedge) << "the mark outlived the hedge";
+}
+
 TEST(ResilientStoreTest, AdaptiveDelayStartsHighThenTracksFastReads) {
   auto base = std::make_shared<ScriptedStore>();
   kv::ResilienceOptions o = HedgeOptions(-1);  // adaptive
@@ -319,11 +344,14 @@ TEST(ResilientStoreTest, AdaptiveDelayStartsHighThenTracksFastReads) {
 }
 
 /// Delegating decorator that makes every mutation slow — far beyond the
-/// hedge delay — while reads stay fast.  If mutations could enter the
-/// hedging path at all, every lock put / TSR put / cleanup delete of a
-/// commit would be hedged under this store.
+/// hedge delay — while reads stay fast, and counts the mutations that reach
+/// it.  If mutations could enter the hedging path at all, every lock put /
+/// TSR put / cleanup delete of a commit would be hedged — and so arrive
+/// twice — under this store.
 class SlowMutationStore : public kv::Store {
  public:
+  std::atomic<int> puts{0}, cputs{0}, dels{0}, cdels{0};
+
   explicit SlowMutationStore(std::shared_ptr<kv::Store> base)
       : base_(std::move(base)) {}
 
@@ -333,20 +361,24 @@ class SlowMutationStore : public kv::Store {
   }
   Status Put(const std::string& key, std::string_view value,
              uint64_t* etag_out) override {
+    puts.fetch_add(1);
     SleepMicros(kMutationUs);
     return base_->Put(key, value, etag_out);
   }
   Status ConditionalPut(const std::string& key, std::string_view value,
                         uint64_t expected_etag, uint64_t* etag_out) override {
+    cputs.fetch_add(1);
     SleepMicros(kMutationUs);
     return base_->ConditionalPut(key, value, expected_etag, etag_out);
   }
   Status Delete(const std::string& key) override {
+    dels.fetch_add(1);
     SleepMicros(kMutationUs);
     return base_->Delete(key);
   }
   Status ConditionalDelete(const std::string& key,
                            uint64_t expected_etag) override {
+    cdels.fetch_add(1);
     SleepMicros(kMutationUs);
     return base_->ConditionalDelete(key, expected_etag);
   }
@@ -366,9 +398,10 @@ TEST(ResilientStoreTest, TransactionCommitPipelineIsNeverHedged) {
   // The satellite guarantee: the protocol's lock puts, TSR put and cleanup
   // deletes run through a hedging-enabled resilient store while taking 5ms
   // each — five times the 1ms hedge delay, maximally hedge-eligible by
-  // latency — yet zero hedges fire, because only Get/Scan can ever reach
-  // the hedging path.  (Reads stay microsecond-fast here, so a nonzero
-  // hedges_sent could only come from a duplicated mutation.)
+  // latency — yet each reaches the backend exactly once, because only
+  // Get/Scan can ever reach the hedging path.  The check counts mutations
+  // rather than hedges: a read that a loaded host stalls past the delay
+  // may be hedged, and that is hedging working, not a duplicated write.
   auto slow = std::make_shared<SlowMutationStore>(
       std::make_shared<kv::ShardedStore>());
   auto resilient =
@@ -388,7 +421,11 @@ TEST(ResilientStoreTest, TransactionCommitPipelineIsNeverHedged) {
   ASSERT_TRUE(store.ReadCommitted("b", &value).ok());
   EXPECT_EQ(value, "3");
 
-  EXPECT_EQ(resilient->stats().hedges_sent, 0u);
+  // LoadPut; lock a and b, the TSR put, roll a and b forward; TSR delete.
+  EXPECT_EQ(slow->puts.load(), 1);
+  EXPECT_EQ(slow->cputs.load(), 5);
+  EXPECT_EQ(slow->dels.load(), 1);
+  EXPECT_EQ(slow->cdels.load(), 0);
   EXPECT_EQ(store.stats().commits, 1u);
 }
 

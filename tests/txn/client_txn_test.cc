@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/latency_model.h"
 #include "common/rpc_executor.h"
@@ -431,6 +434,210 @@ TEST_F(ClientTxnTest, MultiReadWithExecutorMatchesSequentialSemantics) {
   std::string value;
   ASSERT_TRUE(store->ReadCommitted("b", &value).ok());
   EXPECT_EQ(value, "override");
+}
+
+
+// ---------------------------------------------------------------------------
+// Lock-time reuse of the snapshot read (DESIGN.md §10): a key the
+// transaction read unlocked is locked from that read's record and etag, so a
+// read-modify-write commit re-reads nothing; a stale copy loses the lock CAS.
+// Every case runs on the sequential, fan-out ordered and fan-out no-wait
+// lock paths.
+// ---------------------------------------------------------------------------
+
+enum class LockPath { kSequential, kFanoutOrdered, kFanoutNoWait };
+
+class LockHintTest : public ::testing::TestWithParam<LockPath> {
+ protected:
+  void SetUp() override {
+    base_ = std::make_shared<kv::ShardedStore>();
+    counted_ = std::make_shared<kv::InstrumentedStore>(base_);
+    // The default MultiGet is a per-key Get loop, so batched prefetches and
+    // validation re-reads are counted per key too.
+    counted_->set_hook([this](kv::InstrumentedStore::Op op,
+                              const std::string& key, bool after) {
+      if (after || op != kv::InstrumentedStore::Op::kGet) return;
+      std::lock_guard<std::mutex> guard(mu_);
+      ++gets_[key];
+    });
+  }
+
+  std::unique_ptr<ClientTxnStore> MakeStore(TxnOptions options = {}) {
+    if (GetParam() != LockPath::kSequential) {
+      options.executor = std::make_shared<RpcExecutor>(4);
+    }
+    if (GetParam() == LockPath::kFanoutNoWait) {
+      options.lock_acquire_mode = TxnOptions::LockAcquireMode::kNoWait;
+    }
+    return std::make_unique<ClientTxnStore>(counted_, ts_, options);
+  }
+
+  /// Gets per key since the previous call.
+  std::map<std::string, int> TakeGets() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return std::exchange(gets_, {});
+  }
+
+  std::shared_ptr<kv::ShardedStore> base_;
+  std::shared_ptr<kv::InstrumentedStore> counted_;
+  std::shared_ptr<HlcTimestampSource> ts_ =
+      std::make_shared<HlcTimestampSource>();
+  std::mutex mu_;
+  std::map<std::string, int> gets_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLockPaths, LockHintTest,
+    ::testing::Values(LockPath::kSequential, LockPath::kFanoutOrdered,
+                      LockPath::kFanoutNoWait),
+    [](const ::testing::TestParamInfo<LockPath>& info) {
+      switch (info.param) {
+        case LockPath::kSequential: return "Sequential";
+        case LockPath::kFanoutOrdered: return "FanoutOrdered";
+        case LockPath::kFanoutNoWait: return "FanoutNoWait";
+      }
+      return "Unknown";
+    });
+
+TEST_P(LockHintTest, ReadThenWriteCommitIssuesNoGets) {
+  auto store = MakeStore();
+  store->LoadPut("a", "10");
+  store->LoadPut("b", "20");
+  auto rmw = store->Begin();
+  std::vector<TxReadResult> rows;
+  rmw->MultiRead({"a", "b"}, &rows);
+  ASSERT_TRUE(rows[0].status.ok());
+  ASSERT_TRUE(rows[1].status.ok());
+  ASSERT_TRUE(rmw->Write("a", "9").ok());
+  ASSERT_TRUE(rmw->Write("b", "21").ok());
+  TakeGets();
+  ASSERT_TRUE(rmw->Commit().ok());
+  EXPECT_EQ(TakeGets(), (std::map<std::string, int>{}))
+      << "the lock round re-read a key the snapshot had already loaded";
+
+  // Keys the transaction never read still get their lock-time read.
+  auto blind = store->Begin();
+  ASSERT_TRUE(blind->Write("a", "1").ok());
+  ASSERT_TRUE(blind->Write("c", "3").ok());
+  ASSERT_TRUE(blind->Commit().ok());
+  EXPECT_EQ(TakeGets(), (std::map<std::string, int>{{"a", 1}, {"c", 1}}));
+  std::string value;
+  ASSERT_TRUE(store->ReadCommitted("b", &value).ok());
+  EXPECT_EQ(value, "21");
+  ASSERT_TRUE(store->ReadCommitted("a", &value).ok());
+  EXPECT_EQ(value, "1");
+}
+
+TEST_P(LockHintTest, StaleReadLosesTheLockCasAndConflicts) {
+  auto store = MakeStore();
+  store->LoadPut("j", "0");
+  store->LoadPut("k", "0");
+  auto t1 = store->Begin();
+  std::string value;
+  ASSERT_TRUE(t1->Read("j", &value).ok());
+  ASSERT_TRUE(t1->Read("k", &value).ok());
+  auto t2 = store->Begin();
+  ASSERT_TRUE(t2->Write("k", "t2").ok());
+  ASSERT_TRUE(t2->Commit().ok());
+
+  ASSERT_TRUE(t1->Write("j", "t1").ok());
+  ASSERT_TRUE(t1->Write("k", "t1").ok());
+  TakeGets();
+  Status s = t1->Commit();
+  EXPECT_TRUE(s.IsConflict()) << s.ToString();
+  EXPECT_EQ(TakeGets()["k"], 1) << "the lost CAS must re-read k fresh";
+  ASSERT_TRUE(store->ReadCommitted("k", &value).ok());
+  EXPECT_EQ(value, "t2");
+  ASSERT_TRUE(store->ReadCommitted("j", &value).ok());
+  EXPECT_EQ(value, "0");
+}
+
+TEST_P(LockHintTest, ReadAbsentThenConcurrentInsertConflicts) {
+  auto store = MakeStore();
+  store->LoadPut("j", "0");
+  auto t1 = store->Begin();
+  std::string value;
+  ASSERT_TRUE(t1->Read("j", &value).ok());
+  ASSERT_TRUE(t1->Read("n", &value).IsNotFound());
+  auto t2 = store->Begin();
+  ASSERT_TRUE(t2->Write("n", "t2").ok());
+  ASSERT_TRUE(t2->Commit().ok());
+
+  ASSERT_TRUE(t1->Write("j", "t1").ok());
+  ASSERT_TRUE(t1->Write("n", "t1").ok());
+  Status s = t1->Commit();
+  EXPECT_TRUE(s.IsConflict()) << s.ToString();
+  ASSERT_TRUE(store->ReadCommitted("n", &value).ok());
+  EXPECT_EQ(value, "t2") << "the concurrent insert was overwritten";
+  ASSERT_TRUE(store->ReadCommitted("j", &value).ok());
+  EXPECT_EQ(value, "0");
+}
+
+TEST_P(LockHintTest, KeyReadThroughACommittedOwnersLockIsReReadAtLockTime) {
+  TxnOptions options;
+  options.lock_wait_retries = 1;
+  options.lock_wait_delay_us = 100;
+  options.lock_wait_jitter = false;
+  auto store = MakeStore(options);
+  store->LoadPut("j", "0");
+
+  // A committed owner mid-roll-forward: its TSR is durable and its lock
+  // (fresh lease) still sits on k.
+  TxRecord locked;
+  locked.commit_ts = ts_->Next();
+  locked.value = "old";
+  locked.lock_owner = "owner";
+  locked.lock_ts = WallMicros();
+  locked.pending_value = "new";
+  ASSERT_TRUE(base_->Put("k", EncodeTxRecord(locked)).ok());
+  TsrRecord tsr;
+  tsr.state = TsrRecord::State::kCommitted;
+  tsr.commit_ts = ts_->Next();
+  ASSERT_TRUE(
+      base_->Put(store->options().tsr_prefix + "owner", EncodeTsr(tsr)).ok());
+
+  auto txn = store->Begin();
+  std::string value;
+  ASSERT_TRUE(txn->Read("j", &value).ok());
+  ASSERT_TRUE(txn->Read("k", &value).ok());
+  EXPECT_EQ(value, "new") << "a committed owner's write is live";
+  ASSERT_TRUE(txn->Write("j", "1").ok());
+  ASSERT_TRUE(txn->Write("k", "newer").ok());
+  TakeGets();
+  Status s = txn->Commit();
+
+  // Locking from the resolved view would CAS over the owner's live lock and
+  // commit; the lock round must instead re-read k and find it busy.
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsRetryable()) << s.ToString();
+  std::map<std::string, int> gets = TakeGets();
+  EXPECT_GE(gets["k"], 1);
+  EXPECT_EQ(gets["j"], 0);
+  EXPECT_GE(store->stats().lock_busy, 1u);
+  TxRecord stored;
+  std::string raw;
+  ASSERT_TRUE(base_->Get("k", &raw).ok());
+  ASSERT_TRUE(DecodeTxRecord(raw, &stored).ok());
+  EXPECT_EQ(stored.lock_owner, "owner");
+  ASSERT_TRUE(store->ReadCommitted("j", &value).ok());
+  EXPECT_EQ(value, "0");
+}
+
+TEST_P(LockHintTest, SerializableValidationReReadsEveryReadOnlyKey) {
+  auto store = MakeStore(TxnOptions{.isolation = Isolation::kSerializable});
+  store->LoadPut("x", "1");
+  store->LoadPut("y", "1");
+  store->LoadPut("z", "1");
+  auto txn = store->Begin();
+  std::vector<TxReadResult> rows;
+  txn->MultiRead({"x", "y", "z"}, &rows);
+  for (const auto& row : rows) ASSERT_TRUE(row.status.ok());
+  ASSERT_TRUE(txn->Write("x", "2").ok());
+  ASSERT_TRUE(txn->Write("w", "2").ok());
+  TakeGets();
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(TakeGets(),
+            (std::map<std::string, int>{{"w", 1}, {"y", 1}, {"z", 1}}));
 }
 
 }  // namespace
