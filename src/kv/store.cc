@@ -243,7 +243,7 @@ Status ShardedStore::Checkpoint() {
         WalRecord record;
         record.kind = WalRecord::Kind::kPut;
         record.etag = it.value().etag;
-        record.key = it.key();
+        record.key = std::string(it.key());
         record.value = it.value().value;
         s = snapshot.Append(record, /*sync=*/false);
         if (!s.ok()) return s;
@@ -310,15 +310,11 @@ Status ShardedStore::BulkLoad(
           std::to_string(i));
     }
   }
-  // Reserve a contiguous etag range up front: record i carries first + i,
-  // so replay and checkpoint watermarks order the run like individual puts.
-  uint64_t first_etag = etag_source_.fetch_add(sorted_records.size(),
-                                               std::memory_order_relaxed) +
-                        1;
   // One frame for the whole run; rides group commit like any other append.
-  Status log = LogMutation(WalRecord::Kind::kBulkPut, "",
-                           EncodeBulkPayload(sorted_records), first_etag);
-  if (!log.ok()) return log;
+  // Encoded before the locks (the etag rides in the frame header, not the
+  // payload), and only when there is a log to write it to.
+  const std::string payload =
+      wal_enabled() ? EncodeBulkPayload(sorted_records) : std::string();
   // Stream the run once, in order, into one sorted-insert cursor per shard.
   // The global sort order restricted to any one shard is still strictly
   // ascending, so every cursor sees a valid feed.  Walking the record array
@@ -335,6 +331,16 @@ Status ShardedStore::BulkLoad(
     locks.emplace_back(shard->mu);
     cursors.emplace_back(&shard->map);
   }
+  // A contiguous etag range, record i carrying first + i, so replay and
+  // checkpoint watermarks order the run like individual puts.  Drawn and
+  // logged under the shard locks, as in `MultiPut`: a checkpoint in between
+  // would otherwise truncate the frame away while the rows land after its
+  // snapshot, losing the load on the next reopen.
+  uint64_t first_etag = etag_source_.fetch_add(sorted_records.size(),
+                                               std::memory_order_relaxed) +
+                        1;
+  Status log = LogMutation(WalRecord::Kind::kBulkPut, "", payload, first_etag);
+  if (!log.ok()) return log;
   for (size_t i = 0; i < sorted_records.size(); ++i) {
     cursors[ShardIndex(sorted_records[i].first)].Insert(
         sorted_records[i].first, Entry{sorted_records[i].second, first_etag + i});
@@ -431,9 +437,10 @@ Status ShardedStore::Put(const std::string& key, std::string_view value,
                          uint64_t* etag_out) {
   if (!open_) return Status::IOError("store not opened");
   if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
-  uint64_t etag = NextEtag();
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
+  // Drawn under the shard lock, like every mutation's etag (see `MultiPut`).
+  uint64_t etag = NextEtag();
   Status s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
   if (!s.ok()) return s;
   shard.map.Upsert(key, Entry{std::string(value), etag});
@@ -447,7 +454,7 @@ Status ShardedStore::ConditionalPut(const std::string& key, std::string_view val
   if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const Entry* entry = shard.map.Find(key);
+  Entry* entry = shard.map.Find(key);
   if (expected_etag == kEtagAbsent) {
     if (entry != nullptr) return Status::Conflict("key exists: " + key);
   } else {
@@ -459,7 +466,14 @@ Status ShardedStore::ConditionalPut(const std::string& key, std::string_view val
   uint64_t etag = NextEtag();
   Status s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
   if (!s.ok()) return s;
-  shard.map.Upsert(key, Entry{std::string(value), etag});
+  if (entry != nullptr) {
+    // Overwrite through the pointer the check found (stable under the shard
+    // lock): no second lookup, and the value keeps its buffer.
+    entry->value.assign(value.data(), value.size());
+    entry->etag = etag;
+  } else {
+    shard.map.Upsert(key, Entry{std::string(value), etag});
+  }
   if (etag_out != nullptr) *etag_out = etag;
   return Status::OK();
 }
@@ -523,8 +537,8 @@ Status ShardedStore::Scan(const std::string& start_key, size_t limit,
     std::pop_heap(heap.begin(), heap.end(), greater);
     size_t idx = heap.back();
     heap.pop_back();
-    out->push_back(
-        ScanEntry{iters[idx].key(), iters[idx].value().value, iters[idx].value().etag});
+    out->push_back(ScanEntry{std::string(iters[idx].key()), iters[idx].value().value,
+                             iters[idx].value().etag});
     iters[idx].Next();
     if (iters[idx].Valid()) {
       heap.push_back(idx);

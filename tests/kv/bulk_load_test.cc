@@ -1,12 +1,15 @@
 // BulkLoad fast path: sorted-run validation, etag continuity with per-key
-// writes, interleaving with pre-existing keys, WAL replay, and the
-// SortedInserter cursor it is built on — including a fresh cursor opened
-// against an already-populated list (once an O(n) restart; see skiplist.h).
+// writes, interleaving with pre-existing keys, WAL replay, loads racing
+// checkpoints, and the SortedInserter cursor it is built on — including a
+// fresh cursor opened against an already-populated list (once an O(n)
+// restart; see skiplist.h).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kv/skiplist.h"
@@ -135,6 +138,97 @@ TEST(BulkLoadTest, ReplaysFromWalAfterRestart) {
   ASSERT_TRUE(store.Put("after", "a", &next).ok());
   EXPECT_GT(next, tail_etag);
   std::remove(wal.c_str());
+}
+
+TEST(BulkLoadTest, AcknowledgedRowsSurviveConcurrentCheckpoints) {
+  // A checkpoint between a load's WAL append and its insert would truncate
+  // the frame away while the rows land after the snapshot: gone on reopen.
+  // Loads, blind puts and back-to-back checkpoints run concurrently; every
+  // row whose call returned OK must come back after the restart.  (A put
+  // that drew its etag before a checkpoint's watermark but logged after the
+  // truncation was filtered out of replay the same way.)
+  const std::string dir = ::testing::TempDir();
+  StoreOptions options;
+  options.wal_path = dir + "/bulk_ckpt_race.wal";
+  options.checkpoint_path = dir + "/bulk_ckpt_race.ckpt";
+  std::remove(options.wal_path.c_str());
+  std::remove(options.checkpoint_path.c_str());
+  // Each checkpoint waits for both writers to finish a call since the last
+  // one, so all of them land mid-flight; the writers stop once the
+  // checkpointer is done (or at their cap).
+  constexpr int kCheckpoints = 40;
+  constexpr int kMaxLoads = 4000;
+  constexpr int kRowsPerLoad = 16;
+  constexpr int kMaxPuts = 20000;
+  std::vector<int> loaded;  // load indices acknowledged OK
+  std::vector<int> put;     // put indices acknowledged OK
+  {
+    ShardedStore store(options);
+    ASSERT_TRUE(store.Open().ok());
+    std::atomic<bool> done{false};
+    std::atomic<int> writers{2};
+    std::atomic<int> load_calls{0};
+    std::atomic<int> put_calls{0};
+    std::thread loader([&] {
+      for (int l = 0; l < kMaxLoads && !done.load(); ++l) {
+        std::vector<std::pair<std::string, std::string>> run;
+        for (int r = 0; r < kRowsPerLoad; ++r) {
+          run.emplace_back(StrCat("bulk", 100000 + l * kRowsPerLoad + r), StrCat("b", l));
+        }
+        if (store.BulkLoad(run).ok()) loaded.push_back(l);
+        load_calls.fetch_add(1);
+      }
+      writers.fetch_sub(1);
+    });
+    std::thread putter([&] {
+      for (int i = 0; i < kMaxPuts && !done.load(); ++i) {
+        if (store.Put(StrCat("put", 100000 + i), StrCat("p", i)).ok()) put.push_back(i);
+        put_calls.fetch_add(1);
+      }
+      writers.fetch_sub(1);
+    });
+    Status ckpt;
+    int loads_seen = 0;
+    int puts_seen = 0;
+    for (int c = 0; c < kCheckpoints && ckpt.ok(); ++c) {
+      while ((load_calls.load() == loads_seen || put_calls.load() == puts_seen) &&
+             writers.load() > 0) {
+        std::this_thread::yield();
+      }
+      loads_seen = load_calls.load();
+      puts_seen = put_calls.load();
+      ckpt = store.Checkpoint();
+    }
+    done.store(true);
+    loader.join();
+    putter.join();
+    ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+    ASSERT_FALSE(store.IsPoisoned());
+  }
+  ASSERT_FALSE(loaded.empty());
+  ASSERT_FALSE(put.empty());
+
+  ShardedStore revived(options);
+  ASSERT_TRUE(revived.Open().ok());
+  std::string value;
+  size_t lost_rows = 0;
+  for (int l : loaded) {
+    for (int r = 0; r < kRowsPerLoad; ++r) {
+      Status s = revived.Get(StrCat("bulk", 100000 + l * kRowsPerLoad + r), &value);
+      if (!s.ok() || value != StrCat("b", l)) ++lost_rows;
+    }
+  }
+  size_t lost_puts = 0;
+  for (int i : put) {
+    Status s = revived.Get(StrCat("put", 100000 + i), &value);
+    if (!s.ok() || value != StrCat("p", i)) ++lost_puts;
+  }
+  EXPECT_EQ(lost_rows, 0u) << "of " << loaded.size() * kRowsPerLoad
+                           << " acknowledged bulk-loaded rows";
+  EXPECT_EQ(lost_puts, 0u) << "of " << put.size() << " acknowledged puts";
+  EXPECT_EQ(revived.Count(), loaded.size() * kRowsPerLoad + put.size());
+  std::remove(options.wal_path.c_str());
+  std::remove(options.checkpoint_path.c_str());
 }
 
 TEST(MultiGetTest, ReportsMissingKeysPerRow) {
