@@ -9,50 +9,21 @@
 namespace ycsbt {
 namespace cloud {
 
-bool ParseReadMode(const std::string& token, ReadMode* out) {
-  if (token == "leader") {
-    *out = ReadMode::kLeader;
-  } else if (token == "quorum") {
-    *out = ReadMode::kQuorum;
-  } else if (token == "stale") {
-    *out = ReadMode::kStale;
-  } else if (token == "nearest") {
-    *out = ReadMode::kNearest;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ReadModeName(ReadMode mode) {
-  switch (mode) {
-    case ReadMode::kLeader:
-      return "leader";
-    case ReadMode::kQuorum:
-      return "quorum";
-    case ReadMode::kStale:
-      return "stale";
-    case ReadMode::kNearest:
-      return "nearest";
-  }
-  return "unknown";
-}
-
 Status ReplicationOptions::FromProperties(const Properties& props,
                                           ReplicationOptions* out) {
+  Status s = CheckDeclaredProperties(props, kReplicationProperties);
+  if (s.ok()) s = CheckDeclaredProperties(props, kFailoverProperties);
+  if (!s.ok()) return s;
   ReplicationOptions o;
-  o.regions = static_cast<int>(props.GetInt("cloud.regions", o.regions));
-  if (o.regions < 2) o.regions = 2;
-  std::string mode = props.Get("cloud.read_mode", "leader");
-  if (!ParseReadMode(mode, &o.read_mode)) {
-    return Status::InvalidArgument("cloud.read_mode: unknown mode '" + mode +
-                                   "' (leader|quorum|stale|nearest)");
+  o.regions = kCloudRegions.Get<int>(props);
+  if (o.regions < 2) {
+    return Status::InvalidArgument("replication needs cloud.regions >= 2");
   }
-  o.replica_lag_us = props.GetUint("cloud.replica_lag_us", o.replica_lag_us);
-  o.replica_lag_ops = props.GetUint("cloud.replica_lag_ops", o.replica_lag_ops);
-  o.local_region =
-      static_cast<int>(props.GetInt("cloud.local_region", o.local_region));
-  if (o.local_region < 0 || o.local_region >= o.regions) o.local_region = 0;
+  o.read_mode = kCloudReadMode.GetEnum<ReadMode>(props);
+  o.replica_lag_us = kCloudReplicaLagUs.Get<uint64_t>(props);
+  o.replica_lag_ops = kCloudReplicaLagOps.Get<uint64_t>(props);
+  o.local_region = kCloudLocalRegion.Get<int>(props);
+  if (o.local_region >= o.regions) o.local_region = 0;
   o.script = FailoverScript::FromProperties(props);
   *out = o;
   return Status::OK();

@@ -31,34 +31,40 @@ enum class ReadMode : uint8_t {
              ///< leadership elsewhere.
 };
 
-/// Parses a `cloud.read_mode` token; false on an unknown name.
-bool ParseReadMode(const std::string& token, ReadMode* out);
-const char* ReadModeName(ReadMode mode);
+inline constexpr PropertyDecl kCloudRegions = IntProperty(
+    "cloud.regions", 1, 1, kIntMax,
+    "regions; >= 2 activates replication (leader = region 0 at start)");
+// In ReadMode order, for GetEnum.
+inline constexpr std::string_view kReadModes[] = {"leader", "quorum", "stale", "nearest"};
+inline constexpr PropertyDecl kCloudReadMode = EnumProperty(
+    "cloud.read_mode", "leader", kReadModes, "how reads are routed (ReadMode)");
+inline constexpr PropertyDecl kCloudReplicaLagUs = UintProperty(
+    "cloud.replica_lag_us", 20'000, "median wall-clock replication lag per record");
+/// A replica applies its backlog while serving traffic, so count-based lag
+/// is fully deterministic for same-seed single-threaded replays.
+inline constexpr PropertyDecl kCloudReplicaLagOps = UintProperty(
+    "cloud.replica_lag_ops", 0,
+    "count-based lag instead: a write shows on a follower N to 2N requests later");
+inline constexpr PropertyDecl kCloudLocalRegion = IntProperty(
+    "cloud.local_region", 0, 0, kIntMax,
+    "the region this client reads in stale/nearest modes");
+inline constexpr const PropertyDecl* kReplicationProperties[] = {
+    &kCloudRegions, &kCloudReadMode, &kCloudReplicaLagUs, &kCloudReplicaLagOps,
+    &kCloudLocalRegion};
 
-/// Configuration of a `ReplicatedCloudStore`, from the `cloud.*` namespace:
-///
-///   cloud.regions          number of regions (>= 2 activates replication)
-///   cloud.read_mode        leader | quorum | stale | nearest
-///   cloud.replica_lag_us   median wall-clock replication lag per record
-///   cloud.replica_lag_ops  when > 0, lag is *count-based* instead: a record
-///                          becomes visible on a follower after between this
-///                          many and twice this many later requests (reads
-///                          or writes — a replica applies its backlog while
-///                          serving traffic) have arrived — fully
-///                          deterministic for same-seed single-threaded
-///                          replays
-///   cloud.local_region     the region this client is nearest to (stale and
-///                          nearest read modes; default 0)
-///   cloud.fault.*          the scripted failover/partition (FailoverScript)
+/// Configuration of a `ReplicatedCloudStore`, from the properties declared
+/// above and the scripted failover/partition (`cloud.fault.*`,
+/// `FailoverScript`).
 struct ReplicationOptions {
   int regions = 3;
   ReadMode read_mode = ReadMode::kLeader;
-  uint64_t replica_lag_us = 20'000;
-  uint64_t replica_lag_ops = 0;
-  int local_region = 0;
+  uint64_t replica_lag_us = kCloudReplicaLagUs.Default<uint64_t>();
+  uint64_t replica_lag_ops = kCloudReplicaLagOps.Default<uint64_t>();
+  int local_region = kCloudLocalRegion.Default<int>();
   uint64_t seed = 0x5EEDFA11ull;
   FailoverScript script;
 
+  /// InvalidArgument on a malformed key or `cloud.regions` below 2.
   static Status FromProperties(const Properties& props,
                                ReplicationOptions* out);
 };

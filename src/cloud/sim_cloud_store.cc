@@ -68,11 +68,29 @@ void SimCloudStore::Collect(LayerStats* out) {
   collected_ = now;
 }
 
+CloudProfile CloudProfile::FromProperties(const Properties& props,
+                                          CloudProfile p) {
+  p.container_rate_limit =
+      kCloudRateLimit.Get<double>(props, p.container_rate_limit);
+  p.containers = kCloudContainers.Get<int>(props, p.containers);
+  p.client_serial_us_per_inflight =
+      kCloudClientSerialUs.Get<double>(props, p.client_serial_us_per_inflight);
+  p.max_queue_delay_us =
+      kCloudMaxQueueDelayUs.Get<double>(props, p.max_queue_delay_us);
+  double scale = kCloudLatencyScale.Get<double>(props);
+  if (scale != 1.0) p.ScaleLatency(scale);
+  return p;
+}
+
+void CloudProfile::ScaleLatency(double factor) {
+  read_latency_median_us *= factor;
+  write_latency_median_us *= factor;
+  latency_floor_us *= factor;
+  client_serial_us_per_inflight *= factor;
+}
+
 void SimCloudStore::ScaleLatency(double factor) {
-  profile_.read_latency_median_us *= factor;
-  profile_.write_latency_median_us *= factor;
-  profile_.latency_floor_us *= factor;
-  profile_.client_serial_us_per_inflight *= factor;
+  profile_.ScaleLatency(factor);
   read_latency_ = LatencyModel(profile_.read_latency_median_us,
                                profile_.latency_sigma, profile_.latency_floor_us);
   write_latency_ = LatencyModel(profile_.write_latency_median_us,

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/latency_model.h"
+#include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/rate_limiter.h"
 #include "common/stats_layer.h"
 #include "kv/store.h"
@@ -16,6 +18,28 @@ namespace ycsbt {
 class RpcExecutor;
 
 namespace cloud {
+
+/// Overrides of the `was`/`gcs` profile below.
+inline constexpr PropertyDecl kCloudRateLimit = Derived(
+    DoubleProperty("cloud.rate_limit", 0.0, 0.0, kNoLimit,
+                   "requests/s one container sustains; 0 = uncapped"),
+    "profile");
+inline constexpr PropertyDecl kCloudContainers = IntProperty(
+    "cloud.containers", 1, 1, kIntMax,
+    "storage containers the keyspace is hash-partitioned over");
+inline constexpr PropertyDecl kCloudClientSerialUs = Derived(
+    DoubleProperty("cloud.client_serial_us", 0.0, 0.0, kNoLimit,
+                   "serialized client cost per request per in-flight request"),
+    "profile");
+inline constexpr PropertyDecl kCloudMaxQueueDelayUs = DoubleProperty(
+    "cloud.max_queue_delay_us", 2'000'000.0, 0.0, kNoLimit,
+    "container queue wait beyond which a request is rejected RateLimited");
+inline constexpr PropertyDecl kCloudLatencyScale = DoubleProperty(
+    "cloud.latency_scale", 1.0, 0.0, kNoLimit,
+    "multiplies every simulated latency (quick runs use < 1)");
+inline constexpr const PropertyDecl* kCloudProfileProperties[] = {
+    &kCloudRateLimit, &kCloudContainers, &kCloudClientSerialUs, &kCloudMaxQueueDelayUs,
+    &kCloudLatencyScale};
 
 /// Performance profile of a simulated cloud object store.
 ///
@@ -50,10 +74,10 @@ struct CloudProfile {
   /// Number of storage containers the keyspace is hash-partitioned over;
   /// each has its own rate cap.  The paper's §V-A setup used one container
   /// (hence its plateau); more containers model the scale-out answer.
-  int containers = 1;
+  int containers = kCloudContainers.Default<int>();
   /// Queueing delay beyond which the request fails with RateLimited
   /// (the HTTP 503 / server-busy analogue).
-  double max_queue_delay_us = 2'000'000.0;
+  double max_queue_delay_us = kCloudMaxQueueDelayUs.Default<double>();
 
   /// Serialized client-side cost per request, microseconds, multiplied by
   /// the number of concurrently in-flight requests.  Models the thread
@@ -66,6 +90,14 @@ struct CloudProfile {
   static CloudProfile Was();
   /// Google Cloud Storage-like profile (slightly slower, higher cap).
   static CloudProfile Gcs();
+
+  /// `profile` with the `cloud.*` overrides above applied.
+  static CloudProfile FromProperties(const Properties& props,
+                                     CloudProfile profile);
+
+  /// Multiplies every latency the profile models: service medians, floor
+  /// and the serialized client cost.
+  void ScaleLatency(double factor);
 };
 
 /// Running counters exposed for benches and tests.  Per-outcome counts

@@ -9,20 +9,13 @@ namespace ycsbt {
 CircuitBreakerOptions CircuitBreakerOptions::FromProperties(
     const Properties& props) {
   CircuitBreakerOptions o;
-  o.enabled = props.GetBool("breaker.enabled", o.enabled);
-  o.window = static_cast<int>(props.GetInt("breaker.window", o.window));
-  if (o.window < 1) o.window = 1;
-  o.min_samples =
-      static_cast<int>(props.GetInt("breaker.min_samples", o.min_samples));
-  o.min_samples = std::clamp(o.min_samples, 1, o.window);
-  o.failure_ratio = props.GetDouble("breaker.failure_ratio", o.failure_ratio);
-  o.failure_ratio = std::clamp(o.failure_ratio, 0.0, 1.0);
-  o.cooldown_us = props.GetUint("breaker.cooldown_us", o.cooldown_us);
-  o.cooldown_rejects = static_cast<int>(
-      props.GetInt("breaker.cooldown_rejects", o.cooldown_rejects));
-  if (o.cooldown_rejects < 0) o.cooldown_rejects = 0;
-  o.probes = static_cast<int>(props.GetInt("breaker.probes", o.probes));
-  if (o.probes < 1) o.probes = 1;
+  o.enabled = kBreakerEnabled.Get<bool>(props);
+  o.window = kBreakerWindow.Get<int>(props);
+  o.min_samples = std::min(kBreakerMinSamples.Get<int>(props), o.window);
+  o.failure_ratio = kBreakerFailureRatio.Get<double>(props);
+  o.cooldown_us = kBreakerCooldownUs.Get<uint64_t>(props);
+  o.cooldown_rejects = kBreakerCooldownRejects.Get<int>(props);
+  o.probes = kBreakerProbes.Get<int>(props);
   return o;
 }
 

@@ -8,35 +8,45 @@
 #include <vector>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/random.h"
 #include "common/status.h"
 
 namespace ycsbt {
 
-/// Configuration of one circuit breaker, from the `breaker.*` namespace:
-///
-///   breaker.enabled           master switch (default false)
-///   breaker.window            rolling outcome window size (default 64)
-///   breaker.min_samples       outcomes required before the trip ratio is
-///                             evaluated (default 16)
-///   breaker.failure_ratio     failure fraction of the window that trips
-///                             Closed -> Open (default 0.5)
-///   breaker.cooldown_us       wall-clock Open -> Half-Open delay (default
-///                             50000)
-///   breaker.cooldown_rejects  additionally, after this many fast-failed
-///                             arrivals the next arrival probes regardless
-///                             of the clock — the *deterministic* cooldown
-///                             chaos replays rely on (0 = clock only)
-///   breaker.probes            consecutive Half-Open probe successes needed
-///                             to re-close (default 3)
+inline constexpr PropertyDecl kBreakerEnabled =
+    BoolProperty("breaker.enabled", false, "per-backend rolling-window circuit breakers");
+inline constexpr PropertyDecl kBreakerWindow =
+    IntProperty("breaker.window", 64, 1, kIntMax, "outcomes in the rolling window");
+inline constexpr PropertyDecl kBreakerMinSamples = IntProperty(
+    "breaker.min_samples", 16, 1, kIntMax,
+    "outcomes required before the trip ratio is evaluated (at most the window)");
+inline constexpr PropertyDecl kBreakerFailureRatio = DoubleProperty(
+    "breaker.failure_ratio", 0.5, 0.0, 1.0,
+    "failure fraction of the window that trips Closed -> Open");
+inline constexpr PropertyDecl kBreakerCooldownUs =
+    UintProperty("breaker.cooldown_us", 50'000, "wall-clock Open -> Half-Open delay");
+/// The deterministic cooldown chaos replays rely on.
+inline constexpr PropertyDecl kBreakerCooldownRejects = IntProperty(
+    "breaker.cooldown_rejects", 0, 0, kIntMax,
+    "fast-fails after which the next arrival probes whatever the clock (0 = off)");
+inline constexpr PropertyDecl kBreakerProbes = IntProperty(
+    "breaker.probes", 3, 1, kIntMax,
+    "consecutive Half-Open probe successes needed to re-close");
+inline constexpr const PropertyDecl* kBreakerProperties[] = {
+    &kBreakerEnabled, &kBreakerWindow, &kBreakerMinSamples, &kBreakerFailureRatio,
+    &kBreakerCooldownUs, &kBreakerCooldownRejects, &kBreakerProbes};
+
+/// Configuration of one circuit breaker, from the `breaker.*` properties
+/// declared above.
 struct CircuitBreakerOptions {
-  bool enabled = false;
-  int window = 64;
-  int min_samples = 16;
-  double failure_ratio = 0.5;
-  uint64_t cooldown_us = 50'000;
-  int cooldown_rejects = 0;
-  int probes = 3;
+  bool enabled = kBreakerEnabled.Default<bool>();
+  int window = kBreakerWindow.Default<int>();
+  int min_samples = kBreakerMinSamples.Default<int>();
+  double failure_ratio = kBreakerFailureRatio.Default<double>();
+  uint64_t cooldown_us = kBreakerCooldownUs.Default<uint64_t>();
+  int cooldown_rejects = kBreakerCooldownRejects.Default<int>();
+  int probes = kBreakerProbes.Default<int>();
 
   static CircuitBreakerOptions FromProperties(const Properties& props);
 };

@@ -36,20 +36,16 @@ uint32_t ParseCrashPointToken(const std::string& token) {
 
 FailoverScript FailoverScript::FromProperties(const Properties& props) {
   FailoverScript s;
-  s.leader_crash_at =
-      props.GetUint("cloud.fault.leader_crash_at", s.leader_crash_at);
-  s.election_ops = props.GetUint("cloud.fault.election_ops", s.election_ops);
-  s.election_us = props.GetUint("cloud.fault.election_us", s.election_us);
+  s.leader_crash_at = kLeaderCrashAt.Get<uint64_t>(props);
+  s.election_ops = kElectionOps.Get<uint64_t>(props);
+  s.election_us = kElectionUs.Get<uint64_t>(props);
   if (s.leader_crash_at > 0 && s.election_ops == 0 && s.election_us == 0) {
     s.election_ops = 16;
   }
-  s.lost_tail = props.GetUint("cloud.fault.lost_tail", s.lost_tail);
-  s.partition_region = static_cast<int>(
-      props.GetInt("cloud.fault.partition_region", s.partition_region));
-  s.partition_at = props.GetUint("cloud.fault.partition_at", s.partition_at);
-  s.partition_ops =
-      props.GetUint("cloud.fault.partition_ops", s.partition_ops);
-  if (s.partition_ops == 0) s.partition_ops = 1;
+  s.lost_tail = kLostTail.Get<uint64_t>(props);
+  s.partition_region = kPartitionRegion.Get<int>(props);
+  s.partition_at = kPartitionAt.Get<uint64_t>(props);
+  s.partition_ops = kPartitionOps.Get<uint64_t>(props);
   return s;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 
 namespace ycsbt {
 
@@ -53,6 +54,32 @@ class CrashInjector {
   virtual bool ShouldCrash(CrashPoint point) = 0;
 };
 
+inline constexpr PropertyDecl kLeaderCrashAt = UintProperty(
+    "cloud.fault.leader_crash_at", 0,
+    "write arrival that crashes the leader and opens an election (0 = never)");
+inline constexpr PropertyDecl kElectionOps = Derived(
+    UintProperty("cloud.fault.election_ops", 0,
+                 "NotLeader rejections after which the election completes"),
+    "16 when a crash is scripted");
+inline constexpr PropertyDecl kElectionUs = UintProperty(
+    "cloud.fault.election_us", 0,
+    "wall-clock election length instead; rejections carry a retry_after_us= hint");
+/// The crashed leader's unreplicated tail, surfacing as ambiguous commits.
+inline constexpr PropertyDecl kLostTail = UintProperty(
+    "cloud.fault.lost_tail", 0, "election-window writes applied but answered Timeout");
+inline constexpr PropertyDecl kPartitionRegion = IntProperty(
+    "cloud.fault.partition_region", -1, -1, kIntMax,
+    "region cut off from the cluster (-1 = none)");
+inline constexpr PropertyDecl kPartitionAt = UintProperty(
+    "cloud.fault.partition_at", 0,
+    "request arrival that starts the partition (0 = never)");
+inline constexpr PropertyDecl kPartitionOps = UintProperty(
+    "cloud.fault.partition_ops", 64, 1, kNoLimit,
+    "Unavailable rejections served before the partition heals");
+inline constexpr const PropertyDecl* kFailoverProperties[] = {
+    &kLeaderCrashAt, &kElectionOps, &kElectionUs, &kLostTail, &kPartitionRegion,
+    &kPartitionAt, &kPartitionOps};
+
 /// Deterministic failover/partition script for the replicated cloud store
 /// (`cloud::ReplicatedCloudStore`).  All triggers and durations are
 /// *count-based* by default — expressed in armed request/write arrivals, the
@@ -62,36 +89,15 @@ class CrashInjector {
 /// one wall-clock escape hatch, for tests that need an election to span
 /// real status windows.
 ///
-/// Configured from the `cloud.fault.*` property namespace:
-///
-///   cloud.fault.leader_crash_at   write arrival # at which the leader
-///                                 crashes and an election begins (0 = never)
-///   cloud.fault.election_ops      the election completes after this many
-///                                 NotLeader rejections (default 16 when a
-///                                 crash is scripted and election_us is 0)
-///   cloud.fault.election_us       wall-clock election duration; when set it
-///                                 replaces the count-based completion and
-///                                 NotLeader messages carry a
-///                                 `retry_after_us=` hint
-///   cloud.fault.lost_tail         the first N writes arriving mid-election
-///                                 are APPLIED but answered Timeout — the
-///                                 unreplicated tail surfacing as ambiguous
-///                                 commits (default 0)
-///   cloud.fault.partition_region  region cut off from the cluster
-///                                 (-1 = none)
-///   cloud.fault.partition_at      request arrival # at which the partition
-///                                 starts
-///   cloud.fault.partition_ops     the partition heals after this many
-///                                 Unavailable rejections charged to the
-///                                 partitioned region (default 64)
+/// Configured from the `cloud.fault.*` properties declared above.
 struct FailoverScript {
-  uint64_t leader_crash_at = 0;
-  uint64_t election_ops = 0;
-  uint64_t election_us = 0;
-  uint64_t lost_tail = 0;
-  int partition_region = -1;
-  uint64_t partition_at = 0;
-  uint64_t partition_ops = 64;
+  uint64_t leader_crash_at = kLeaderCrashAt.Default<uint64_t>();
+  uint64_t election_ops = kElectionOps.Default<uint64_t>();
+  uint64_t election_us = kElectionUs.Default<uint64_t>();
+  uint64_t lost_tail = kLostTail.Default<uint64_t>();
+  int partition_region = kPartitionRegion.Default<int>();
+  uint64_t partition_at = kPartitionAt.Default<uint64_t>();
+  uint64_t partition_ops = kPartitionOps.Default<uint64_t>();
 
   bool Any() const {
     return leader_crash_at > 0 || (partition_region >= 0 && partition_at > 0);

@@ -139,9 +139,6 @@ class OpContextAdoptScope {
   OpContext saved_;
 };
 
-/// Former name of `OpContextAdoptScope`.
-using OpContextRestoreScope = OpContextAdoptScope;
-
 }  // namespace ycsbt
 
 #endif  // YCSBT_COMMON_OP_CONTEXT_H_

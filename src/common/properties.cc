@@ -1,14 +1,10 @@
 #include "common/properties.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "common/logging.h"
-#include "common/property_registry.h"
+#include "common/property_schema.h"
 
 namespace ycsbt {
 
@@ -19,13 +15,6 @@ std::string_view Trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return out;
 }
 
 }  // namespace
@@ -60,89 +49,47 @@ Status Properties::LoadFromFile(const std::string& path) {
   if (!in) return Status::IOError("cannot open properties file: " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  // Parse into a scratch set first so the unknown-key check sees exactly
-  // this file's keys, not everything merged so far.
-  Properties loaded;
-  Status s = loaded.LoadFromString(buf.str());
-  if (!s.ok()) return s;
-  std::vector<std::string> unknown = UnknownPropertyKeys(loaded);
-  if (!unknown.empty()) {
-    std::string joined;
-    for (const std::string& key : unknown) {
-      if (!joined.empty()) joined += ", ";
-      joined += key;
-    }
-    YCSBT_WARN("unknown propert" << (unknown.size() == 1 ? "y" : "ies")
-                                 << " in " << path << ": " << joined);
-  }
-  Merge(loaded);
-  return Status::OK();
+  return LoadFromString(buf.str());
 }
 
 bool Properties::Contains(const std::string& key) const {
   return map_.find(key) != map_.end();
 }
 
-std::string Properties::Get(const std::string& key, const std::string& def) const {
+const std::string* Properties::Find(std::string_view key) const {
   auto it = map_.find(key);
-  return it == map_.end() ? def : it->second;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
+std::string Properties::Get(const std::string& key, const std::string& def) const {
+  const std::string* v = Find(key);
+  return v == nullptr ? def : *v;
+}
+
+namespace {
+
+template <typename T, typename Parse>
+T ParsedOr(const std::string* value, T def, Parse parse) {
+  if (value == nullptr) return def;
+  return parse(*value).value_or(def);
+}
+
+}  // namespace
+
 int64_t Properties::GetInt(const std::string& key, int64_t def) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return def;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return def;
-  return v;
+  return ParsedOr(Find(key), def, ParseInt);
 }
 
 uint64_t Properties::GetUint(const std::string& key, uint64_t def) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return def;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return def;
-  return v;
+  return ParsedOr(Find(key), def, ParseUint);
 }
 
 double Properties::GetDouble(const std::string& key, double def) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return def;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return def;
-  return v;
+  return ParsedOr(Find(key), def, ParseDouble);
 }
 
 bool Properties::GetBool(const std::string& key, bool def) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return def;
-  std::string v = ToLower(Trim(it->second));
-  if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
-  if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  return def;
-}
-
-Status Properties::CheckedGetInt(const std::string& key, int64_t def,
-                                 int64_t* out) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    *out = def;
-    return Status::OK();
-  }
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("property '" + key +
-                                   "' is not an integer: " + it->second);
-  }
-  *out = v;
-  return Status::OK();
+  return ParsedOr(Find(key), def, ParseBool);
 }
 
 std::vector<std::string> Properties::Keys() const {

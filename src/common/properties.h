@@ -2,6 +2,7 @@
 #define YCSBT_COMMON_PROPERTIES_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -31,6 +32,7 @@ class Properties {
   Status LoadFromString(std::string_view text);
 
   /// Loads a properties file from disk, as `-P file` does in the YCSB client.
+  /// Keys are checked later, where the set is used (`ValidateProperties`).
   Status LoadFromFile(const std::string& path);
 
   /// True if `key` is present.
@@ -39,17 +41,18 @@ class Properties {
   /// Returns the value for `key`, or `def` if absent.
   std::string Get(const std::string& key, const std::string& def = "") const;
 
-  /// Typed getters.  On a present-but-unparsable value these return `def`;
-  /// use the checked variants below when misconfiguration must be fatal.
+  /// The value for `key`, or null if absent.
+  const std::string* Find(std::string_view key) const;
+
+  /// Lenient typed getters, parsing as the property schema does
+  /// (`common/property_schema.h`).  On a present-but-unparsable value these
+  /// return `def`.  The library reads through its declarations instead,
+  /// after `ValidateProperties` has rejected such values.
   int64_t GetInt(const std::string& key, int64_t def) const;
   uint64_t GetUint(const std::string& key, uint64_t def) const;
   double GetDouble(const std::string& key, double def) const;
   /// Accepts true/false/yes/no/on/off/1/0 (case-insensitive).
   bool GetBool(const std::string& key, bool def) const;
-
-  /// Checked getter: fails with InvalidArgument when the key is present but
-  /// not parsable as an integer.
-  Status CheckedGetInt(const std::string& key, int64_t def, int64_t* out) const;
 
   /// All keys in sorted order (for deterministic dumps).
   std::vector<std::string> Keys() const;
@@ -64,7 +67,7 @@ class Properties {
   std::string ToString() const;
 
  private:
-  std::map<std::string, std::string> map_;
+  std::map<std::string, std::string, std::less<>> map_;
 };
 
 }  // namespace ycsbt

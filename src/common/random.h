@@ -3,7 +3,16 @@
 
 #include <cstdint>
 
+#include "common/property_schema.h"
+
 namespace ycsbt {
+
+/// The run seed: workload generators, fan-out workers, lock-wait jitter and
+/// replication lag all draw from streams derived from it, so one value pins
+/// the entire run.
+inline constexpr PropertyDecl kSeed =
+    UintProperty("seed", 0x5EEDBA5E, "run seed every random stream derives from");
+inline constexpr const PropertyDecl* kSeedProperties[] = {&kSeed};
 
 /// Fast, seedable 64-bit PRNG (xoshiro256**), one instance per client thread.
 ///

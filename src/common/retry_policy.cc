@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/circuit_breaker.h"
+
 namespace ycsbt {
 
 uint64_t RetryAfterUsHint(const Status& failure) {
@@ -24,25 +26,15 @@ uint64_t DecorrelatedJitterUs(Random64& rng, uint64_t base, uint64_t cap,
 
 RetryPolicy RetryPolicy::FromProperties(const Properties& props) {
   RetryPolicy p;
-  p.max_attempts =
-      static_cast<int>(props.GetInt("retry.max_attempts", p.max_attempts));
-  if (p.max_attempts < 1) p.max_attempts = 1;
-  p.initial_backoff_us =
-      props.GetUint("retry.backoff_initial_us", p.initial_backoff_us);
-  p.max_backoff_us = props.GetUint("retry.backoff_max_us", p.max_backoff_us);
-  if (p.max_backoff_us < p.initial_backoff_us) {
-    p.max_backoff_us = p.initial_backoff_us;
-  }
-  p.multiplier = props.GetDouble("retry.backoff_multiplier", p.multiplier);
-  if (p.multiplier < 1.0) p.multiplier = 1.0;
-  p.decorrelated_jitter = props.GetBool("retry.jitter", p.decorrelated_jitter);
-  p.deadline_us = props.GetUint("retry.deadline_us", p.deadline_us);
-  // A configured breaker and the throttle cooldown describe the same
-  // quantity — how long a saturated backend needs to drain — so the breaker
-  // setting is the default.
-  p.throttle_cooldown_us = props.GetUint(
-      "retry.throttle_cooldown_us",
-      props.GetUint("breaker.cooldown_us", p.throttle_cooldown_us));
+  p.max_attempts = kRetryMaxAttempts.Get<int>(props);
+  p.initial_backoff_us = kRetryBackoffInitialUs.Get<uint64_t>(props);
+  p.max_backoff_us = std::max(kRetryBackoffMaxUs.Get<uint64_t>(props),
+                              p.initial_backoff_us);
+  p.multiplier = kRetryBackoffMultiplier.Get<double>(props);
+  p.decorrelated_jitter = kRetryJitter.Get<bool>(props);
+  p.deadline_us = kRetryDeadlineUs.Get<uint64_t>(props);
+  p.throttle_cooldown_us = kRetryThrottleCooldownUs.Get<uint64_t>(
+      props, kBreakerCooldownUs.Get<uint64_t>(props, p.throttle_cooldown_us));
   return p;
 }
 

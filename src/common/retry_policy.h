@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/random.h"
 #include "common/status.h"
 
@@ -26,33 +27,46 @@ uint64_t RetryAfterUsHint(const Status& failure);
 uint64_t DecorrelatedJitterUs(Random64& rng, uint64_t base, uint64_t cap,
                               uint64_t* prev);
 
+inline constexpr PropertyDecl kRetryMaxAttempts = IntProperty(
+    "retry.max_attempts", 1, 1, kIntMax,
+    "total attempts per transaction (1 = retries off)");
+inline constexpr PropertyDecl kRetryBackoffInitialUs =
+    UintProperty("retry.backoff_initial_us", 100, "first backoff");
+inline constexpr PropertyDecl kRetryBackoffMaxUs = UintProperty(
+    "retry.backoff_max_us", 100'000,
+    "backoff cap (raised to the first backoff when below it)");
+inline constexpr PropertyDecl kRetryBackoffMultiplier = DoubleProperty(
+    "retry.backoff_multiplier", 2.0, 1.0, kNoLimit,
+    "growth factor of the backoff ladder when jitter is off");
+inline constexpr PropertyDecl kRetryJitter = BoolProperty(
+    "retry.jitter", true, "decorrelated jitter between first backoff and cap");
+inline constexpr PropertyDecl kRetryDeadlineUs = UintProperty(
+    "retry.deadline_us", 0,
+    "per-transaction time budget across attempts and backoffs (0 = none)");
+/// Retrying a saturated container on the hot exponential ladder amplifies
+/// the overload; a configured breaker cooldown describes the same drain
+/// time, so it is the default.
+inline constexpr PropertyDecl kRetryThrottleCooldownUs = Derived(
+    UintProperty("retry.throttle_cooldown_us", 25'000,
+                 "wait before retrying a throttle-class failure"),
+    "breaker.cooldown_us, else 25000");
+inline constexpr const PropertyDecl* kRetryProperties[] = {
+    &kRetryMaxAttempts, &kRetryBackoffInitialUs, &kRetryBackoffMaxUs,
+    &kRetryBackoffMultiplier, &kRetryJitter, &kRetryDeadlineUs,
+    &kRetryThrottleCooldownUs};
+
 /// Client-side retry discipline for transactions that fail with a retryable
 /// status (`Status::IsRetryable()`): bounded attempts, exponential backoff
 /// with decorrelated jitter, and an overall per-transaction deadline.
-///
-/// Configured from the `retry.*` property namespace:
-///
-///   retry.max_attempts        total attempts per transaction (default 1 =
-///                             retries off, the seed behaviour)
-///   retry.backoff_initial_us  first backoff (default 100)
-///   retry.backoff_max_us      backoff cap (default 100000)
-///   retry.backoff_multiplier  growth factor without jitter (default 2.0)
-///   retry.jitter              decorrelated jitter on/off (default true)
-///   retry.deadline_us         per-transaction wall budget spanning all
-///                             attempts and backoffs; 0 = none (default)
-///   retry.throttle_cooldown_us  wait before retrying a throttle-class
-///                             failure (`Status::IsThrottle()`); defaults to
-///                             `breaker.cooldown_us` when that is set, else
-///                             25000 — retrying a saturated container on the
-///                             hot exponential ladder amplifies the overload
+/// Configured from the `retry.*` properties declared above.
 struct RetryPolicy {
-  int max_attempts = 1;
-  uint64_t initial_backoff_us = 100;
-  uint64_t max_backoff_us = 100'000;
-  double multiplier = 2.0;
-  bool decorrelated_jitter = true;
-  uint64_t deadline_us = 0;
-  uint64_t throttle_cooldown_us = 25'000;
+  int max_attempts = kRetryMaxAttempts.Default<int>();
+  uint64_t initial_backoff_us = kRetryBackoffInitialUs.Default<uint64_t>();
+  uint64_t max_backoff_us = kRetryBackoffMaxUs.Default<uint64_t>();
+  double multiplier = kRetryBackoffMultiplier.Default<double>();
+  bool decorrelated_jitter = kRetryJitter.Default<bool>();
+  uint64_t deadline_us = kRetryDeadlineUs.Default<uint64_t>();
+  uint64_t throttle_cooldown_us = kRetryThrottleCooldownUs.Default<uint64_t>();
 
   bool enabled() const { return max_attempts > 1; }
 

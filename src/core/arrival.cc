@@ -12,75 +12,25 @@ namespace {
 /// would make the next gap infinite and wedge the schedule forever.
 constexpr double kMinRate = 1e-3;
 
-Status ParseProcess(const std::string& value, ArrivalOptions::Process* out) {
-  if (value == "exponential") {
-    *out = ArrivalOptions::Process::kExponential;
-  } else if (value == "fixed") {
-    *out = ArrivalOptions::Process::kFixed;
-  } else {
-    return Status::InvalidArgument(
-        "arrival.process must be exponential or fixed, got '" + value + "'");
-  }
-  return Status::OK();
-}
-
-Status ParseShape(const std::string& value, ArrivalOptions::Shape* out) {
-  if (value == "constant") {
-    *out = ArrivalOptions::Shape::kConstant;
-  } else if (value == "diurnal") {
-    *out = ArrivalOptions::Shape::kDiurnal;
-  } else if (value == "flash_crowd") {
-    *out = ArrivalOptions::Shape::kFlashCrowd;
-  } else if (value == "hotspot_shift") {
-    *out = ArrivalOptions::Shape::kHotspotShift;
-  } else {
-    return Status::InvalidArgument(
-        "arrival.shape must be constant, diurnal, flash_crowd or "
-        "hotspot_shift, got '" +
-        value + "'");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ArrivalOptions::FromProperties(const Properties& props,
                                       ArrivalOptions* out) {
-  *out = ArrivalOptions{};
-  out->rate = props.GetDouble("arrival.rate", 0.0);
-  if (out->rate < 0.0) {
-    return Status::InvalidArgument("arrival.rate must be >= 0");
-  }
-  Status s = ParseProcess(props.Get("arrival.process", "exponential"),
-                          &out->process);
+  Status s = CheckDeclaredProperties(props, kArrivalProperties);
   if (!s.ok()) return s;
-  out->max_backlog = props.GetUint("arrival.max_backlog", 1024);
-  if (out->max_backlog == 0) {
-    return Status::InvalidArgument("arrival.max_backlog must be >= 1");
-  }
-  s = ParseShape(props.Get("arrival.shape", "constant"), &out->shape);
-  if (!s.ok()) return s;
-
-  out->diurnal_period_s = props.GetDouble("arrival.diurnal.period_s", 60.0);
-  out->diurnal_low_frac = props.GetDouble("arrival.diurnal.low_frac", 0.25);
-  out->flash_at_s = props.GetDouble("arrival.flash.at_s", 1.0);
-  out->flash_duration_s = props.GetDouble("arrival.flash.duration_s", 1.0);
-  out->flash_multiplier = props.GetDouble("arrival.flash.multiplier", 4.0);
-  out->shift_at_s = props.GetDouble("arrival.hotspot_shift.at_s", 1.0);
-  out->shift_multiplier = props.GetDouble("arrival.hotspot_shift.multiplier", 2.0);
-
-  if (out->diurnal_period_s <= 0.0) {
-    return Status::InvalidArgument("arrival.diurnal.period_s must be > 0");
-  }
-  if (out->diurnal_low_frac < 0.0 || out->diurnal_low_frac > 1.0) {
-    return Status::InvalidArgument("arrival.diurnal.low_frac must be in [0, 1]");
-  }
-  if (out->flash_duration_s <= 0.0) {
-    return Status::InvalidArgument("arrival.flash.duration_s must be > 0");
-  }
-  if (out->flash_multiplier <= 0.0 || out->shift_multiplier <= 0.0) {
-    return Status::InvalidArgument("arrival shape multipliers must be > 0");
-  }
+  ArrivalOptions o;
+  o.rate = kArrivalRate.Get<double>(props);
+  o.process = kArrivalProcess.GetEnum<Process>(props);
+  o.max_backlog = kArrivalMaxBacklog.Get<uint64_t>(props);
+  o.shape = kArrivalShape.GetEnum<Shape>(props);
+  o.diurnal_period_s = kDiurnalPeriodS.Get<double>(props);
+  o.diurnal_low_frac = kDiurnalLowFrac.Get<double>(props);
+  o.flash_at_s = kFlashAtS.Get<double>(props);
+  o.flash_duration_s = kFlashDurationS.Get<double>(props);
+  o.flash_multiplier = kFlashMultiplier.Get<double>(props);
+  o.shift_at_s = kShiftAtS.Get<double>(props);
+  o.shift_multiplier = kShiftMultiplier.Get<double>(props);
+  *out = o;
   return Status::OK();
 }
 

@@ -5,63 +5,79 @@
 #include <string>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/random.h"
 #include "common/status.h"
 
 namespace ycsbt {
 namespace core {
 
+inline constexpr PropertyDecl kArrivalRate = DoubleProperty(
+    "arrival.rate", 0.0, 0.0, kNoLimit,
+    "aggregate offered arrivals/s; > 0 switches the runner to open loop");
+// In Process order, for GetEnum.
+inline constexpr std::string_view kArrivalProcesses[] = {"exponential",
+                                                        "fixed"};
+inline constexpr PropertyDecl kArrivalProcess = EnumProperty(
+    "arrival.process", "exponential", kArrivalProcesses,
+    "exponential = Poisson arrivals; fixed = evenly spaced, staggered slots");
+/// Arrivals due while the backlog is full are dropped (ARRIVAL-DROP)
+/// instead of queueing without bound.
+inline constexpr PropertyDecl kArrivalMaxBacklog = UintProperty(
+    "arrival.max_backlog", 1024, 1, kNoLimit, "pending-arrival cap per client thread");
+// In Shape order, for GetEnum.
+inline constexpr std::string_view kArrivalShapes[] = {
+    "constant", "diurnal", "flash_crowd", "hotspot_shift"};
+inline constexpr PropertyDecl kArrivalShape = EnumProperty(
+    "arrival.shape", "constant", kArrivalShapes,
+    "scripted modulation of the rate over the run");
+/// Shape parameters; every rate is a multiple of `arrival.rate`.
+inline constexpr PropertyDecl kDiurnalPeriodS = PositiveProperty(
+    "arrival.diurnal.period_s", 60.0, "trough -> peak -> trough cycle length");
+inline constexpr PropertyDecl kDiurnalLowFrac = DoubleProperty(
+    "arrival.diurnal.low_frac", 0.25, 0.0, 1.0,
+    "trough rate as a fraction of the peak (the run starts at the trough)");
+inline constexpr PropertyDecl kFlashAtS =
+    DoubleProperty("arrival.flash.at_s", 1.0, 0.0, kNoLimit, "flash-crowd onset");
+inline constexpr PropertyDecl kFlashDurationS =
+    PositiveProperty("arrival.flash.duration_s", 1.0, "how long the crowd stays");
+inline constexpr PropertyDecl kFlashMultiplier =
+    PositiveProperty("arrival.flash.multiplier", 4.0, "rate multiple during the flash");
+inline constexpr PropertyDecl kShiftAtS = DoubleProperty(
+    "arrival.hotspot_shift.at_s", 1.0, 0.0, kNoLimit,
+    "moment traffic shifts onto this service");
+inline constexpr PropertyDecl kShiftMultiplier = PositiveProperty(
+    "arrival.hotspot_shift.multiplier", 2.0, "sustained rate multiple after the shift");
+inline constexpr const PropertyDecl* kArrivalProperties[] = {
+    &kArrivalRate, &kArrivalProcess, &kArrivalMaxBacklog, &kArrivalShape,
+    &kDiurnalPeriodS, &kDiurnalLowFrac, &kFlashAtS, &kFlashDurationS, &kFlashMultiplier,
+    &kShiftAtS, &kShiftMultiplier};
+
 /// Open-loop arrival scheduling (DESIGN.md §13), from the `arrival.*`
-/// namespace:
-///
-///   arrival.rate          aggregate arrivals/sec across all client threads;
-///                         > 0 switches the runner from closed-loop to
-///                         open-loop (default 0 = closed loop)
-///   arrival.process       exponential (Poisson arrivals, default) | fixed
-///                         (evenly spaced slots, staggered across threads)
-///   arrival.max_backlog   pending-arrival cap per client thread; arrivals
-///                         due while the backlog is full are *dropped*
-///                         (ARRIVAL-DROP) instead of queueing without bound
-///                         (default 1024)
-///   arrival.shape         constant (default) | diurnal | flash_crowd |
-///                         hotspot_shift — scripted modulation of the rate
-///                         over the run
-///
-/// Shape-specific keys (all rates are multiples of `arrival.rate`):
-///
-///   arrival.diurnal.period_s      full trough→peak→trough cycle (default 60)
-///   arrival.diurnal.low_frac      trough rate as a fraction of the peak
-///                                 (default 0.25); the run starts at the trough
-///   arrival.flash.at_s            flash-crowd onset (default 1)
-///   arrival.flash.duration_s      how long the crowd stays (default 1)
-///   arrival.flash.multiplier      rate multiple during the flash (default 4)
-///   arrival.hotspot_shift.at_s    moment traffic shifts onto this service
-///                                 (default 1)
-///   arrival.hotspot_shift.multiplier  sustained rate multiple after the
-///                                 shift (default 2)
+/// properties declared above.
 struct ArrivalOptions {
   enum class Process { kExponential, kFixed };
   enum class Shape { kConstant, kDiurnal, kFlashCrowd, kHotspotShift };
 
-  double rate = 0.0;
+  double rate = kArrivalRate.Default<double>();
   Process process = Process::kExponential;
-  uint64_t max_backlog = 1024;
+  uint64_t max_backlog = kArrivalMaxBacklog.Default<uint64_t>();
   Shape shape = Shape::kConstant;
 
-  double diurnal_period_s = 60.0;
-  double diurnal_low_frac = 0.25;
-  double flash_at_s = 1.0;
-  double flash_duration_s = 1.0;
-  double flash_multiplier = 4.0;
-  double shift_at_s = 1.0;
-  double shift_multiplier = 2.0;
+  double diurnal_period_s = kDiurnalPeriodS.Default<double>();
+  double diurnal_low_frac = kDiurnalLowFrac.Default<double>();
+  double flash_at_s = kFlashAtS.Default<double>();
+  double flash_duration_s = kFlashDurationS.Default<double>();
+  double flash_multiplier = kFlashMultiplier.Default<double>();
+  double shift_at_s = kShiftAtS.Default<double>();
+  double shift_multiplier = kShiftMultiplier.Default<double>();
 
   /// True when the runner should schedule arrivals instead of running
   /// closed-loop.
   bool open_loop() const { return rate > 0.0; }
 
-  /// Parses the `arrival.*` namespace; InvalidArgument on an unknown
-  /// process/shape name or non-positive shape parameters.
+  /// Parses the `arrival.*` properties; InvalidArgument on a value its
+  /// declaration rejects.
   static Status FromProperties(const Properties& props, ArrivalOptions* out);
 };
 

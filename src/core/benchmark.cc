@@ -15,28 +15,28 @@ Status RunBenchmarkWithFactory(const Properties& props, DBFactory* factory,
   Measurements measurements;
   WorkloadRunner runner(factory, workload.get(), &measurements);
 
-  int threads = static_cast<int>(props.GetInt("threads", 1));
+  int threads = kThreads.Get<int>(props);
 
-  if (!props.GetBool("skipload", false)) {
+  if (!kSkipLoad.Get<bool>(props)) {
     LoadOptions load;
-    load.threads = static_cast<int>(props.GetInt("loadthreads", threads));
-    load.wrap_in_transactions = props.GetBool("loadwrapped", false);
-    load.bulk_batch = props.GetUint("bulkload.batch", 0);
+    load.threads = kLoadThreads.Get<int>(props, threads);
+    load.wrap_in_transactions = kLoadWrapped.Get<bool>(props);
+    load.bulk_batch = kBulkLoadBatch.Get<uint64_t>(props);
     s = runner.Load(load);
     if (!s.ok()) return s;
   }
 
-  if (props.GetBool("skiprun", false)) {
+  if (kSkipRun.Get<bool>(props)) {
     *result = RunResult{};
   } else {
     RunOptions run;
     run.threads = threads;
-    run.operation_count = props.GetUint("operationcount", 1000);
-    run.max_execution_seconds = props.GetDouble("maxexecutiontime", 0.0);
-    run.target_ops_per_sec = props.GetDouble("target", 0.0);
-    run.wrap_in_transactions = props.GetBool("dotransactions", true);
-    run.status_interval_seconds = props.GetDouble("status.interval", 0.0);
-    run.stall_windows = static_cast<int>(props.GetInt("status.stall_windows", 3));
+    run.operation_count = kOperationCount.Get<uint64_t>(props);
+    run.max_execution_seconds = kMaxExecutionTime.Get<double>(props);
+    run.target_ops_per_sec = kTarget.Get<double>(props);
+    run.wrap_in_transactions = kDoTransactions.Get<bool>(props);
+    run.status_interval_seconds = kStatusInterval.Get<double>(props);
+    run.stall_windows = kStatusStallWindows.Get<int>(props);
     run.retry = RetryPolicy::FromProperties(props);
     run.shed = BrownoutOptions::FromProperties(props);
     s = ArrivalOptions::FromProperties(props, &run.arrival);

@@ -5,14 +5,11 @@ namespace core {
 
 BrownoutOptions BrownoutOptions::FromProperties(const Properties& props) {
   BrownoutOptions o;
-  o.enabled = props.GetBool("shed.enabled", o.enabled);
-  o.max_inflight =
-      static_cast<int>(props.GetInt("shed.max_inflight", o.max_inflight));
-  if (o.max_inflight < 0) o.max_inflight = 0;
-  o.drop_read_only = props.GetBool("shed.drop_reads", o.drop_read_only);
-  o.queue_delay_us = props.GetDouble("shed.queue_delay_us", o.queue_delay_us);
-  o.windows = static_cast<int>(props.GetInt("shed.windows", o.windows));
-  if (o.windows < 1) o.windows = 1;
+  o.enabled = kShedEnabled.Get<bool>(props);
+  o.max_inflight = kShedMaxInflight.Get<int>(props);
+  o.drop_read_only = kShedDropReads.Get<bool>(props);
+  o.queue_delay_us = kShedQueueDelayUs.Get<double>(props);
+  o.windows = kShedWindows.Get<int>(props);
   return o;
 }
 

@@ -5,31 +5,38 @@
 #include <cstdint>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "kv/resilient_store.h"
 
 namespace ycsbt {
 namespace core {
 
-/// Brownout/load-shedding policy, from the `shed.*` namespace:
-///
-///   shed.enabled         master switch (default false)
-///   shed.max_inflight    in-flight transaction cap while browned out; 0 =
-///                        no cap (default 2).  Kept above zero so a trickle
-///                        of traffic still reaches the breaker — the probes
-///                        that eventually re-close it.
-///   shed.drop_reads      shed read-only transactions first while browned
-///                        out (default true)
-///   shed.queue_delay_us  average whole-transaction latency (per status
-///                        window) that counts as sustained queue delay;
-///                        0 = breaker-triggered brownout only (default 0)
-///   shed.windows         consecutive hot status windows before the latency
-///                        trigger fires (default 2)
+inline constexpr PropertyDecl kShedEnabled =
+    BoolProperty("shed.enabled", false, "brownout admission control in the runner");
+/// Kept above zero by default so a trickle of traffic still reaches the
+/// breaker: the probes that eventually re-close it.
+inline constexpr PropertyDecl kShedMaxInflight = IntProperty(
+    "shed.max_inflight", 2, 0, kIntMax,
+    "in-flight transaction cap while browned out (0 = no cap)");
+inline constexpr PropertyDecl kShedDropReads =
+    BoolProperty("shed.drop_reads", true, "shed read-only transactions first");
+inline constexpr PropertyDecl kShedQueueDelayUs = DoubleProperty(
+    "shed.queue_delay_us", 0.0, 0.0, kNoLimit,
+    "window mean txn latency that counts as queue delay (0 = breaker trigger only)");
+inline constexpr PropertyDecl kShedWindows = IntProperty(
+    "shed.windows", 2, 1, kIntMax,
+    "consecutive hot status windows before the latency trigger fires");
+inline constexpr const PropertyDecl* kBrownoutProperties[] = {
+    &kShedEnabled, &kShedMaxInflight, &kShedDropReads, &kShedQueueDelayUs, &kShedWindows};
+
+/// Brownout/load-shedding policy, from the `shed.*` properties declared
+/// above.
 struct BrownoutOptions {
-  bool enabled = false;
-  int max_inflight = 2;
-  bool drop_read_only = true;
-  double queue_delay_us = 0.0;
-  int windows = 2;
+  bool enabled = kShedEnabled.Default<bool>();
+  int max_inflight = kShedMaxInflight.Default<int>();
+  bool drop_read_only = kShedDropReads.Default<bool>();
+  double queue_delay_us = kShedQueueDelayUs.Default<double>();
+  int windows = kShedWindows.Default<int>();
 
   static BrownoutOptions FromProperties(const Properties& props);
 };

@@ -29,6 +29,7 @@ Status ClosedEconomyWorkload::Init(const Properties& props) {
   cew.Set("fieldcount", "1");
   cew.Set("readallfields", "true");
   cew.Set("writeallfields", "true");
+  // CEW's own operation mix, where the file leaves it open.
   if (!cew.Contains("readproportion")) cew.Set("readproportion", "0.9");
   if (!cew.Contains("updateproportion")) cew.Set("updateproportion", "0");
   if (!cew.Contains("readmodifywriteproportion")) {
@@ -37,17 +38,16 @@ Status ClosedEconomyWorkload::Init(const Properties& props) {
   Status s = CoreWorkload::Init(cew);
   if (!s.ok()) return s;
 
+  s = CheckDeclaredProperties(props, kClosedEconomyProperties);
+  if (!s.ok()) return s;
   // The paper's example gives every account an initial balance of $1000.
-  total_cash_ = props.GetInt(
-      "totalcash", static_cast<int64_t>(record_count()) * 1000);
+  total_cash_ = kTotalCash.Get<int64_t>(
+      props, static_cast<int64_t>(record_count()) * 1000);
   if (total_cash_ < static_cast<int64_t>(record_count())) {
     return Status::InvalidArgument("totalcash must cover >= $1 per account");
   }
   initial_balance_ = total_cash_ / static_cast<int64_t>(record_count());
-  transfer_accounts_ = static_cast<int>(props.GetInt("cew.transfer_accounts", 2));
-  if (transfer_accounts_ < 2) {
-    return Status::InvalidArgument("cew.transfer_accounts must be >= 2");
-  }
+  transfer_accounts_ = kTransferAccounts.Get<int>(props);
   bank_.store(0, std::memory_order_relaxed);
   return Status::OK();
 }

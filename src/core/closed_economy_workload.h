@@ -10,6 +10,16 @@
 namespace ycsbt {
 namespace core {
 
+inline constexpr PropertyDecl kTotalCash = Derived(
+    IntProperty("totalcash", 0, 1, kNoLimit,
+                "money spread evenly over the accounts (>= $1 each)"),
+    "recordcount x 1000");
+inline constexpr PropertyDecl kTransferAccounts = IntProperty(
+    "cew.transfer_accounts", 2, 2, kIntMax,
+    "accounts one read-modify-write transfer touches");
+inline constexpr const PropertyDecl* kClosedEconomyProperties[] = {
+    &kTotalCash, &kTransferAccounts};
+
 /// The Closed Economy Workload (CEW) of the paper (§IV-C): a simplified
 /// closed economy in which money never enters or leaves the system, so that
 /// the sum of all account balances is a transaction invariant any
@@ -27,7 +37,7 @@ namespace core {
 ///   - *readmodifywrite* — transfer $1 between two accounts (the op whose
 ///                 lost updates Figure 4 quantifies).
 ///
-/// Batched variant: `cew.transfer_accounts` = W (default 2) widens the
+/// Batched variant: `cew.transfer_accounts` = W widens the
 /// read-modify-write to one W-account transfer per commit — the payer
 /// account sends $1 to each of W-1 payees through one `MultiRead` + one
 /// `BatchInsert` — keeping the per-commit sum delta exactly zero, so the

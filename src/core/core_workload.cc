@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/runner.h"
 #include "generator/exponential_generator.h"
 #include "generator/hotspot_generator.h"
 #include "generator/scrambled_zipfian_generator.h"
@@ -17,22 +18,23 @@ namespace ycsbt {
 namespace core {
 
 Status CoreWorkload::Init(const Properties& props) {
+  Status s = CheckDeclaredProperties(props, kCoreWorkloadProperties);
+  if (!s.ok()) return s;
   InitSeed(props);
-  table_ = props.Get("table", "usertable");
-  record_count_ = props.GetUint("recordcount", 1000);
-  if (record_count_ == 0) return Status::InvalidArgument("recordcount must be > 0");
-  field_count_ = static_cast<int>(props.GetInt("fieldcount", 10));
-  field_prefix_ = props.Get("fieldnameprefix", "field");
-  field_length_ = props.GetUint("fieldlength", 100);
-  min_field_length_ = props.GetUint("minfieldlength", 1);
-  field_length_dist_ = props.Get("fieldlengthdistribution", "constant");
-  read_all_fields_ = props.GetBool("readallfields", true);
-  write_all_fields_ = props.GetBool("writeallfields", false);
-  ordered_inserts_ = props.Get("insertorder", "hashed") == "ordered";
-  data_integrity_ = props.GetBool("dataintegrity", false);
-  zero_padding_ = static_cast<int>(props.GetInt("zeropadding", 1));
-  insert_start_ = props.GetUint("insertstart", 0);
-  insert_count_ = props.GetUint("insertcount", record_count_);
+  table_ = kTable.Get<std::string>(props);
+  record_count_ = kRecordCount.Get<uint64_t>(props);
+  field_count_ = kFieldCount.Get<int>(props);
+  field_prefix_ = kFieldNamePrefix.Get<std::string>(props);
+  field_length_ = kFieldLength.Get<uint64_t>(props);
+  min_field_length_ = kMinFieldLength.Get<uint64_t>(props);
+  field_length_dist_ = kFieldLengthDistribution.Get<std::string>(props);
+  read_all_fields_ = kReadAllFields.Get<bool>(props);
+  write_all_fields_ = kWriteAllFields.Get<bool>(props);
+  ordered_inserts_ = kInsertOrder.Get<std::string>(props) == "ordered";
+  data_integrity_ = kDataIntegrity.Get<bool>(props);
+  zero_padding_ = kZeroPadding.Get<int>(props);
+  insert_start_ = kInsertStart.Get<uint64_t>(props);
+  insert_count_ = kInsertCount.Get<uint64_t>(props, record_count_);
 
   field_names_.clear();
   for (int i = 0; i < field_count_; ++i) {
@@ -45,12 +47,9 @@ Status CoreWorkload::Init(const Properties& props) {
   } else if (field_length_dist_ == "uniform") {
     field_length_generator_ =
         std::make_unique<UniformLongGenerator>(min_field_length_, field_length_);
-  } else if (field_length_dist_ == "zipfian") {
+  } else {
     field_length_generator_ = std::make_unique<ZipfianGenerator>(
         min_field_length_, field_length_);
-  } else {
-    return Status::InvalidArgument("unknown fieldlengthdistribution: " +
-                                   field_length_dist_);
   }
   if (data_integrity_ && field_length_dist_ != "constant") {
     // Deterministic re-derivation needs a deterministic length (as in YCSB).
@@ -58,42 +57,34 @@ Status CoreWorkload::Init(const Properties& props) {
         "dataintegrity=true requires fieldlengthdistribution=constant");
   }
 
-  double read_prop = props.GetDouble("readproportion", 0.95);
-  double update_prop = props.GetDouble("updateproportion", 0.05);
-  double insert_prop = props.GetDouble("insertproportion", 0.0);
-  double scan_prop = props.GetDouble("scanproportion", 0.0);
-  double rmw_prop = props.GetDouble("readmodifywriteproportion", 0.0);
-  double delete_prop = props.GetDouble("deleteproportion", 0.0);
-  double batch_read_prop = props.GetDouble("batchreadproportion", 0.0);
-  double batch_insert_prop = props.GetDouble("batchinsertproportion", 0.0);
   op_chooser_ = DiscreteGenerator<const char*>();
-  if (read_prop > 0) op_chooser_.AddValue(txop::kRead, read_prop);
-  if (update_prop > 0) op_chooser_.AddValue(txop::kUpdate, update_prop);
-  if (insert_prop > 0) op_chooser_.AddValue(txop::kInsert, insert_prop);
-  if (scan_prop > 0) op_chooser_.AddValue(txop::kScan, scan_prop);
-  if (rmw_prop > 0) op_chooser_.AddValue(txop::kReadModifyWrite, rmw_prop);
-  if (delete_prop > 0) op_chooser_.AddValue(txop::kDelete, delete_prop);
-  if (batch_read_prop > 0) op_chooser_.AddValue(txop::kBatchRead, batch_read_prop);
-  if (batch_insert_prop > 0) {
-    op_chooser_.AddValue(txop::kBatchInsert, batch_insert_prop);
+  const std::pair<const PropertyDecl*, const char*> mix[] = {
+      {&kReadProportion, txop::kRead},
+      {&kUpdateProportion, txop::kUpdate},
+      {&kInsertProportion, txop::kInsert},
+      {&kScanProportion, txop::kScan},
+      {&kReadModifyWriteProportion, txop::kReadModifyWrite},
+      {&kDeleteProportion, txop::kDelete},
+      {&kBatchReadProportion, txop::kBatchRead},
+      {&kBatchInsertProportion, txop::kBatchInsert},
+  };
+  for (const auto& [decl, op] : mix) {
+    double proportion = decl->Get<double>(props);
+    if (proportion > 0) op_chooser_.AddValue(op, proportion);
   }
   if (op_chooser_.Empty()) {
     return Status::InvalidArgument("all operation proportions are zero");
   }
 
-  uint64_t max_batch_size = props.GetUint("batch.size", 16);
-  if (max_batch_size == 0) return Status::InvalidArgument("batch.size must be > 0");
-  std::string batch_size_dist = props.Get("batch.size_distribution", "uniform");
+  uint64_t max_batch_size = kBatchSize.Get<uint64_t>(props);
+  std::string batch_size_dist = kBatchSizeDistribution.Get<std::string>(props);
   if (batch_size_dist == "uniform") {
     batch_size_chooser_ = std::make_unique<UniformLongGenerator>(1, max_batch_size);
   } else if (batch_size_dist == "constant") {
     batch_size_chooser_ =
         std::make_unique<ConstantGenerator<uint64_t>>(max_batch_size);
-  } else if (batch_size_dist == "zipfian") {
-    batch_size_chooser_ = std::make_unique<ZipfianGenerator>(1, max_batch_size);
   } else {
-    return Status::InvalidArgument("unknown batch.size_distribution: " +
-                                   batch_size_dist);
+    batch_size_chooser_ = std::make_unique<ZipfianGenerator>(1, max_batch_size);
   }
 
   uint64_t last_initial_key = insert_start_ + insert_count_ - 1;
@@ -101,24 +92,23 @@ Status CoreWorkload::Init(const Properties& props) {
   insert_sequence_ =
       std::make_unique<AcknowledgedCounterGenerator>(last_initial_key + 1);
 
-  std::string request_dist = props.Get("requestdistribution", "uniform");
+  std::string request_dist = kRequestDistribution.Get<std::string>(props);
   if (request_dist == "uniform") {
     key_chooser_ =
         std::make_unique<UniformLongGenerator>(insert_start_, last_initial_key);
   } else if (request_dist == "zipfian") {
-    if (props.Contains("zipfian.theta")) {
+    if (kZipfianTheta.Find(props) != nullptr) {
       // Explicit skew sweep (ablation benches): plain zipfian with the given
       // theta.  Hot keys cluster at low key numbers, which is fine for
       // contention studies.
       key_chooser_ = std::make_unique<ZipfianGenerator>(
-          insert_start_, last_initial_key,
-          props.GetDouble("zipfian.theta", ZipfianGenerator::kDefaultTheta));
+          insert_start_, last_initial_key, kZipfianTheta.Get<double>(props));
     } else {
       // Inserts during the run expand the key space; size the zipfian
       // universe with the same headroom YCSB uses so new keys stay reachable.
       uint64_t expected_new = static_cast<uint64_t>(
-          2.0 * props.GetDouble("insertproportion", 0.0) *
-          static_cast<double>(props.GetUint("operationcount", insert_count_)));
+          2.0 * kInsertProportion.Get<double>(props) *
+          static_cast<double>(kOperationCount.Get<uint64_t>(props, insert_count_)));
       uint64_t universe = insert_count_ + std::max<uint64_t>(expected_new, 0);
       key_chooser_ = std::make_unique<ScrambledZipfianGenerator>(
           insert_start_, insert_start_ + universe - 1);
@@ -126,32 +116,23 @@ Status CoreWorkload::Init(const Properties& props) {
   } else if (request_dist == "latest") {
     key_chooser_ = std::make_unique<SkewedLatestGenerator>(insert_sequence_.get());
   } else if (request_dist == "hotspot") {
-    double data_fraction = props.GetDouble("hotspotdatafraction", 0.2);
-    double opn_fraction = props.GetDouble("hotspotopnfraction", 0.8);
     key_chooser_ = std::make_unique<HotspotIntegerGenerator>(
-        insert_start_, last_initial_key, data_fraction, opn_fraction);
+        insert_start_, last_initial_key, kHotspotDataFraction.Get<double>(props),
+        kHotspotOpnFraction.Get<double>(props));
   } else if (request_dist == "sequential") {
     key_chooser_ =
         std::make_unique<SequentialGenerator>(insert_start_, last_initial_key);
-  } else if (request_dist == "exponential") {
-    double percentile =
-        props.GetDouble("exponential.percentile", ExponentialGenerator::kDefaultPercentile);
-    double frac = props.GetDouble("exponential.frac", 0.8571);
-    key_chooser_ = std::make_unique<ExponentialGenerator>(
-        percentile, static_cast<double>(record_count_) * frac);
   } else {
-    return Status::InvalidArgument("unknown requestdistribution: " + request_dist);
+    key_chooser_ = std::make_unique<ExponentialGenerator>(
+        kExponentialPercentile.Get<double>(props),
+        static_cast<double>(record_count_) * kExponentialFrac.Get<double>(props));
   }
 
-  uint64_t max_scan_length = props.GetUint("maxscanlength", 1000);
-  std::string scan_length_dist = props.Get("scanlengthdistribution", "uniform");
-  if (scan_length_dist == "uniform") {
+  uint64_t max_scan_length = kMaxScanLength.Get<uint64_t>(props);
+  if (kScanLengthDistribution.Get<std::string>(props) == "uniform") {
     scan_length_chooser_ = std::make_unique<UniformLongGenerator>(1, max_scan_length);
-  } else if (scan_length_dist == "zipfian") {
-    scan_length_chooser_ = std::make_unique<ZipfianGenerator>(1, max_scan_length);
   } else {
-    return Status::InvalidArgument("unknown scanlengthdistribution: " +
-                                   scan_length_dist);
+    scan_length_chooser_ = std::make_unique<ZipfianGenerator>(1, max_scan_length);
   }
 
   return Status::OK();

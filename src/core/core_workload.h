@@ -9,7 +9,9 @@
 #include "core/workload.h"
 #include "generator/acknowledged_counter_generator.h"
 #include "generator/discrete_generator.h"
+#include "generator/exponential_generator.h"
 #include "generator/generator.h"
+#include "generator/zipfian_generator.h"
 
 namespace ycsbt {
 namespace core {
@@ -27,27 +29,102 @@ inline constexpr const char kBatchRead[] = "BATCH_READ";
 inline constexpr const char kBatchInsert[] = "BATCH_INSERT";
 }  // namespace txop
 
+/// The CoreWorkload properties (YCSB names, plus the batch extension).
+inline constexpr PropertyDecl kTable = StringProperty("table", "usertable", "table name");
+inline constexpr PropertyDecl kRecordCount =
+    UintProperty("recordcount", 1000, 1, kNoLimit, "records the load phase inserts");
+inline constexpr PropertyDecl kFieldCount =
+    IntProperty("fieldcount", 10, 1, kIntMax, "fields per record");
+inline constexpr PropertyDecl kFieldNamePrefix =
+    StringProperty("fieldnameprefix", "field", "field names are prefix + index");
+inline constexpr PropertyDecl kFieldLength =
+    UintProperty("fieldlength", 100, "(maximum) bytes per field value");
+inline constexpr PropertyDecl kMinFieldLength = UintProperty(
+    "minfieldlength", 1, "shortest field for the non-constant distributions");
+inline constexpr std::string_view kFieldLengthDistributions[] = {
+    "constant", "uniform", "zipfian"};
+inline constexpr PropertyDecl kFieldLengthDistribution = EnumProperty(
+    "fieldlengthdistribution", "constant", kFieldLengthDistributions,
+    "field length distribution");
+inline constexpr PropertyDecl kReadAllFields =
+    BoolProperty("readallfields", true, "reads fetch every field (else one)");
+inline constexpr PropertyDecl kWriteAllFields =
+    BoolProperty("writeallfields", false, "updates write every field (else one)");
+inline constexpr std::string_view kInsertOrders[] = {"hashed", "ordered"};
+inline constexpr PropertyDecl kInsertOrder =
+    EnumProperty("insertorder", "hashed", kInsertOrders, "key order of inserted records");
+inline constexpr PropertyDecl kDataIntegrity = BoolProperty(
+    "dataintegrity", false, "verify every read against its deterministic value");
+inline constexpr PropertyDecl kZeroPadding =
+    IntProperty("zeropadding", 1, 1, kIntMax, "minimum digits of the key number");
+inline constexpr PropertyDecl kInsertStart =
+    UintProperty("insertstart", 0, "first key number of the load phase");
+inline constexpr PropertyDecl kInsertCount = Derived(
+    UintProperty("insertcount", 0, "records this client loads"),
+    "recordcount");
+inline constexpr PropertyDecl kReadProportion =
+    DoubleProperty("readproportion", 0.95, 0.0, 1.0, "share of READ operations");
+inline constexpr PropertyDecl kUpdateProportion =
+    DoubleProperty("updateproportion", 0.05, 0.0, 1.0, "share of UPDATE operations");
+inline constexpr PropertyDecl kInsertProportion =
+    DoubleProperty("insertproportion", 0.0, 0.0, 1.0, "share of INSERT operations");
+inline constexpr PropertyDecl kScanProportion =
+    DoubleProperty("scanproportion", 0.0, 0.0, 1.0, "share of SCAN operations");
+inline constexpr PropertyDecl kReadModifyWriteProportion = DoubleProperty(
+    "readmodifywriteproportion", 0.0, 0.0, 1.0, "share of READMODIFYWRITE operations");
+inline constexpr PropertyDecl kDeleteProportion =
+    DoubleProperty("deleteproportion", 0.0, 0.0, 1.0, "share of DELETE operations");
+/// BATCH_READ / BATCH_INSERT drive `DB::MultiRead` / `DB::BatchInsert`: the
+/// multi-item surface YCSB's one-op-per-call model never exercises.
+inline constexpr PropertyDecl kBatchReadProportion = DoubleProperty(
+    "batchreadproportion", 0.0, 0.0, 1.0, "share of BATCH_READ operations");
+inline constexpr PropertyDecl kBatchInsertProportion = DoubleProperty(
+    "batchinsertproportion", 0.0, 0.0, 1.0, "share of BATCH_INSERT operations");
+inline constexpr PropertyDecl kBatchSize =
+    UintProperty("batch.size", 16, 1, kNoLimit, "largest batch, in keys");
+inline constexpr std::string_view kBatchSizeDistributions[] = {
+    "uniform", "constant", "zipfian"};
+inline constexpr PropertyDecl kBatchSizeDistribution = EnumProperty(
+    "batch.size_distribution", "uniform", kBatchSizeDistributions,
+    "batch size distribution over [1, batch.size]");
+inline constexpr std::string_view kRequestDistributions[] = {
+    "uniform", "zipfian", "latest", "hotspot", "sequential", "exponential"};
+inline constexpr PropertyDecl kRequestDistribution = EnumProperty(
+    "requestdistribution", "uniform", kRequestDistributions,
+    "which keys operations pick");
+inline constexpr PropertyDecl kZipfianTheta = DoubleProperty(
+    "zipfian.theta", ZipfianGenerator::kDefaultTheta, 0.0, kNoLimit,
+    "when set, zipfian requests use plain (unscrambled) zipfian of this skew");
+inline constexpr PropertyDecl kHotspotDataFraction =
+    DoubleProperty("hotspotdatafraction", 0.2, 0.0, 1.0, "share of keys that are hot");
+inline constexpr PropertyDecl kHotspotOpnFraction = DoubleProperty(
+    "hotspotopnfraction", 0.8, 0.0, 1.0, "share of operations on hot keys");
+inline constexpr PropertyDecl kExponentialPercentile = DoubleProperty(
+    "exponential.percentile", ExponentialGenerator::kDefaultPercentile, 0.0, 100.0,
+    "percentile of requests that fall in the first frac of keys");
+inline constexpr PropertyDecl kExponentialFrac =
+    DoubleProperty("exponential.frac", 0.8571, 0.0, 1.0, "that fraction of recordcount");
+inline constexpr PropertyDecl kMaxScanLength =
+    UintProperty("maxscanlength", 1000, 1, kNoLimit, "longest scan, in records");
+inline constexpr std::string_view kScanLengthDistributions[] = {"uniform", "zipfian"};
+inline constexpr PropertyDecl kScanLengthDistribution = EnumProperty(
+    "scanlengthdistribution", "uniform", kScanLengthDistributions,
+    "scan length distribution over [1, maxscanlength]");
+inline constexpr const PropertyDecl* kCoreWorkloadProperties[] = {
+    &kTable, &kRecordCount, &kFieldCount, &kFieldNamePrefix, &kFieldLength,
+    &kMinFieldLength, &kFieldLengthDistribution, &kReadAllFields, &kWriteAllFields,
+    &kInsertOrder, &kDataIntegrity, &kZeroPadding, &kInsertStart, &kInsertCount,
+    &kReadProportion, &kUpdateProportion, &kInsertProportion, &kScanProportion,
+    &kReadModifyWriteProportion, &kDeleteProportion, &kBatchReadProportion,
+    &kBatchInsertProportion, &kBatchSize, &kBatchSizeDistribution, &kRequestDistribution,
+    &kZipfianTheta, &kHotspotDataFraction, &kHotspotOpnFraction, &kExponentialPercentile,
+    &kExponentialFrac, &kMaxScanLength, &kScanLengthDistribution};
+
 /// Port of YCSB's CoreWorkload: the configurable mix of read / update /
-/// insert / scan / read-modify-write (plus delete, a YCSB+T extension)
-/// operations over a table of synthetic records that realises the standard
-/// workloads A-F shipped in `workloads/`.
-///
-/// Properties honoured (YCSB names): `table`, `recordcount`, `fieldcount`,
-/// `fieldlength`, `minfieldlength`, `fieldlengthdistribution`,
-/// `readallfields`, `writeallfields`, `readproportion`, `updateproportion`,
-/// `insertproportion`, `scanproportion`, `readmodifywriteproportion`,
-/// `deleteproportion`, `requestdistribution` (uniform | zipfian | latest |
-/// hotspot | sequential | exponential), `hotspotdatafraction`,
-/// `hotspotopnfraction`, `maxscanlength`, `scanlengthdistribution`,
-/// `insertstart`, `insertcount`, `insertorder` (hashed | ordered),
-/// `zeropadding`.
-///
-/// Batch extension (this repo): `batchreadproportion` /
-/// `batchinsertproportion` add BATCH_READ / BATCH_INSERT operations that
-/// drive `DB::MultiRead` / `DB::BatchInsert` with `batch.size` keys per call
-/// (`batch.size_distribution` = uniform | constant | zipfian over
-/// [1, batch.size]) — the multi-item surface YCSB's one-op-per-call model
-/// never exercises.
+/// insert / scan / read-modify-write (plus delete and the batch operations,
+/// YCSB+T extensions) over a table of synthetic records that realises the
+/// standard workloads A-F shipped in `workloads/`, configured by the
+/// properties declared above.
 class CoreWorkload : public Workload {
  public:
   CoreWorkload() = default;

@@ -20,6 +20,40 @@
 namespace ycsbt {
 namespace core {
 
+/// The benchmark driver's properties (`RunBenchmark` turns them into the
+/// options below).
+inline constexpr PropertyDecl kThreads =
+    IntProperty("threads", 1, 1, kIntMax, "client threads of the run phase");
+inline constexpr PropertyDecl kLoadThreads = Derived(
+    IntProperty("loadthreads", 1, 1, kIntMax, "client threads of the load phase"),
+    "threads");
+inline constexpr PropertyDecl kLoadWrapped =
+    BoolProperty("loadwrapped", false, "wrap every load insert in a transaction");
+inline constexpr PropertyDecl kBulkLoadBatch = UintProperty(
+    "bulkload.batch", 0, "records per engine BulkLoad frame (0 = per-op load)");
+inline constexpr PropertyDecl kSkipLoad =
+    BoolProperty("skipload", false, "skip the load phase");
+inline constexpr PropertyDecl kSkipRun =
+    BoolProperty("skiprun", false, "skip the run phase");
+inline constexpr PropertyDecl kOperationCount =
+    UintProperty("operationcount", 1000, "operations across all threads (0 = no budget)");
+inline constexpr PropertyDecl kMaxExecutionTime = DoubleProperty(
+    "maxexecutiontime", 0.0, 0.0, kNoLimit, "run wall-clock cap, s (0 = none)");
+inline constexpr PropertyDecl kTarget = DoubleProperty(
+    "target", 0.0, 0.0, kNoLimit,
+    "closed-loop target throughput, ops/s (0 = unthrottled)");
+inline constexpr PropertyDecl kDoTransactions = BoolProperty(
+    "dotransactions", true, "YCSB+T transactional wrapping of each operation");
+inline constexpr PropertyDecl kStatusInterval =
+    DoubleProperty("status.interval", 0.0, 0.0, kNoLimit, "progress window, s (0 = off)");
+inline constexpr PropertyDecl kStatusStallWindows = IntProperty(
+    "status.stall_windows", 3, 0, kIntMax,
+    "no-progress status windows before the watchdog flags a thread (0 = off)");
+inline constexpr const PropertyDecl* kRunProperties[] = {
+    &kThreads, &kLoadThreads, &kLoadWrapped, &kBulkLoadBatch, &kSkipLoad, &kSkipRun,
+    &kOperationCount, &kMaxExecutionTime, &kTarget, &kDoTransactions, &kStatusInterval,
+    &kStatusStallWindows};
+
 /// Parameters of the load phase.
 struct LoadOptions {
   int threads = 1;
@@ -85,7 +119,7 @@ struct RunOptions {
   /// disables.  Shed transactions and in-flight retry attempts count as
   /// progress — a thread gracefully shedding under brownout, or backing off
   /// through an election/throttle window, is degrading, not stuck.
-  int stall_windows = 3;
+  int stall_windows = kStatusStallWindows.Default<int>();
 
   /// Brownout/load-shedding policy (`shed.*` properties).  When enabled the
   /// runner gates every transaction through a `BrownoutController` wired to

@@ -1,5 +1,6 @@
 #include "core/suite.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -10,6 +11,8 @@
 
 #include "common/logging.h"
 #include "core/benchmark.h"
+#include "core/workload_factory.h"
+#include "db/property_catalog.h"
 #include "measurement/exporter.h"
 
 namespace ycsbt {
@@ -28,23 +31,6 @@ Status SplitScoped(const std::string& key, size_t prefix_len, std::string* name,
   *name = key.substr(prefix_len, dot - prefix_len);
   *rest = key.substr(dot + 1);
   return Status::OK();
-}
-
-/// Comma-splits a sweep value list, trimming whitespace around entries.
-std::vector<std::string> SplitValues(const std::string& list) {
-  std::vector<std::string> values;
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t comma = list.find(',', start);
-    size_t end = comma == std::string::npos ? list.size() : comma;
-    size_t b = start, e = end;
-    while (b < e && std::isspace(static_cast<unsigned char>(list[b]))) ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(list[e - 1]))) --e;
-    if (e > b) values.push_back(list.substr(b, e - b));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
 }
 
 /// Keeps [A-Za-z0-9._-]; everything else becomes '-', so run names are safe
@@ -79,6 +65,13 @@ Status WriteFile(const std::filesystem::path& path, const std::string& content) 
 
 Status SuiteSpec::Parse(const Properties& file, SuiteSpec* out) {
   *out = SuiteSpec{};
+  Status valid = ValidateProperties(file);
+  if (!valid.ok()) return valid;
+  out->name = kSuiteName.Get<std::string>(file);
+  out->output_dir = kSuiteOutputDir.Get<std::string>(file);
+  out->load_once = kSuiteLoad.Get<std::string>(file) == "once";
+  out->repeats = kSuiteRepeats.Get<int>(file);
+  out->operations_per_thread = kSuiteOperationsPerThread.Get<uint64_t>(file);
   // std::map keeps each axis's bundles in name order: expansion order (and
   // so run naming and substrate grouping) is deterministic.
   std::map<std::string, Properties> configs;
@@ -86,33 +79,9 @@ Status SuiteSpec::Parse(const Properties& file, SuiteSpec* out) {
 
   for (const std::string& key : file.Keys()) {
     const std::string value = file.Get(key);
-    if (key == "suite.name") {
-      out->name = value;
-    } else if (key == "suite.output_dir") {
-      out->output_dir = value;
-    } else if (key == "suite.load") {
-      if (value == "once") {
-        out->load_once = true;
-      } else if (value == "per_run") {
-        out->load_once = false;
-      } else {
-        return Status::InvalidArgument("suite.load must be once or per_run, got '" +
-                                       value + "'");
-      }
-    } else if (key == "suite.repeats") {
-      int64_t repeats = 0;
-      Status s = file.CheckedGetInt(key, 1, &repeats);
-      if (!s.ok()) return s;
-      if (repeats < 1) return Status::InvalidArgument("suite.repeats must be >= 1");
-      out->repeats = static_cast<int>(repeats);
-    } else if (key == "suite.operations_per_thread") {
-      int64_t opt = 0;
-      Status s = file.CheckedGetInt(key, 0, &opt);
-      if (!s.ok()) return s;
-      if (opt < 0) {
-        return Status::InvalidArgument("suite.operations_per_thread must be >= 0");
-      }
-      out->operations_per_thread = static_cast<uint64_t>(opt);
+    if (std::any_of(std::begin(kSuiteProperties), std::end(kSuiteProperties),
+                    [&key](const PropertyDecl* d) { return d->name == key; })) {
+      continue;  // read above
     } else if (key.rfind("base.", 0) == 0) {
       if (key.size() == 5) return Status::InvalidArgument("empty base. key");
       out->base.Set(key.substr(5), value);
@@ -128,7 +97,7 @@ Status SuiteSpec::Parse(const Properties& file, SuiteSpec* out) {
       mixes[name].Set(rest, value);
     } else if (key.rfind("sweep.", 0) == 0) {
       if (key.size() == 6) return Status::InvalidArgument("empty sweep. key");
-      std::vector<std::string> values = SplitValues(value);
+      std::vector<std::string> values = SplitPropertyList(value);
       if (values.empty()) {
         return Status::InvalidArgument("sweep '" + key + "' lists no values");
       }
@@ -181,7 +150,7 @@ std::vector<SuiteRun> SuiteSpec::Expand() const {
                         SanitizeToken(value));
           }
           if (operations_per_thread != 0) {
-            uint64_t threads = run.props.GetUint("threads", 1);
+            uint64_t threads = kThreads.Get<uint64_t>(run.props);
             run.props.Set("operationcount",
                           std::to_string(operations_per_thread * threads));
           }
@@ -210,6 +179,18 @@ std::vector<SuiteRun> SuiteSpec::Expand() const {
 
 Status SuiteOrchestrator::Execute(std::vector<SuiteRunOutcome>* outcomes) {
   outcomes->clear();
+  std::vector<SuiteRun> runs = spec_.Expand();
+  if (runs.empty()) return Status::InvalidArgument("suite expands to no runs");
+  // Every run is checked before the first one starts, so a bad sweep point
+  // fails the suite instead of leaving a half-written results tree.
+  for (const SuiteRun& run : runs) {
+    Status s = ValidateProperties(run.props);
+    if (!s.ok()) {
+      return Status::InvalidArgument("suite run " + run.name + ": " +
+                                     s.message());
+    }
+  }
+
   if (spec_.output_dir.empty()) spec_.output_dir = "results/" + spec_.name;
   std::error_code ec;
   std::filesystem::create_directories(spec_.output_dir, ec);
@@ -217,9 +198,6 @@ Status SuiteOrchestrator::Execute(std::vector<SuiteRunOutcome>* outcomes) {
     return Status::IOError("cannot create " + spec_.output_dir + ": " +
                            ec.message());
   }
-
-  std::vector<SuiteRun> runs = spec_.Expand();
-  if (runs.empty()) return Status::InvalidArgument("suite expands to no runs");
   YCSBT_INFO("[SUITE] " << spec_.name << ": " << runs.size() << " runs -> "
                         << spec_.output_dir);
 
@@ -314,9 +292,9 @@ std::string SuiteOrchestrator::RollupTable(
   for (const auto& o : outcomes) {
     std::snprintf(line, sizeof(line),
                   "%-40s %-12s %-16s %7llu %10llu %12.1f %8.4f %10.3g  %s\n",
-                  o.run.name.c_str(), o.run.props.Get("db", "basic").c_str(),
-                  o.run.props.Get("workload", "core").c_str(),
-                  static_cast<unsigned long long>(o.run.props.GetUint("threads", 1)),
+                  o.run.name.c_str(), kDb.Get<std::string>(o.run.props).c_str(),
+                  kWorkload.Get<std::string>(o.run.props).c_str(),
+                  static_cast<unsigned long long>(kThreads.Get<uint64_t>(o.run.props)),
                   static_cast<unsigned long long>(o.result.operations),
                   o.result.throughput_ops_sec, o.result.abort_rate(),
                   o.result.validation.anomaly_score,
@@ -341,9 +319,9 @@ std::string SuiteOrchestrator::RollupJson(
         "\"ok\": %s, \"status\": \"%s\"}%s\n",
         JsonEscape(o.run.name).c_str(), JsonEscape(o.run.config).c_str(),
         JsonEscape(o.run.mix).c_str(), o.run.repeat,
-        JsonEscape(o.run.props.Get("db", "basic")).c_str(),
-        JsonEscape(o.run.props.Get("workload", "core")).c_str(),
-        static_cast<unsigned long long>(o.run.props.GetUint("threads", 1)),
+        JsonEscape(kDb.Get<std::string>(o.run.props)).c_str(),
+        JsonEscape(kWorkload.Get<std::string>(o.run.props)).c_str(),
+        static_cast<unsigned long long>(kThreads.Get<uint64_t>(o.run.props)),
         static_cast<unsigned long long>(o.result.operations),
         o.result.throughput_ops_sec, o.result.abort_rate(),
         o.result.validation.anomaly_score, o.result.runtime_ms,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/status.h"
 #include "core/runner.h"
 
@@ -21,6 +22,24 @@ struct SuiteRun {
   int repeat = 1;      ///< 1-based repeat index
   Properties props;    ///< base + config + mix + sweep assignment, merged
 };
+
+inline constexpr PropertyDecl kSuiteName =
+    StringProperty("suite.name", "suite", "suite label; the default results root");
+inline constexpr PropertyDecl kSuiteOutputDir = Derived(
+    StringProperty("suite.output_dir", "", "results tree root"),
+    "results/<suite.name>");
+inline constexpr std::string_view kSuiteLoads[] = {"once", "per_run"};
+inline constexpr PropertyDecl kSuiteLoad = EnumProperty(
+    "suite.load", "once", kSuiteLoads,
+    "once = one loaded store per config x repeat group; per_run");
+inline constexpr PropertyDecl kSuiteRepeats =
+    IntProperty("suite.repeats", 1, 1, kIntMax, "repeats of the whole matrix");
+inline constexpr PropertyDecl kSuiteOperationsPerThread = UintProperty(
+    "suite.operations_per_thread", 0,
+    "when non-zero, every run's operationcount is this x its threads");
+inline constexpr const PropertyDecl* kSuiteProperties[] = {
+    &kSuiteName, &kSuiteOutputDir, &kSuiteLoad, &kSuiteRepeats,
+    &kSuiteOperationsPerThread};
 
 /// Declarative benchmark-suite specification (DESIGN.md §11), parsed from a
 /// properties-syntax file:
@@ -42,21 +61,22 @@ struct SuiteRun {
 /// a substrate-affecting property (e.g. `db`) requires `per_run` or separate
 /// configs.
 struct SuiteSpec {
-  std::string name = "suite";
+  std::string name = kSuiteName.Default<std::string>();
   std::string output_dir;  ///< defaults to results/<name> when empty
   bool load_once = true;
-  int repeats = 1;
+  int repeats = kSuiteRepeats.Default<int>();
   /// When non-zero, every run's `operationcount` is set to this times the
   /// run's `threads` — same wall-clock per sweep point, as Fig 5 needs.
-  uint64_t operations_per_thread = 0;
+  uint64_t operations_per_thread = kSuiteOperationsPerThread.Default<uint64_t>();
   Properties base;
   std::vector<std::pair<std::string, Properties>> configs;
   std::vector<std::pair<std::string, Properties>> mixes;
   std::vector<std::pair<std::string, std::vector<std::string>>> sweeps;
 
-  /// Parses a loaded properties file into a spec.  Every key must be
-  /// `suite.*` or carry one of the axis prefixes; anything else is an
-  /// InvalidArgument (suites are declarations, not grab bags).
+  /// Validates a loaded properties file (`ValidateProperties`: every value,
+  /// each listed sweep value included) and parses it into a spec.  Every
+  /// key must be `suite.*` or carry one of the axis prefixes; anything else
+  /// is an InvalidArgument (suites are declarations, not grab bags).
   static Status Parse(const Properties& file, SuiteSpec* out);
 
   /// Expands the matrix into concrete runs, ordered config -> repeat ->

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "db/db.h"
@@ -132,11 +133,11 @@ class Workload {
  protected:
   /// Reads the `seed` property (implementations call this from Init).
   void InitSeed(const Properties& props) {
-    base_seed_ = props.GetUint("seed", 0x5EEDBA5Eull);
+    base_seed_ = kSeed.Get<uint64_t>(props);
   }
 
  private:
-  uint64_t base_seed_ = 0x5EEDBA5Eull;
+  uint64_t base_seed_ = kSeed.Default<uint64_t>();
 };
 
 }  // namespace core

@@ -3,24 +3,25 @@
 #include "core/closed_economy_workload.h"
 #include "core/core_workload.h"
 #include "core/write_skew_workload.h"
+#include "db/property_catalog.h"
 
 namespace ycsbt {
 namespace core {
 
 Status CreateWorkload(const Properties& props, std::unique_ptr<Workload>* out) {
-  std::string name = props.Get("workload", "core");
+  Status s = ValidateProperties(props);
+  if (!s.ok()) return s;
+  std::string name = kWorkload.Get<std::string>(props);
   std::unique_ptr<Workload> workload;
-  if (name == "core" || name == "com.yahoo.ycsb.workloads.CoreWorkload") {
-    workload = std::make_unique<CoreWorkload>();
-  } else if (name == "closed_economy" ||
-             name == "com.yahoo.ycsb.workloads.ClosedEconomyWorkload") {
+  if (name == "closed_economy" ||
+      name == "com.yahoo.ycsb.workloads.ClosedEconomyWorkload") {
     workload = std::make_unique<ClosedEconomyWorkload>();
   } else if (name == "write_skew") {
     workload = std::make_unique<WriteSkewWorkload>();
   } else {
-    return Status::InvalidArgument("unknown workload: " + name);
+    workload = std::make_unique<CoreWorkload>();
   }
-  Status s = workload->Init(props);
+  s = workload->Init(props);
   if (!s.ok()) return s;
   *out = std::move(workload);
   return Status::OK();

@@ -8,16 +8,20 @@
 namespace ycsbt {
 namespace core {
 
-/// Instantiates and initialises the workload named by the `workload`
-/// property.  Accepted names:
-///  - `core` (default) — CoreWorkload;
-///  - `closed_economy` — ClosedEconomyWorkload;
-///  - `write_skew` — WriteSkewWorkload (isolation-level anomaly targeting,
-///    the paper's SVII future work);
-///  - the Java class names of the original framework
-///    (`com.yahoo.ycsb.workloads.CoreWorkload`,
-///    `com.yahoo.ycsb.workloads.ClosedEconomyWorkload`), accepted verbatim so
-///    the paper's Listing 2 properties files run unmodified.
+/// `core` is CoreWorkload, `closed_economy` ClosedEconomyWorkload and
+/// `write_skew` WriteSkewWorkload (isolation-level anomaly targeting, the
+/// paper's §VII future work).  The Java class names of the original
+/// framework are accepted verbatim so the paper's Listing 2 properties files
+/// run unmodified.
+inline constexpr std::string_view kWorkloadNames[] = {
+    "core", "com.yahoo.ycsb.workloads.CoreWorkload", "closed_economy",
+    "com.yahoo.ycsb.workloads.ClosedEconomyWorkload", "write_skew"};
+inline constexpr PropertyDecl kWorkload =
+    EnumProperty("workload", "core", kWorkloadNames, "the workload class");
+inline constexpr const PropertyDecl* kWorkloadFactoryProperties[] = {&kWorkload};
+
+/// Validates the properties (`ValidateProperties`), then instantiates and
+/// initialises the workload named by the `workload` property.
 Status CreateWorkload(const Properties& props, std::unique_ptr<Workload>* out);
 
 }  // namespace core

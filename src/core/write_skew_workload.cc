@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/core_workload.h"
 #include "generator/uniform_generator.h"
 #include "generator/zipfian_generator.h"
 
@@ -34,20 +35,21 @@ FieldMap BalanceRecord(int64_t balance) {
 }  // namespace
 
 Status WriteSkewWorkload::Init(const Properties& props) {
+  // Besides its own key it reads four of CoreWorkload's.
+  Status s = CheckDeclaredProperties(props, kWriteSkewProperties);
+  if (s.ok()) s = CheckDeclaredProperties(props, kCoreWorkloadProperties);
+  if (!s.ok()) return s;
   InitSeed(props);
-  uint64_t records = props.GetUint("recordcount", 200);
+  uint64_t records = kRecordCount.Get<uint64_t>(props, 200);
   if (records < 2 || records % 2 != 0) {
     return Status::InvalidArgument("recordcount must be even and >= 2");
   }
   pair_count_ = records / 2;
-  table_ = props.Get("table", "skewtable");
-  initial_balance_ = props.GetInt("writeskew.initial", 100);
-  if (initial_balance_ < 0) {
-    return Status::InvalidArgument("writeskew.initial must be >= 0");
-  }
-  read_proportion_ = props.GetDouble("readproportion", 0.0);
+  table_ = kTable.Get<std::string>(props, "skewtable");
+  initial_balance_ = kWriteSkewInitial.Get<int64_t>(props);
+  read_proportion_ = kReadProportion.Get<double>(props, 0.0);
 
-  std::string dist = props.Get("requestdistribution", "uniform");
+  std::string dist = kRequestDistribution.Get<std::string>(props);
   if (dist == "uniform") {
     pair_chooser_ = std::make_unique<UniformLongGenerator>(0, pair_count_ - 1);
   } else if (dist == "zipfian") {

@@ -12,6 +12,10 @@
 namespace ycsbt {
 namespace core {
 
+inline constexpr PropertyDecl kWriteSkewInitial =
+    IntProperty("writeskew.initial", 100, 0, kNoLimit, "starting balance of each side");
+inline constexpr const PropertyDecl* kWriteSkewProperties[] = {&kWriteSkewInitial};
+
 /// An anomaly-targeting workload: the paper's §VII future work ("additional
 /// workloads that will target specific anomalies that are observed at
 /// various transaction isolation levels") made concrete for **write skew**,
@@ -19,7 +23,7 @@ namespace core {
 /// forbids (Berenson et al., the paper's ref [26]).
 ///
 /// The data is a set of *pairs* of balances (x_i, y_i), each loaded with
-/// `writeskew.initial` (default $100).  The application constraint is
+/// `writeskew.initial`.  The application constraint is
 /// per-pair: x_i + y_i >= 0.  A *withdraw* transaction reads both sides of a
 /// pair, checks that the combined balance covers the withdrawal, and then
 /// debits ONE side only.  Two concurrent withdrawals against the same pair
@@ -35,9 +39,10 @@ namespace core {
 ///   - `txn.isolation=snapshot`:   violations (write skew admitted);
 ///   - `txn.isolation=serializable` or `2pl+memkv`: zero violations.
 ///
-/// Properties: `recordcount` (two records per pair; must be even),
-/// `writeskew.initial`, `readproportion` (audit transactions that only read
-/// a pair), `requestdistribution` (uniform | zipfian over pairs).
+/// Properties: `recordcount` (two records per pair; must be even, default
+/// 200), `table` (default `skewtable`), `writeskew.initial`,
+/// `readproportion` (audit transactions that only read a pair; default 0),
+/// `requestdistribution` (uniform | zipfian over pairs).
 class WriteSkewWorkload : public Workload {
  public:
   WriteSkewWorkload() = default;

@@ -2,23 +2,14 @@
 
 #include "db/basic_db.h"
 #include "db/kvstore_db.h"
+#include "db/property_catalog.h"
 #include "db/txn_db.h"
 #include "txn/timestamp.h"
 
 namespace ycsbt {
 
 std::shared_ptr<kv::Store> DBFactory::MakeLocalEngine() {
-  kv::StoreOptions options;
-  options.num_shards = static_cast<int>(props_.GetInt("memkv.shards", 16));
-  options.wal_path = props_.Get("memkv.wal_path", "");
-  options.sync_wal = props_.GetBool("memkv.sync_wal", false);
-  options.wal_group_commit = props_.GetBool("memkv.wal_group_commit", false);
-  options.wal_group_max_batch =
-      static_cast<int>(props_.GetInt("memkv.wal_group_max_batch", 64));
-  options.wal_group_window_us =
-      static_cast<uint32_t>(props_.GetInt("memkv.wal_group_window_us", 0));
-  options.checkpoint_path = props_.Get("memkv.checkpoint_path", "");
-  options.checkpoint_dir_sync = props_.GetBool("memkv.checkpoint_dir_sync", true);
+  kv::StoreOptions options = kv::StoreOptions::FromProperties(props_);
   kv::StorageFaultOptions storage_faults =
       kv::StorageFaultOptions::FromProperties(props_);
   if (storage_faults.Any()) {
@@ -39,14 +30,13 @@ std::shared_ptr<kv::Store> DBFactory::MakeLocalEngine() {
 
 std::shared_ptr<kv::Store> DBFactory::MakeRawHttp() {
   // The paper's WiredTiger-behind-Boost-ASIO server, modelled as the local
-  // engine plus the loopback HTTP round trip observed in Listing 3
-  // (min ~1.2 ms, mean ~1.5 ms, heavy tail).
+  // engine plus the loopback HTTP round trip observed in Listing 3.
   auto inner = MakeLocalEngine();
   auto instrumented = std::make_shared<kv::InstrumentedStore>(inner);
-  double median = props_.GetDouble("rawhttp.latency_median_us", 1450.0);
-  double sigma = props_.GetDouble("rawhttp.latency_sigma", 0.35);
-  double floor = props_.GetDouble("rawhttp.latency_floor_us", 1150.0);
-  instrumented->set_latency_model(LatencyModel(median, sigma, floor));
+  instrumented->set_latency_model(
+      LatencyModel(kRawHttpLatencyMedianUs.Get<double>(props_),
+                   kRawHttpLatencySigma.Get<double>(props_),
+                   kRawHttpLatencyFloorUs.Get<double>(props_)));
   return instrumented;
 }
 
@@ -61,7 +51,7 @@ void DBFactory::MaybeInjectFaults() {
 void DBFactory::MaybeAddResilience() {
   kv::ResilienceOptions options = kv::ResilienceOptions::FromProperties(props_);
   bool deadline_wanted = options.deadline_fail_fast &&
-                         props_.GetUint("retry.deadline_us", 0) > 0;
+                         kRetryDeadlineUs.Get<uint64_t>(props_) > 0;
   if (!options.breaker.enabled && !options.hedge_enabled && !deadline_wanted) {
     return;
   }
@@ -81,13 +71,12 @@ void DBFactory::MaybeAddResilience() {
 }
 
 void DBFactory::MaybeAttachExecutor() {
-  int threads = static_cast<int>(props_.GetInt("txn.fanout_threads", 0));
-  if (threads <= 0) return;
-  int max_inflight = static_cast<int>(props_.GetInt("txn.max_inflight", 0));
+  int threads = kTxnFanoutThreads.Get<int>(props_);
+  if (threads == 0) return;
   // Same seed the workload generators use, so one `seed` property pins the
   // entire run (worker RNG draws included).
-  uint64_t seed = props_.GetUint("seed", 0x5EEDBA5Eull);
-  rpc_executor_ = std::make_shared<RpcExecutor>(threads, max_inflight, seed);
+  rpc_executor_ = std::make_shared<RpcExecutor>(
+      threads, kTxnMaxInflight.Get<int>(props_), kSeed.Get<uint64_t>(props_));
   Register(rpc_executor_.get());
   if (cloud_ != nullptr) cloud_->set_executor(rpc_executor_);
   if (local_engine_ != nullptr) local_engine_->set_executor(rpc_executor_);
@@ -104,30 +93,20 @@ Status DBFactory::BuildBase(const std::string& base_name) {
     return local_engine_status_;
   }
   if (base_name == "was" || base_name == "gcs") {
-    cloud::CloudProfile profile = base_name == "was" ? cloud::CloudProfile::Was()
-                                                     : cloud::CloudProfile::Gcs();
-    // cloud.rate_limit: absent -> profile default; 0 -> uncapped; >0 -> cap.
-    double rate = props_.GetDouble("cloud.rate_limit", -1.0);
-    if (rate >= 0.0) profile.container_rate_limit = rate;
-    profile.containers =
-        static_cast<int>(props_.GetInt("cloud.containers", profile.containers));
-    double serial = props_.GetDouble("cloud.client_serial_us", -1.0);
-    if (serial >= 0.0) profile.client_serial_us_per_inflight = serial;
-    profile.max_queue_delay_us =
-        props_.GetDouble("cloud.max_queue_delay_us", profile.max_queue_delay_us);
+    cloud::CloudProfile profile = cloud::CloudProfile::FromProperties(
+        props_, base_name == "was" ? cloud::CloudProfile::Was()
+                                   : cloud::CloudProfile::Gcs());
     cloud_ = std::make_shared<cloud::SimCloudStore>(profile, MakeLocalEngine());
     if (!local_engine_status_.ok()) return local_engine_status_;
     Register(cloud_.get());
-    double scale = props_.GetDouble("cloud.latency_scale", 1.0);
-    if (scale != 1.0) cloud_->ScaleLatency(scale);
     front_store_ = cloud_;
-    if (props_.GetInt("cloud.regions", 1) > 1) {
+    if (cloud::kCloudRegions.Get<int>(props_) > 1) {
       cloud::ReplicationOptions ropts;
       Status rs = cloud::ReplicationOptions::FromProperties(props_, &ropts);
       if (!rs.ok()) return rs;
       // Replication lag draws from its own stream off the run seed, so
       // turning regions on never shifts the workload/fault draws.
-      ropts.seed = props_.GetUint("seed", 0x5EEDBA5Eull) ^ 0x5EEDFA11ull;
+      ropts.seed = kSeed.Get<uint64_t>(props_) ^ 0x5EEDFA11ull;
       replicated_ = std::make_shared<cloud::ReplicatedCloudStore>(
           cloud_, local_engine_, ropts);
       front_store_ = replicated_;
@@ -140,10 +119,12 @@ Status DBFactory::BuildBase(const std::string& base_name) {
 
 Status DBFactory::Init() {
   if (initialized_) return Status::InvalidArgument("factory already initialized");
-  name_ = props_.Get("db", "basic");
+  Status valid = ValidateProperties(props_);
+  if (!valid.ok()) return valid;
+  name_ = kDb.Get<std::string>(props_);
 
   if (name_ == "basic") {
-    basic_delay_us_ = props_.GetUint("basicdb.delay_us", 0);
+    basic_delay_us_ = kBasicDbDelayUs.Get<uint64_t>(props_);
     initialized_ = true;
     return Status::OK();
   }
@@ -155,44 +136,18 @@ Status DBFactory::Init() {
     MaybeAddResilience();
     MaybeAttachExecutor();
 
-    txn::TxnOptions options;
-    std::string isolation = props_.Get("txn.isolation", "snapshot");
-    if (isolation == "serializable") {
-      options.isolation = txn::Isolation::kSerializable;
-    } else if (isolation != "snapshot") {
-      return Status::InvalidArgument("unknown txn.isolation: " + isolation);
-    }
-    options.lock_lease_us = props_.GetUint("txn.lease_us", options.lock_lease_us);
-    options.cleanup_tsr = props_.GetBool("txn.cleanup_tsr", true);
+    txn::TxnOptions options = txn::TxnOptions::FromProperties(props_);
     options.crash_injector = fault_store_.get();  // null when faults are off
-
-    options.lock_wait_jitter = props_.GetBool("txn.lock_wait_jitter", true);
-    options.lock_wait_delay_us =
-        props_.GetUint("txn.lock_wait_delay_us", options.lock_wait_delay_us);
-    options.lock_wait_max_delay_us = props_.GetUint(
-        "txn.lock_wait_max_delay_us", options.lock_wait_delay_us * 8);
-    options.seed = props_.GetUint("seed", 0x5EEDBA5Eull);
-
-    std::string lock_mode = props_.Get("txn.lock_acquire_mode", "ordered");
-    if (lock_mode == "nowait") {
-      options.lock_acquire_mode = txn::TxnOptions::LockAcquireMode::kNoWait;
-    } else if (lock_mode != "ordered") {
-      return Status::InvalidArgument("unknown txn.lock_acquire_mode: " +
-                                     lock_mode);
-    }
     options.executor = rpc_executor_;  // null when txn.fanout_threads == 0
 
     std::shared_ptr<txn::TimestampSource> ts;
-    std::string ts_kind = props_.Get("txn.timestamps", "hlc");
-    if (ts_kind == "hlc") {
-      ts = std::make_shared<txn::HlcTimestampSource>();
-    } else if (ts_kind == "oracle") {
+    if (kTxnTimestamps.Get<std::string>(props_) == "oracle") {
       auto oracle = std::make_shared<txn::OracleTimestampSource::Oracle>();
-      double rtt = props_.GetDouble("txn.oracle_rtt_us", 500.0);
+      double rtt = kTxnOracleRttUs.Get<double>(props_);
       ts = std::make_shared<txn::OracleTimestampSource>(
           oracle, LatencyModel(rtt, 0.25, rtt * 0.5));
     } else {
-      return Status::InvalidArgument("unknown txn.timestamps: " + ts_kind);
+      ts = std::make_shared<txn::HlcTimestampSource>();
     }
 
     auto store = std::make_shared<txn::ClientTxnStore>(front_store_, ts, options);
@@ -206,13 +161,8 @@ Status DBFactory::Init() {
   if (name_ == "occ+memkv") {
     // Self-contained in-memory engine (DESIGN.md §15): no kv::Store below
     // it, so the fault/resilience decorators do not apply to this binding.
-    txn::OccOptions options;
-    options.epoch_ms = props_.GetUint("occ.epoch_ms", options.epoch_ms);
-    options.read_validation =
-        props_.GetBool("occ.read_validation", options.read_validation);
-    options.retire_batch = static_cast<size_t>(
-        props_.GetUint("occ.retire_batch", options.retire_batch));
-    auto engine = std::make_shared<txn::OccEngine>(options);
+    auto engine = std::make_shared<txn::OccEngine>(
+        txn::OccOptions::FromProperties(props_));
     occ_engine_ = engine.get();
     txn_kv_ = engine;
     Register(engine.get());
@@ -225,10 +175,8 @@ Status DBFactory::Init() {
     if (!local_engine_status_.ok()) return local_engine_status_;
     MaybeInjectFaults();
     MaybeAddResilience();
-    txn::Local2PLOptions options;
-    options.lock_timeout_us =
-        props_.GetUint("2pl.lock_timeout_us", options.lock_timeout_us);
-    auto store = std::make_shared<txn::Local2PLStore>(front_store_, options);
+    auto store = std::make_shared<txn::Local2PLStore>(
+        front_store_, txn::Local2PLOptions::FromProperties(props_));
     txn_kv_ = store;
     Register(store.get());
     initialized_ = true;
@@ -236,10 +184,7 @@ Status DBFactory::Init() {
   }
 
   Status s = BuildBase(name_);
-  if (!s.ok()) {
-    return s.IsInvalidArgument() ? Status::InvalidArgument("unknown db: " + name_)
-                                 : s;
-  }
+  if (!s.ok()) return s;
   MaybeInjectFaults();
   MaybeAddResilience();
   MaybeAttachExecutor();

@@ -9,6 +9,8 @@
 #include "cloud/replicated_cloud_store.h"
 #include "cloud/sim_cloud_store.h"
 #include "common/properties.h"
+#include "common/property_schema.h"
+#include "common/retry_policy.h"
 #include "common/rpc_executor.h"
 #include "common/stats_layer.h"
 #include "db/db.h"
@@ -21,6 +23,40 @@
 #include "txn/occ_engine.h"
 
 namespace ycsbt {
+
+inline constexpr std::string_view kDbNames[] = {
+    "basic",     "memkv",       "rawhttp",   "was",       "gcs",
+    "txn+memkv", "txn+rawhttp", "txn+was",   "txn+gcs",   "2pl+memkv",
+    "occ+memkv"};
+inline constexpr PropertyDecl kDb =
+    EnumProperty("db", "basic", kDbNames, "the DB binding (table below)");
+inline constexpr PropertyDecl kBasicDbDelayUs =
+    UintProperty("basicdb.delay_us", 0, "sleep per BasicDB operation");
+/// Defaults model the paper's Listing 3 loopback round trip (min ~1.2 ms,
+/// mean ~1.5 ms, heavy tail).
+inline constexpr PropertyDecl kRawHttpLatencyMedianUs = DoubleProperty(
+    "rawhttp.latency_median_us", 1450.0, 0.0, kNoLimit,
+    "median simulated loopback-HTTP round trip");
+inline constexpr PropertyDecl kRawHttpLatencySigma = DoubleProperty(
+    "rawhttp.latency_sigma", 0.35, 0.0, kNoLimit, "lognormal shape of that round trip");
+inline constexpr PropertyDecl kRawHttpLatencyFloorUs = DoubleProperty(
+    "rawhttp.latency_floor_us", 1150.0, 0.0, kNoLimit, "floor of that round trip");
+inline constexpr std::string_view kTimestampSources[] = {"hlc", "oracle"};
+inline constexpr PropertyDecl kTxnTimestamps = EnumProperty(
+    "txn.timestamps", "hlc", kTimestampSources,
+    "hlc = local hybrid logical clock; oracle = central timestamp oracle");
+inline constexpr PropertyDecl kTxnOracleRttUs = DoubleProperty(
+    "txn.oracle_rtt_us", 500.0, 0.0, kNoLimit,
+    "median round trip to the timestamp oracle");
+inline constexpr PropertyDecl kTxnFanoutThreads = IntProperty(
+    "txn.fanout_threads", 0, 0, kIntMax,
+    "pool threads fanning out batched store ops (0 = sequential)");
+inline constexpr PropertyDecl kTxnMaxInflight = IntProperty(
+    "txn.max_inflight", 0, 0, kIntMax, "per-batch in-flight cap (0 = pool size)");
+inline constexpr const PropertyDecl* kDBFactoryProperties[] = {
+    &kDb, &kBasicDbDelayUs, &kRawHttpLatencyMedianUs, &kRawHttpLatencySigma,
+    &kRawHttpLatencyFloorUs, &kTxnTimestamps, &kTxnOracleRttUs, &kTxnFanoutThreads,
+    &kTxnMaxInflight};
 
 /// Builds the run's shared substrate from properties and hands each client
 /// thread its own DB binding — the "DB client" box of the YCSB+T
@@ -38,21 +74,11 @@ namespace ycsbt {
 /// | `2pl+memkv`   | TxnDB | embedded strict-2PL engine |
 /// | `occ+memkv`   | TxnDB | embedded Silo-style OCC engine (`txn::OccEngine`) |
 ///
-/// Other properties consumed here: `memkv.shards`, `memkv.wal_path`,
-/// `memkv.sync_wal`, `memkv.wal_group_commit`, `memkv.wal_group_max_batch`,
-/// `memkv.wal_group_window_us`, `memkv.checkpoint_path`,
-/// `memkv.checkpoint_dir_sync`,
-/// `rawhttp.latency_median_us`, `rawhttp.latency_sigma`,
-/// `rawhttp.latency_floor_us`, `cloud.latency_scale`, `cloud.rate_limit`,
-/// `cloud.max_queue_delay_us`,
-/// `txn.isolation` (snapshot|serializable), `txn.lease_us`,
-/// `txn.timestamps` (hlc|oracle), `txn.oracle_rtt_us`, `txn.cleanup_tsr`,
-/// `txn.fanout_threads`, `txn.max_inflight`, `txn.lock_acquire_mode`
-/// (ordered|nowait), `txn.lock_wait_jitter`, `txn.lock_wait_delay_us`,
-/// `txn.lock_wait_max_delay_us`, `2pl.lock_timeout_us`, `basicdb.delay_us`,
-/// `occ.epoch_ms`, `occ.read_validation`, `occ.retire_batch` (the last three
-/// only on `occ+memkv`, which is self-contained: it sits on no `kv::Store`,
-/// so the fault-injection, resilience and latency decorators do not apply).
+/// Every other property it reads is declared next to the options struct
+/// that takes it (`kv::StoreOptions`, `cloud::CloudProfile`,
+/// `txn::TxnOptions`, ...; DESIGN.md §19), or above for the factory's own.
+/// `occ+memkv` is self-contained: it sits on no `kv::Store`, so the
+/// fault-injection, resilience and latency decorators do not apply.
 ///
 /// When `txn.fanout_threads > 0` a shared `RpcExecutor` is built (worker
 /// RNGs seeded from the run's `seed` property) and attached to the cloud
@@ -93,7 +119,8 @@ class DBFactory {
  public:
   explicit DBFactory(Properties props) : props_(std::move(props)) {}
 
-  /// Parses properties and builds the shared substrate.
+  /// Validates the properties (`ValidateProperties`) and builds the shared
+  /// substrate.
   Status Init();
 
   /// A fresh binding for one client thread (call after Init).

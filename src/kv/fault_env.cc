@@ -30,33 +30,21 @@ Status Injected(const std::string& what) {
 StorageFaultOptions StorageFaultOptions::FromProperties(
     const Properties& props) {
   StorageFaultOptions o;
-  o.seed = props.GetUint("storage.fault.seed", o.seed);
-  o.torn_write_at =
-      props.GetUint("storage.fault.torn_write_at", o.torn_write_at);
-  o.write_error_rate =
-      props.GetDouble("storage.fault.write_error_rate", o.write_error_rate);
-  o.sync_fail_at = props.GetUint("storage.fault.sync_fail_at", o.sync_fail_at);
-  o.sync_fail_rate =
-      props.GetDouble("storage.fault.sync_fail_rate", o.sync_fail_rate);
-  o.enospc_after_bytes =
-      props.GetUint("storage.fault.enospc_after_bytes", o.enospc_after_bytes);
-  o.truncate_fail_at =
-      props.GetUint("storage.fault.truncate_fail_at", o.truncate_fail_at);
-  o.read_flip_offset =
-      props.GetInt("storage.fault.read_flip_offset", o.read_flip_offset);
-  o.read_flip_rate =
-      props.GetDouble("storage.fault.read_flip_rate", o.read_flip_rate);
-  o.read_flip_file =
-      props.Get("storage.fault.read_flip_file", o.read_flip_file);
-  o.crash_point = props.Get("storage.fault.crash_point", o.crash_point);
-  o.crash_point_pass =
-      props.GetUint("storage.fault.crash_point_pass", o.crash_point_pass);
-  if (o.crash_point_pass == 0) o.crash_point_pass = 1;
-  o.crash_write_offset =
-      props.GetInt("storage.fault.crash_write_offset", o.crash_write_offset);
-  o.crash_file = props.Get("storage.fault.crash_file", o.crash_file);
-  o.drop_unsynced_on_crash = props.GetBool("storage.fault.drop_unsynced_on_crash",
-                                           o.drop_unsynced_on_crash);
+  o.seed = kStorageFaultSeed.Get<uint64_t>(props);
+  o.torn_write_at = kTornWriteAt.Get<uint64_t>(props);
+  o.write_error_rate = kWriteErrorRate.Get<double>(props);
+  o.sync_fail_at = kSyncFailAt.Get<uint64_t>(props);
+  o.sync_fail_rate = kSyncFailRate.Get<double>(props);
+  o.enospc_after_bytes = kEnospcAfterBytes.Get<uint64_t>(props);
+  o.truncate_fail_at = kTruncateFailAt.Get<uint64_t>(props);
+  o.read_flip_offset = kReadFlipOffset.Get<int64_t>(props);
+  o.read_flip_rate = kReadFlipRate.Get<double>(props);
+  o.read_flip_file = kReadFlipFile.Get<std::string>(props);
+  o.crash_point = kCrashPoint.Get<std::string>(props);
+  o.crash_point_pass = kCrashPointPass.Get<uint64_t>(props);
+  o.crash_write_offset = kCrashWriteOffset.Get<int64_t>(props);
+  o.crash_file = kCrashFile.Get<std::string>(props);
+  o.drop_unsynced_on_crash = kDropUnsyncedOnCrash.Get<bool>(props);
   return o;
 }
 

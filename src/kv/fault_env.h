@@ -10,73 +10,92 @@
 #include <vector>
 
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/stats_layer.h"
 #include "kv/env.h"
 
 namespace ycsbt {
 namespace kv {
 
-/// Configuration of the storage fault layer, read from the `storage.fault.*`
-/// property namespace.  Deterministic `*_at` triggers are 1-based counters
-/// over operations seen while armed; `*_rate` triggers are seeded
+inline constexpr PropertyDecl kStorageFaultSeed = UintProperty(
+    "storage.fault.seed", 0x57064FA17,
+    "the injection schedule is a pure function of this seed");
+/// Half the bytes land and a short write is reported; no crash — the
+/// live-device error shape.
+inline constexpr PropertyDecl kTornWriteAt = UintProperty(
+    "storage.fault.torn_write_at", 0, "Nth armed append tears mid-buffer (0 = off)");
+inline constexpr PropertyDecl kWriteErrorRate = DoubleProperty(
+    "storage.fault.write_error_rate", 0.0, 0.0, 1.0,
+    "seeded per-append clean failure (no bytes land)");
+/// fsyncgate semantics: the error is reported once, the dirty (unsynced)
+/// bytes are silently dropped, later syncs "work".
+inline constexpr PropertyDecl kSyncFailAt =
+    UintProperty("storage.fault.sync_fail_at", 0, "Nth armed fdatasync fails (0 = off)");
+inline constexpr PropertyDecl kSyncFailRate = DoubleProperty(
+    "storage.fault.sync_fail_rate", 0.0, 0.0, 1.0,
+    "seeded per-sync variant of sync_fail_at");
+inline constexpr PropertyDecl kEnospcAfterBytes = UintProperty(
+    "storage.fault.enospc_after_bytes", 0,
+    "byte budget across armed appends; the crossing append gets ENOSPC");
+inline constexpr PropertyDecl kTruncateFailAt = UintProperty(
+    "storage.fault.truncate_fail_at", 0, "Nth armed file truncation fails (0 = off)");
+inline constexpr PropertyDecl kReadFlipOffset = IntProperty(
+    "storage.fault.read_flip_offset", -1, -1, kNoLimit,
+    "flip one bit at this offset of every armed whole-file read (-1 = off)");
+inline constexpr PropertyDecl kReadFlipRate = DoubleProperty(
+    "storage.fault.read_flip_rate", 0.0, 0.0, 1.0,
+    "seeded per-read chance of one bit flip at a seeded offset");
+inline constexpr PropertyDecl kReadFlipFile = StringProperty(
+    "storage.fault.read_flip_file", "", "substring filter for flips (empty = all files)");
+/// `wal_frame_mid`, `wal_pre_sync`, `wal_post_sync`, `ckpt_pre_rename`,
+/// `ckpt_post_rename_pre_trunc`, `ckpt_post_trunc`, ...
+inline constexpr PropertyDecl kCrashPoint = StringProperty(
+    "storage.fault.crash_point", "",
+    "named point at which the env freezes all file state");
+inline constexpr PropertyDecl kCrashPointPass = UintProperty(
+    "storage.fault.crash_point_pass", 1, 1, kNoLimit,
+    "fire on the Nth pass of that point");
+/// The `wal_frame_mid` torture trigger.
+inline constexpr PropertyDecl kCrashWriteOffset = IntProperty(
+    "storage.fault.crash_write_offset", -1, -1, kNoLimit,
+    "freeze mid-append when the matching file reaches this byte offset");
+inline constexpr PropertyDecl kCrashFile = StringProperty(
+    "storage.fault.crash_file", "",
+    "substring filter for the offset trigger (empty = any file)");
+/// The page cache that never made it to media.
+inline constexpr PropertyDecl kDropUnsyncedOnCrash = BoolProperty(
+    "storage.fault.drop_unsynced_on_crash", false,
+    "a crash also drops every byte written since the file's last sync");
+inline constexpr const PropertyDecl* kStorageFaultProperties[] = {
+    &kStorageFaultSeed, &kTornWriteAt, &kWriteErrorRate, &kSyncFailAt, &kSyncFailRate,
+    &kEnospcAfterBytes, &kTruncateFailAt, &kReadFlipOffset, &kReadFlipRate,
+    &kReadFlipFile, &kCrashPoint, &kCrashPointPass, &kCrashWriteOffset, &kCrashFile,
+    &kDropUnsyncedOnCrash};
+
+/// Configuration of the storage fault layer, from the `storage.fault.*`
+/// properties declared above.  Deterministic `*_at` triggers are 1-based
+/// counters over operations seen while armed; `*_rate` triggers are seeded
 /// per-operation draws (same discipline as the `fault.*` request-level
 /// substrate, DESIGN.md §7) — a fixed seed and a fixed operation stream
 /// replay a byte-identical fault schedule.
-///
-///   storage.fault.seed                  determinism seed
-///   storage.fault.torn_write_at         Nth armed append tears mid-buffer
-///                                       (half the bytes land, short write
-///                                       reported; no crash — the live-device
-///                                       error shape)
-///   storage.fault.write_error_rate      seeded per-append failure (no bytes)
-///   storage.fault.sync_fail_at          Nth armed fdatasync fails with
-///                                       fsyncgate semantics: error reported
-///                                       once, the dirty (unsynced) bytes are
-///                                       silently DROPPED, later syncs "work"
-///   storage.fault.sync_fail_rate        seeded per-sync variant of the same
-///   storage.fault.enospc_after_bytes    byte budget across armed appends;
-///                                       the append that crosses it is cut
-///                                       short with an injected ENOSPC
-///   storage.fault.truncate_fail_at      Nth armed TruncateFile fails
-///   storage.fault.read_flip_offset      flip one bit at this offset of every
-///                                       armed whole-file read (-1 = off)
-///   storage.fault.read_flip_rate        seeded per-read chance of one bit
-///                                       flip at a seeded offset
-///   storage.fault.read_flip_file        substring filter for flips ("" = all)
-///   storage.fault.crash_point           named crash point (`wal_frame_mid`,
-///                                       `wal_pre_sync`, `wal_post_sync`,
-///                                       `ckpt_pre_rename`,
-///                                       `ckpt_post_rename_pre_trunc`,
-///                                       `ckpt_post_trunc`, ...) at which the
-///                                       env freezes all file state
-///   storage.fault.crash_point_pass      fire on the Nth pass of that point
-///   storage.fault.crash_write_offset    freeze mid-append when the matching
-///                                       file reaches this byte offset — the
-///                                       `wal_frame_mid` torture trigger
-///   storage.fault.crash_file            substring filter for the offset
-///                                       trigger ("" = any file)
-///   storage.fault.drop_unsynced_on_crash  crash also drops every byte
-///                                       written since the file's last
-///                                       successful sync (the page cache
-///                                       that never made it to media)
 struct StorageFaultOptions {
-  uint64_t seed = 0x57064FA17ull;
+  uint64_t seed = kStorageFaultSeed.Default<uint64_t>();
 
-  uint64_t torn_write_at = 0;
-  double write_error_rate = 0.0;
-  uint64_t sync_fail_at = 0;
-  double sync_fail_rate = 0.0;
-  uint64_t enospc_after_bytes = 0;
-  uint64_t truncate_fail_at = 0;
-  int64_t read_flip_offset = -1;
-  double read_flip_rate = 0.0;
+  uint64_t torn_write_at = kTornWriteAt.Default<uint64_t>();
+  double write_error_rate = kWriteErrorRate.Default<double>();
+  uint64_t sync_fail_at = kSyncFailAt.Default<uint64_t>();
+  double sync_fail_rate = kSyncFailRate.Default<double>();
+  uint64_t enospc_after_bytes = kEnospcAfterBytes.Default<uint64_t>();
+  uint64_t truncate_fail_at = kTruncateFailAt.Default<uint64_t>();
+  int64_t read_flip_offset = kReadFlipOffset.Default<int64_t>();
+  double read_flip_rate = kReadFlipRate.Default<double>();
   std::string read_flip_file;
 
   std::string crash_point;
-  uint64_t crash_point_pass = 1;
-  int64_t crash_write_offset = -1;
+  uint64_t crash_point_pass = kCrashPointPass.Default<uint64_t>();
+  int64_t crash_write_offset = kCrashWriteOffset.Default<int64_t>();
   std::string crash_file;
-  bool drop_unsynced_on_crash = false;
+  bool drop_unsynced_on_crash = kDropUnsyncedOnCrash.Default<bool>();
 
   bool Any() const {
     return torn_write_at > 0 || write_error_rate > 0.0 || sync_fail_at > 0 ||

@@ -1,7 +1,5 @@
 #include "kv/fault_injecting_store.h"
 
-#include <sstream>
-
 #include "common/latency_model.h"
 #include "common/op_context.h"
 
@@ -22,26 +20,17 @@ uint64_t Mix64(uint64_t z) {
 
 FaultOptions FaultOptions::FromProperties(const Properties& props) {
   FaultOptions o;
-  o.seed = props.GetUint("fault.seed", o.seed);
-  o.error_rate = props.GetDouble("fault.error_rate", o.error_rate);
-  o.throttle_rate = props.GetDouble("fault.throttle_rate", o.throttle_rate);
-  o.throttle_burst =
-      static_cast<int>(props.GetInt("fault.throttle_burst", o.throttle_burst));
-  if (o.throttle_burst < 1) o.throttle_burst = 1;
-  o.latency_spike_rate =
-      props.GetDouble("fault.latency_spike_rate", o.latency_spike_rate);
-  o.latency_spike_us = props.GetUint("fault.latency_spike_us", o.latency_spike_us);
-  o.lost_reply_rate = props.GetDouble("fault.lost_reply_rate", o.lost_reply_rate);
-  o.crash_rate = props.GetDouble("fault.crash_rate", o.crash_rate);
-  std::string points = props.Get("fault.crash_points", "");
-  std::stringstream ss(points);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    // Trim surrounding spaces.
-    size_t b = token.find_first_not_of(" \t");
-    size_t e = token.find_last_not_of(" \t");
-    if (b == std::string::npos) continue;
-    o.crash_points |= ParseCrashPointToken(token.substr(b, e - b + 1));
+  o.seed = kFaultSeed.Get<uint64_t>(props);
+  o.error_rate = kFaultErrorRate.Get<double>(props);
+  o.throttle_rate = kFaultThrottleRate.Get<double>(props);
+  o.throttle_burst = kFaultThrottleBurst.Get<int>(props);
+  o.latency_spike_rate = kFaultLatencySpikeRate.Get<double>(props);
+  o.latency_spike_us = kFaultLatencySpikeUs.Get<uint64_t>(props);
+  o.lost_reply_rate = kFaultLostReplyRate.Get<double>(props);
+  o.crash_rate = kFaultCrashRate.Get<double>(props);
+  for (const std::string& token :
+       SplitPropertyList(kFaultCrashPoints.Get<std::string>(props))) {
+    o.crash_points |= ParseCrashPointToken(token);
   }
   return o;
 }

@@ -7,36 +7,54 @@
 
 #include "common/fault.h"
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/stats_layer.h"
 #include "kv/store.h"
 
 namespace ycsbt {
 namespace kv {
 
-/// Configuration of the fault-injection layer, read from the `fault.*`
-/// property namespace:
-///
-///   fault.seed              determinism seed (default 0xFA117C0DE)
-///   fault.error_rate        transient IOError/Timeout per request (0..1)
-///   fault.throttle_rate     probability a request starts a throttle burst
-///   fault.throttle_burst    requests rejected per burst, incl. the trigger
-///   fault.latency_spike_rate  probability of an injected latency spike
-///   fault.latency_spike_us  spike duration (default 2000)
-///   fault.lost_reply_rate   mutations only: the write APPLIES but the
-///                           caller sees Timeout (reply lost after apply)
-///   fault.crash_rate        probability per crash-point pass (0..1)
-///   fault.crash_points      comma list of after_lock_puts, after_tsr_put
-///                           (alias before_roll_forward), mid_roll_forward,
-///                           before_tsr_delete, or "all"
+inline constexpr PropertyDecl kFaultSeed = UintProperty(
+    "fault.seed", 0xFA117C0DE, "injection schedule is a pure function of this seed");
+inline constexpr PropertyDecl kFaultErrorRate = DoubleProperty(
+    "fault.error_rate", 0.0, 0.0, 1.0,
+    "transient per-request Timeout/IOError rejections");
+inline constexpr PropertyDecl kFaultThrottleRate = DoubleProperty(
+    "fault.throttle_rate", 0.0, 0.0, 1.0, "probability of starting a RateLimited burst");
+inline constexpr PropertyDecl kFaultThrottleBurst = IntProperty(
+    "fault.throttle_burst", 4, 1, kIntMax,
+    "consecutive requests rejected per burst, the trigger included");
+inline constexpr PropertyDecl kFaultLatencySpikeRate = DoubleProperty(
+    "fault.latency_spike_rate", 0.0, 0.0, 1.0,
+    "probability of a per-request latency spike");
+inline constexpr PropertyDecl kFaultLatencySpikeUs =
+    UintProperty("fault.latency_spike_us", 2000, "spike duration");
+inline constexpr PropertyDecl kFaultLostReplyRate = DoubleProperty(
+    "fault.lost_reply_rate", 0.0, 0.0, 1.0,
+    "mutation applies but reports Timeout (ambiguous outcome)");
+inline constexpr PropertyDecl kFaultCrashRate = DoubleProperty(
+    "fault.crash_rate", 0.0, 0.0, 1.0,
+    "probability per enabled commit-pipeline crash point");
+inline constexpr PropertyDecl kFaultCrashPoints = StringProperty(
+    "fault.crash_points", "",
+    "comma list of after_lock_puts, after_tsr_put (alias before_roll_forward), "
+    "mid_roll_forward, before_tsr_delete, or all");
+inline constexpr const PropertyDecl* kFaultProperties[] = {
+    &kFaultSeed, &kFaultErrorRate, &kFaultThrottleRate, &kFaultThrottleBurst,
+    &kFaultLatencySpikeRate, &kFaultLatencySpikeUs, &kFaultLostReplyRate,
+    &kFaultCrashRate, &kFaultCrashPoints};
+
+/// Configuration of the fault-injection layer, from the `fault.*`
+/// properties declared above.
 struct FaultOptions {
-  uint64_t seed = 0xFA117C0DEull;
-  double error_rate = 0.0;
-  double throttle_rate = 0.0;
-  int throttle_burst = 4;
-  double latency_spike_rate = 0.0;
-  uint64_t latency_spike_us = 2000;
-  double lost_reply_rate = 0.0;
-  double crash_rate = 0.0;
+  uint64_t seed = kFaultSeed.Default<uint64_t>();
+  double error_rate = kFaultErrorRate.Default<double>();
+  double throttle_rate = kFaultThrottleRate.Default<double>();
+  int throttle_burst = kFaultThrottleBurst.Default<int>();
+  double latency_spike_rate = kFaultLatencySpikeRate.Default<double>();
+  uint64_t latency_spike_us = kFaultLatencySpikeUs.Default<uint64_t>();
+  double lost_reply_rate = kFaultLostReplyRate.Default<double>();
+  double crash_rate = kFaultCrashRate.Default<double>();
   uint32_t crash_points = 0;  ///< bitmask of CrashPointBit()
 
   /// True when any fault can actually fire (the factory only wraps the

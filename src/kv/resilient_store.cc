@@ -13,22 +13,14 @@ namespace kv {
 ResilienceOptions ResilienceOptions::FromProperties(const Properties& props) {
   ResilienceOptions o;
   o.breaker = CircuitBreakerOptions::FromProperties(props);
-  o.hedge_enabled = props.GetBool("hedge.enabled", o.hedge_enabled);
-  o.hedge_delay_us = props.GetInt("hedge.delay_us", o.hedge_delay_us);
-  o.hedge_percentile = props.GetDouble("hedge.percentile", o.hedge_percentile);
-  o.hedge_percentile = std::clamp(o.hedge_percentile, 1.0, 100.0);
-  o.hedge_delay_min_us =
-      props.GetUint("hedge.delay_min_us", o.hedge_delay_min_us);
+  o.hedge_enabled = kHedgeEnabled.Get<bool>(props);
+  o.hedge_delay_us = kHedgeDelayUs.Get<int64_t>(props);
+  o.hedge_percentile = kHedgePercentile.Get<double>(props);
+  o.hedge_delay_min_us = kHedgeDelayMinUs.Get<uint64_t>(props);
   o.hedge_delay_max_us =
-      props.GetUint("hedge.delay_max_us", o.hedge_delay_max_us);
-  if (o.hedge_delay_max_us < o.hedge_delay_min_us) {
-    o.hedge_delay_max_us = o.hedge_delay_min_us;
-  }
-  o.hedge_workers =
-      static_cast<int>(props.GetInt("hedge.workers", o.hedge_workers));
-  if (o.hedge_workers < 1) o.hedge_workers = 1;
-  o.deadline_fail_fast =
-      props.GetBool("deadline.enforce", o.deadline_fail_fast);
+      std::max(kHedgeDelayMaxUs.Get<uint64_t>(props), o.hedge_delay_min_us);
+  o.hedge_workers = kHedgeWorkers.Get<int>(props);
+  o.deadline_fail_fast = kDeadlineEnforce.Get<bool>(props);
   return o;
 }
 

@@ -15,6 +15,7 @@
 #include "common/circuit_breaker.h"
 #include "common/op_context.h"
 #include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/stats_layer.h"
 #include "kv/store.h"
 
@@ -24,29 +25,40 @@ class RpcExecutor;
 
 namespace kv {
 
-/// Configuration of the overload-tolerance decorator.  `breaker.*` is the
-/// per-backend circuit breaker (see `CircuitBreakerOptions`); the rest:
-///
-///   hedge.enabled       hedge idempotent reads (Get/Scan) after a delay
-///                       (default false)
-///   hedge.delay_us      fixed hedge delay; < 0 = adaptive, derived from the
-///                       observed read-latency percentile (default -1)
-///   hedge.percentile    percentile the adaptive delay tracks (default 95)
-///   hedge.delay_min_us / hedge.delay_max_us
-///                       clamp on the adaptive delay (1000 / 100000)
-///   hedge.workers       threads running hedged primaries (default 4)
-///   deadline.enforce    fail ops fast once the ambient `OpContext` deadline
-///                       has passed (default true; only bites when the
-///                       runner installs a deadline from retry.deadline_us)
+inline constexpr PropertyDecl kHedgeEnabled = BoolProperty(
+    "hedge.enabled", false, "hedge idempotent reads (Get/Scan) after a delay");
+inline constexpr PropertyDecl kHedgeDelayUs = IntProperty(
+    "hedge.delay_us", -1, -kNoLimit, kNoLimit,
+    "fixed hedge delay; < 0 = adaptive from observed read latency");
+inline constexpr PropertyDecl kHedgePercentile = DoubleProperty(
+    "hedge.percentile", 95.0, 1.0, 100.0, "percentile the adaptive delay tracks");
+inline constexpr PropertyDecl kHedgeDelayMinUs =
+    UintProperty("hedge.delay_min_us", 1'000, "floor of the adaptive delay");
+inline constexpr PropertyDecl kHedgeDelayMaxUs = UintProperty(
+    "hedge.delay_max_us", 100'000,
+    "cap of the adaptive delay (raised to the floor when below it)");
+inline constexpr PropertyDecl kHedgeWorkers =
+    IntProperty("hedge.workers", 4, 1, kIntMax, "pool threads running hedged primaries");
+/// Only bites when the runner installs a deadline from retry.deadline_us.
+inline constexpr PropertyDecl kDeadlineEnforce = BoolProperty(
+    "deadline.enforce", true,
+    "fail ops fast once the propagated per-transaction deadline expires");
+inline constexpr const PropertyDecl* kResilienceProperties[] = {
+    &kHedgeEnabled, &kHedgeDelayUs, &kHedgePercentile, &kHedgeDelayMinUs,
+    &kHedgeDelayMaxUs, &kHedgeWorkers, &kDeadlineEnforce};
+
+/// Configuration of the overload-tolerance decorator: `breaker.*` is the
+/// per-backend circuit breaker (see `CircuitBreakerOptions`), the rest the
+/// properties declared above.
 struct ResilienceOptions {
   CircuitBreakerOptions breaker;
-  bool hedge_enabled = false;
-  int64_t hedge_delay_us = -1;
-  double hedge_percentile = 95.0;
-  uint64_t hedge_delay_min_us = 1'000;
-  uint64_t hedge_delay_max_us = 100'000;
-  int hedge_workers = 4;
-  bool deadline_fail_fast = true;
+  bool hedge_enabled = kHedgeEnabled.Default<bool>();
+  int64_t hedge_delay_us = kHedgeDelayUs.Default<int64_t>();
+  double hedge_percentile = kHedgePercentile.Default<double>();
+  uint64_t hedge_delay_min_us = kHedgeDelayMinUs.Default<uint64_t>();
+  uint64_t hedge_delay_max_us = kHedgeDelayMaxUs.Default<uint64_t>();
+  int hedge_workers = kHedgeWorkers.Default<int>();
+  bool deadline_fail_fast = kDeadlineEnforce.Default<bool>();
 
   static ResilienceOptions FromProperties(const Properties& props);
 };

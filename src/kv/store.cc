@@ -44,6 +44,19 @@ Status ApplyWriteOp(Store& store, const WriteOp& op, uint64_t* etag_out) {
   return Status::InvalidArgument("unknown WriteOp kind");
 }
 
+StoreOptions StoreOptions::FromProperties(const Properties& props) {
+  StoreOptions o;
+  o.num_shards = kMemkvShards.Get<int>(props);
+  o.wal_path = kMemkvWalPath.Get<std::string>(props);
+  o.sync_wal = kMemkvSyncWal.Get<bool>(props);
+  o.wal_group_commit = kMemkvWalGroupCommit.Get<bool>(props);
+  o.wal_group_max_batch = kMemkvWalGroupMaxBatch.Get<int>(props);
+  o.wal_group_window_us = kMemkvWalGroupWindowUs.Get<uint32_t>(props);
+  o.checkpoint_path = kMemkvCheckpointPath.Get<std::string>(props);
+  o.checkpoint_dir_sync = kMemkvCheckpointDirSync.Get<bool>(props);
+  return o;
+}
+
 ShardedStore::ShardedStore(StoreOptions options) : options_(std::move(options)) {
   if (options_.num_shards < 1) options_.num_shards = 1;
   shards_.reserve(static_cast<size_t>(options_.num_shards));

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/property_schema.h"
 #include "common/stats_layer.h"
 #include "common/status.h"
 #include "kv/skiplist.h"
@@ -94,35 +95,55 @@ struct WriteResult {
   uint64_t etag = 0;
 };
 
-/// Configuration of a `ShardedStore`.
+inline constexpr PropertyDecl kMemkvShards = IntProperty(
+    "memkv.shards", 16, 1, kIntMax,
+    "hash shards; each is an independently locked skip list");
+inline constexpr PropertyDecl kMemkvWalPath =
+    StringProperty("memkv.wal_path", "", "WAL file; empty = volatile store, no logging");
+inline constexpr PropertyDecl kMemkvSyncWal = BoolProperty(
+    "memkv.sync_wal", false, "fdatasync every commit before acknowledging it");
+inline constexpr PropertyDecl kMemkvWalGroupCommit = BoolProperty(
+    "memkv.wal_group_commit", false,
+    "leader/follower group commit: one fwrite+fdatasync per batch");
+inline constexpr PropertyDecl kMemkvWalGroupMaxBatch = IntProperty(
+    "memkv.wal_group_max_batch", 64, 1, kIntMax,
+    "frames one group-commit leader drains per batch");
+inline constexpr PropertyDecl kMemkvWalGroupWindowUs = UintProperty(
+    "memkv.wal_group_window_us", 0, 0, 4294967295.0,
+    "extra accumulation wait for syncing leaders (0 = natural batching)");
+inline constexpr PropertyDecl kMemkvCheckpointPath = StringProperty(
+    "memkv.checkpoint_path", "",
+    "snapshot file for Checkpoint() log compaction, loaded before WAL replay");
+inline constexpr PropertyDecl kMemkvCheckpointDirSync = BoolProperty(
+    "memkv.checkpoint_dir_sync", true,
+    "fsync the checkpoint directory after the rename-over");
+inline constexpr const PropertyDecl* kStoreProperties[] = {
+    &kMemkvShards, &kMemkvWalPath, &kMemkvSyncWal, &kMemkvWalGroupCommit,
+    &kMemkvWalGroupMaxBatch, &kMemkvWalGroupWindowUs, &kMemkvCheckpointPath,
+    &kMemkvCheckpointDirSync};
+
+/// Configuration of a `ShardedStore`: the `memkv.*` properties above, field
+/// by field (WAL details in `WalOptions`).
 struct StoreOptions {
-  /// Number of hash shards; each shard is an independently locked skip list.
-  int num_shards = 16;
-  /// When non-empty, every mutation is logged here and replayed on open.
+  int num_shards = kMemkvShards.Default<int>();
   std::string wal_path;
-  /// fdatasync every WAL append (durability vs latency, paper §II-A).
-  bool sync_wal = false;
-  /// Leader/follower group commit on the WAL: commits batch their frames
-  /// into one fwrite + fdatasync instead of serialising a sync per record
-  /// (see `WalOptions::group_commit`).
-  bool wal_group_commit = false;
-  /// Largest number of frames one group-commit leader writes per batch.
-  int wal_group_max_batch = 64;
-  /// Accumulation window for syncing group-commit leaders, microseconds
-  /// (0 = natural batching only; see `WalOptions::group_window_us`).
-  uint32_t wal_group_window_us = 0;
-  /// When non-empty, `Checkpoint()` writes full-state snapshots here and
-  /// `Open()` loads the snapshot before replaying the WAL.
+  bool sync_wal = kMemkvSyncWal.Default<bool>();  ///< durability vs latency, §II-A
+  bool wal_group_commit = kMemkvWalGroupCommit.Default<bool>();
+  int wal_group_max_batch = kMemkvWalGroupMaxBatch.Default<int>();
+  uint32_t wal_group_window_us = kMemkvWalGroupWindowUs.Default<uint32_t>();
   std::string checkpoint_path;
   /// fsync the checkpoint directory after the rename-over, making the new
   /// snapshot's dirent crash-durable.  Off replicates the pre-hardening bug
   /// (a post-rename crash can resurrect the old snapshot next to an
   /// already-truncated WAL — losing acked commits); kept as a knob so the
   /// torture harness can demonstrate exactly that loss.
-  bool checkpoint_dir_sync = true;
+  bool checkpoint_dir_sync = kMemkvCheckpointDirSync.Default<bool>();
   /// Filesystem seam for the WAL and the checkpoint path; nullptr =
   /// `Env::Default()`.  Tests substitute a `FaultInjectingEnv`.
   Env* env = nullptr;
+
+  /// Every field but `env` from the `memkv.*` properties.
+  static StoreOptions FromProperties(const Properties& props);
 };
 
 /// What `ShardedStore::Open()` did to reconstruct state — the source of the

@@ -9,6 +9,7 @@
 #include "common/latency_model.h"
 #include "common/logging.h"
 #include "common/op_context.h"
+#include "common/random.h"
 #include "common/retry_policy.h"
 #include "common/rpc_executor.h"
 
@@ -873,6 +874,20 @@ class ClientTxn : public Transaction {
 // ---------------------------------------------------------------------------
 // ClientTxnStore
 // ---------------------------------------------------------------------------
+
+TxnOptions TxnOptions::FromProperties(const Properties& props) {
+  TxnOptions o;
+  o.isolation = kTxnIsolation.GetEnum<Isolation>(props);
+  o.lock_lease_us = kTxnLeaseUs.Get<uint64_t>(props);
+  o.cleanup_tsr = kTxnCleanupTsr.Get<bool>(props);
+  o.lock_wait_jitter = kTxnLockWaitJitter.Get<bool>(props);
+  o.lock_wait_delay_us = kTxnLockWaitDelayUs.Get<uint64_t>(props);
+  o.lock_wait_max_delay_us =
+      kTxnLockWaitMaxDelayUs.Get<uint64_t>(props, o.lock_wait_delay_us * 8);
+  o.seed = kSeed.Get<uint64_t>(props);
+  o.lock_acquire_mode = kTxnLockAcquireMode.GetEnum<LockAcquireMode>(props);
+  return o;
+}
 
 ClientTxnStore::ClientTxnStore(std::shared_ptr<kv::Store> base,
                                std::shared_ptr<TimestampSource> ts_source,

@@ -252,6 +252,12 @@ class Local2PLTxn : public Transaction {
 // Local2PLStore
 // ---------------------------------------------------------------------------
 
+Local2PLOptions Local2PLOptions::FromProperties(const Properties& props) {
+  Local2PLOptions o;
+  o.lock_timeout_us = k2plLockTimeoutUs.Get<uint64_t>(props);
+  return o;
+}
+
 Local2PLStore::Local2PLStore(std::shared_ptr<kv::Store> base,
                              Local2PLOptions options)
     : base_(std::move(base)), locks_(options.lock_timeout_us) {}

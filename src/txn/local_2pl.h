@@ -18,10 +18,17 @@
 namespace ycsbt {
 namespace txn {
 
+inline constexpr PropertyDecl k2plLockTimeoutUs = UintProperty(
+    "2pl.lock_timeout_us", 50'000,
+    "how long a lock request waits before declaring deadlock-by-timeout");
+inline constexpr const PropertyDecl* kLocal2PLProperties[] = {&k2plLockTimeoutUs};
+
 /// Options of the embedded 2PL engine.
 struct Local2PLOptions {
   /// How long a lock request waits before declaring deadlock-by-timeout.
-  uint64_t lock_timeout_us = 50'000;
+  uint64_t lock_timeout_us = k2plLockTimeoutUs.Default<uint64_t>();
+
+  static Local2PLOptions FromProperties(const Properties& props);
 };
 
 /// Striped table of per-key shared/exclusive locks with waiting and timeout.

@@ -46,6 +46,14 @@ std::atomic<uint64_t> g_next_engine_id{1};
 // reasoning is involved.
 // ---------------------------------------------------------------------------
 
+OccOptions OccOptions::FromProperties(const Properties& props) {
+  OccOptions o;
+  o.epoch_ms = kOccEpochMs.Get<uint64_t>(props);
+  o.read_validation = kOccReadValidation.Get<bool>(props);
+  o.retire_batch = kOccRetireBatch.Get<size_t>(props);
+  return o;
+}
+
 OccEngine::OccEngine(OccOptions options)
     : options_(options),
       engine_id_(g_next_engine_id.fetch_add(1, std::memory_order_relaxed)),

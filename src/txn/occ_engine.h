@@ -12,6 +12,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/stats_layer.h"
 #include "common/status.h"
 #include "txn/transaction.h"
@@ -19,11 +21,23 @@
 namespace ycsbt {
 namespace txn {
 
+inline constexpr PropertyDecl kOccEpochMs = UintProperty(
+    "occ.epoch_ms", 10,
+    "global-epoch ticker period; 0 disables the ticker (tests drive epochs)");
+inline constexpr PropertyDecl kOccReadValidation = BoolProperty(
+    "occ.read_validation", true,
+    "commit-time read-set validation; false re-admits write skew");
+inline constexpr PropertyDecl kOccRetireBatch = UintProperty(
+    "occ.retire_batch", 128,
+    "per-thread retired versions that trigger a reclamation sweep");
+inline constexpr const PropertyDecl* kOccProperties[] = {
+    &kOccEpochMs, &kOccReadValidation, &kOccRetireBatch};
+
 /// Tuning knobs of the embedded Silo-style OCC engine (`occ.*` properties).
 struct OccOptions {
   /// Period of the global-epoch ticker thread in milliseconds.  0 disables
   /// the ticker entirely (tests drive `AdvanceEpoch()` by hand).
-  uint64_t epoch_ms = 10;
+  uint64_t epoch_ms = kOccEpochMs.Default<uint64_t>();
 
   /// Commit-time read-set validation.  On (the default) the engine is
   /// serializable: any record read whose TID changed since the read — or
@@ -32,15 +46,17 @@ struct OccOptions {
   /// engine degrades to atomic-write-batch / read-committed semantics
   /// (admits lost updates and write skew) — the ablation axis the
   /// write-skew suite exercises.
-  bool read_validation = true;
+  bool read_validation = kOccReadValidation.Default<bool>();
 
   /// Per-thread retire lists are swept for reclaimable versions once they
   /// grow past this many entries (and always at engine teardown).
-  size_t retire_batch = 128;
+  size_t retire_batch = kOccRetireBatch.Default<size_t>();
 
   /// Hash-index shard count (structure locking only; record access past the
   /// index lookup is lock-free).  Not exposed as a property.
   size_t index_shards = 64;
+
+  static OccOptions FromProperties(const Properties& props);
 };
 
 /// Monotonic counters exposed for benches and tests; `Collect` reports their

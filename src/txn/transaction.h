@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/properties.h"
+#include "common/property_schema.h"
 #include "common/status.h"
 #include "kv/store.h"
 
@@ -27,28 +29,56 @@ enum class Isolation {
   kSerializable,
 };
 
+// In Isolation order, for GetEnum.
+inline constexpr std::string_view kIsolations[] = {"snapshot", "serializable"};
+inline constexpr PropertyDecl kTxnIsolation =
+    EnumProperty("txn.isolation", "snapshot", kIsolations, "isolation level (Isolation)");
+inline constexpr PropertyDecl kTxnLeaseUs = UintProperty(
+    "txn.lease_us", 2'000'000,
+    "age after which a foreign lock is presumed abandoned and recovered");
+inline constexpr PropertyDecl kTxnCleanupTsr = BoolProperty(
+    "txn.cleanup_tsr", true,
+    "delete the transaction status record once every lock is rolled forward");
+inline constexpr PropertyDecl kTxnLockWaitJitter = BoolProperty(
+    "txn.lock_wait_jitter", true,
+    "decorrelated jitter on the fresh-lock wait sleep (anti-convoy)");
+inline constexpr PropertyDecl kTxnLockWaitDelayUs =
+    UintProperty("txn.lock_wait_delay_us", 2'000, "base lock-wait sleep");
+inline constexpr PropertyDecl kTxnLockWaitMaxDelayUs = Derived(
+    UintProperty("txn.lock_wait_max_delay_us", 16'000,
+                 "jittered lock-wait sleep cap"),
+    "8x base");
+// In LockAcquireMode order, for GetEnum.
+inline constexpr std::string_view kLockAcquireModes[] = {"ordered", "nowait"};
+inline constexpr PropertyDecl kTxnLockAcquireMode = EnumProperty(
+    "txn.lock_acquire_mode", "ordered", kLockAcquireModes,
+    "ordered = serial CASes in key order; nowait = parallel, busy = Conflict");
+inline constexpr const PropertyDecl* kTxnProperties[] = {
+    &kTxnIsolation, &kTxnLeaseUs, &kTxnCleanupTsr, &kTxnLockWaitJitter,
+    &kTxnLockWaitDelayUs, &kTxnLockWaitMaxDelayUs, &kTxnLockAcquireMode};
+
 /// Tuning knobs of the transaction protocol.
 struct TxnOptions {
   Isolation isolation = Isolation::kSnapshot;
 
   /// Wall-clock age after which another client's lock is presumed abandoned
   /// and may be recovered (rolled forward or back via its TSR).
-  uint64_t lock_lease_us = 2'000'000;
+  uint64_t lock_lease_us = kTxnLeaseUs.Default<uint64_t>();
 
   /// Bounded politeness: how many times to re-check a *fresh* foreign lock
   /// before giving up with Aborted.
   int lock_wait_retries = 5;
-  uint64_t lock_wait_delay_us = 2'000;
+  uint64_t lock_wait_delay_us = kTxnLockWaitDelayUs.Default<uint64_t>();
 
   /// Decorrelated jitter on the lock-wait sleep (see
   /// `DecorrelatedJitterUs`): a fixed delay synchronizes contending clients
   /// into convoys that re-collide on every probe.  The per-transaction RNG
   /// is seeded from `seed` and the transaction number, so same-seed
   /// single-threaded runs replay identical sleeps.
-  bool lock_wait_jitter = true;
+  bool lock_wait_jitter = kTxnLockWaitJitter.Default<bool>();
   /// Cap on one jittered lock-wait sleep (8x the base delay by default;
   /// adjusted alongside `lock_wait_delay_us` when it is configured).
-  uint64_t lock_wait_max_delay_us = 16'000;
+  uint64_t lock_wait_max_delay_us = kTxnLockWaitMaxDelayUs.Default<uint64_t>();
 
   /// Determinism seed for per-transaction randomness (lock-wait jitter).
   uint64_t seed = 0;
@@ -79,7 +109,7 @@ struct TxnOptions {
   /// Remove the TSR once all locks are rolled forward (leave it for
   /// debugging when false; recovery treats a surviving committed TSR
   /// correctly either way).
-  bool cleanup_tsr = true;
+  bool cleanup_tsr = kTxnCleanupTsr.Default<bool>();
 
   /// When non-null, the commit pipeline consults this at each `CrashPoint`
   /// and, if it fires, abandons the transaction with all store-side state
@@ -88,6 +118,10 @@ struct TxnOptions {
   /// the owner (the DB factory's fault-injection layer) must outlive the
   /// store.
   CrashInjector* crash_injector = nullptr;
+
+  /// The protocol knobs from the `txn.*` properties above plus the run
+  /// `seed`; `executor` and `crash_injector` are left for the caller.
+  static TxnOptions FromProperties(const Properties& props);
 };
 
 /// One result row of a transactional scan.

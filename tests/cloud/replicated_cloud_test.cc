@@ -36,15 +36,16 @@ std::shared_ptr<ReplicatedCloudStore> MakeStore(ReplicationOptions opts,
 }
 
 TEST(ReadModeTest, ParsesEveryModeAndRejectsUnknown) {
-  ReadMode m;
-  EXPECT_TRUE(ParseReadMode("leader", &m));
-  EXPECT_EQ(m, ReadMode::kLeader);
-  EXPECT_TRUE(ParseReadMode("quorum", &m));
-  EXPECT_TRUE(ParseReadMode("stale", &m));
-  EXPECT_TRUE(ParseReadMode("nearest", &m));
-  EXPECT_EQ(m, ReadMode::kNearest);
-  EXPECT_FALSE(ParseReadMode("primary", &m));
-  EXPECT_STREQ(ReadModeName(ReadMode::kStale), "stale");
+  const ReadMode modes[] = {ReadMode::kLeader, ReadMode::kQuorum,
+                            ReadMode::kStale, ReadMode::kNearest};
+  ASSERT_EQ(std::size(kReadModes), std::size(modes));
+  for (size_t i = 0; i < std::size(modes); ++i) {
+    Properties p;
+    p.Set("cloud.read_mode", std::string(kReadModes[i]));
+    EXPECT_EQ(kCloudReadMode.GetEnum<ReadMode>(p), modes[i]) << kReadModes[i];
+  }
+  EXPECT_EQ(kCloudReadMode.GetEnum<ReadMode>(Properties()), ReadMode::kLeader);
+  EXPECT_TRUE(kCloudReadMode.Check("cloud.read_mode", "primary").IsInvalidArgument());
 }
 
 TEST(ReplicationOptionsTest, FromPropertiesParsesAndValidates) {

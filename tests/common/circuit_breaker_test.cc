@@ -191,24 +191,40 @@ TEST(CircuitBreakerTest, HalfOpenCapsProbesInFlight) {
   EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
 }
 
-TEST(CircuitBreakerTest, FromPropertiesParsesAndClamps) {
+TEST(CircuitBreakerTest, FromPropertiesParsesAndClampsMinSamples) {
   Properties props;
   props.Set("breaker.enabled", "true");
   props.Set("breaker.window", "32");
   props.Set("breaker.min_samples", "100");  // above window: clamped down
-  props.Set("breaker.failure_ratio", "2.5");  // clamped to 1
+  props.Set("breaker.failure_ratio", "0.75");
   props.Set("breaker.cooldown_us", "1234");
-  props.Set("breaker.cooldown_rejects", "-4");  // clamped to 0
-  props.Set("breaker.probes", "0");             // clamped to 1
+  props.Set("breaker.cooldown_rejects", "4");
+  props.Set("breaker.probes", "2");
+  ASSERT_TRUE(CheckDeclaredProperties(props, kBreakerProperties).ok());
   CircuitBreakerOptions o = CircuitBreakerOptions::FromProperties(props);
   EXPECT_TRUE(o.enabled);
   EXPECT_EQ(o.window, 32);
   EXPECT_EQ(o.min_samples, 32);
-  EXPECT_DOUBLE_EQ(o.failure_ratio, 1.0);
+  EXPECT_DOUBLE_EQ(o.failure_ratio, 0.75);
   EXPECT_EQ(o.cooldown_us, 1234u);
-  EXPECT_EQ(o.cooldown_rejects, 0);
-  EXPECT_EQ(o.probes, 1);
+  EXPECT_EQ(o.cooldown_rejects, 4);
+  EXPECT_EQ(o.probes, 2);
   EXPECT_FALSE(CircuitBreakerOptions::FromProperties(Properties()).enabled);
+}
+
+TEST(CircuitBreakerTest, OutOfRangeValuesAreRejected) {
+  // Single-key ranges are declared: nonsense is an error, not a clamp.
+  for (const auto& [key, value] :
+       {std::pair{"breaker.window", "0"}, std::pair{"breaker.min_samples", "0"},
+        std::pair{"breaker.failure_ratio", "2.5"},
+        std::pair{"breaker.cooldown_rejects", "-4"},
+        std::pair{"breaker.probes", "0"}}) {
+    Properties bad;
+    bad.Set(key, value);
+    Status s = CheckDeclaredProperties(bad, kBreakerProperties);
+    EXPECT_TRUE(s.IsInvalidArgument()) << key;
+    EXPECT_NE(s.message().find(key), std::string::npos) << s.ToString();
+  }
 }
 
 TEST(CircuitBreakerSetTest, BackendIndexIsStableAndInRange) {

@@ -79,14 +79,14 @@ TEST(OpContextTest, NestedScopesRestoreExactly) {
   EXPECT_EQ(CurrentOpContext().deadline_ns, outer_deadline);
 }
 
-TEST(OpContextTest, RestoreScopeCarriesContextAcrossThreads) {
+TEST(OpContextTest, AdoptScopeCarriesContextAcrossThreads) {
   OpDeadlineScope scope(1'000'000);
   OpContext captured = CurrentOpContext();
   uint64_t seen_deadline = 0;
   bool seen_before = true;
   std::thread worker([&] {
     seen_before = CurrentOpContext().deadline_ns != 0;  // fresh thread: none
-    OpContextRestoreScope restore(captured);
+    OpContextAdoptScope adopt(captured);
     seen_deadline = CurrentOpContext().deadline_ns;
   });
   worker.join();

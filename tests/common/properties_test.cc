@@ -74,22 +74,12 @@ TEST(PropertiesTest, TypedGettersParse) {
 TEST(PropertiesTest, TypedGettersFallBackOnGarbage) {
   Properties p;
   p.Set("i", "not-a-number");
+  p.Set("h", "0x10");  // integers are decimal only
   p.Set("b", "maybe");
   EXPECT_EQ(p.GetInt("i", 7), 7);
+  EXPECT_EQ(p.GetInt("h", 7), 7);
   EXPECT_TRUE(p.GetBool("b", true));
   EXPECT_FALSE(p.GetBool("b", false));
-}
-
-TEST(PropertiesTest, CheckedGetIntReportsGarbage) {
-  Properties p;
-  p.Set("n", "12x");
-  int64_t out = 0;
-  EXPECT_TRUE(p.CheckedGetInt("n", 0, &out).IsInvalidArgument());
-  EXPECT_TRUE(p.CheckedGetInt("absent", 5, &out).ok());
-  EXPECT_EQ(out, 5);
-  p.Set("ok", "123");
-  EXPECT_TRUE(p.CheckedGetInt("ok", 0, &out).ok());
-  EXPECT_EQ(out, 123);
 }
 
 TEST(PropertiesTest, MergeOverrides) {

@@ -29,16 +29,23 @@ TEST(RetryPolicyTest, FromProperties) {
   EXPECT_EQ(p.deadline_us, 900000u);
 }
 
-TEST(RetryPolicyTest, FromPropertiesClampsNonsense) {
+TEST(RetryPolicyTest, OutOfRangeValuesAreRejectedAndTheCapIsRaised) {
+  // Single-key ranges are declared: nonsense is an error, not a clamp.
+  for (const auto& [key, value] : {std::pair{"retry.max_attempts", "-3"},
+                                   std::pair{"retry.backoff_multiplier", "0.5"}}) {
+    Properties bad;
+    bad.Set(key, value);
+    Status s = CheckDeclaredProperties(bad, kRetryProperties);
+    EXPECT_TRUE(s.IsInvalidArgument()) << key;
+    EXPECT_NE(s.message().find(key), std::string::npos) << s.ToString();
+  }
+  // The cross-key relation stays a clamp: the cap never sits below the
+  // first backoff.
   Properties props;
-  props.Set("retry.max_attempts", "-3");
   props.Set("retry.backoff_initial_us", "1000");
-  props.Set("retry.backoff_max_us", "10");  // below initial
-  props.Set("retry.backoff_multiplier", "0.5");
-  RetryPolicy p = RetryPolicy::FromProperties(props);
-  EXPECT_EQ(p.max_attempts, 1);
-  EXPECT_EQ(p.max_backoff_us, 1000u);  // raised to initial
-  EXPECT_DOUBLE_EQ(p.multiplier, 1.0);
+  props.Set("retry.backoff_max_us", "10");
+  ASSERT_TRUE(CheckDeclaredProperties(props, kRetryProperties).ok());
+  EXPECT_EQ(RetryPolicy::FromProperties(props).max_backoff_us, 1000u);
 }
 
 TEST(DecorrelatedJitterTest, ZeroBaseMeansNoSleep) {

@@ -141,13 +141,13 @@ TEST(BrownoutTest, LatencyTriggerOffByDefault) {
   EXPECT_FALSE(c.BrownedOut());
 }
 
-TEST(BrownoutTest, FromPropertiesParsesAndClamps) {
+TEST(BrownoutTest, FromPropertiesParses) {
   Properties props;
   props.Set("shed.enabled", "true");
-  props.Set("shed.max_inflight", "-5");  // clamped to 0
+  props.Set("shed.max_inflight", "0");
   props.Set("shed.drop_reads", "false");
   props.Set("shed.queue_delay_us", "2500");
-  props.Set("shed.windows", "0");  // clamped to 1
+  props.Set("shed.windows", "1");
   BrownoutOptions o = BrownoutOptions::FromProperties(props);
   EXPECT_TRUE(o.enabled);
   EXPECT_EQ(o.max_inflight, 0);
@@ -155,6 +155,18 @@ TEST(BrownoutTest, FromPropertiesParsesAndClamps) {
   EXPECT_DOUBLE_EQ(o.queue_delay_us, 2500.0);
   EXPECT_EQ(o.windows, 1);
   EXPECT_FALSE(BrownoutOptions::FromProperties(Properties()).enabled);
+}
+
+TEST(BrownoutTest, OutOfRangeValuesAreRejected) {
+  // Single-key ranges are declared: nonsense is an error, not a clamp.
+  for (const auto& [key, value] : {std::pair{"shed.max_inflight", "-5"},
+                                   std::pair{"shed.windows", "0"}}) {
+    Properties bad;
+    bad.Set(key, value);
+    Status s = CheckDeclaredProperties(bad, kBrownoutProperties);
+    EXPECT_TRUE(s.IsInvalidArgument()) << key;
+    EXPECT_NE(s.message().find(key), std::string::npos) << s.ToString();
+  }
 }
 
 }  // namespace

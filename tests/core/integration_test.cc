@@ -215,6 +215,25 @@ TEST(IntegrationTest, UnknownWorkloadOrDbFailsCleanly) {
   EXPECT_TRUE(RunBenchmark(p2, &result).IsInvalidArgument());
 }
 
+TEST(IntegrationTest, MalformedValuesFailTheRunNamingTheKey) {
+  // Each of these used to run quietly on the key's default.
+  for (const auto& [key, value] :
+       {std::pair{"threads", "8x"}, std::pair{"memkv.sync_wal", "ture"},
+        std::pair{"insertorder", "orderd"}, std::pair{"breaker.window", "0"},
+        std::pair{"seed", "0x1234"}, std::pair{"readproportion", "0.5x"}}) {
+    Properties p;
+    p.Set("db", "memkv");
+    p.Set("recordcount", "10");
+    p.Set("operationcount", "10");
+    p.Set(key, value);
+    RunResult result;
+    Status s = RunBenchmark(p, &result);
+    EXPECT_TRUE(s.IsInvalidArgument()) << key << ": " << s.ToString();
+    EXPECT_NE(s.message().find(std::string("'") + key + "'"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST(IntegrationTest, OracleTimestampedTxnRunWorks) {
   Properties p = CewBase();
   p.Set("db", "txn+memkv");

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -148,7 +149,42 @@ TEST(SuiteOrchestratorTest, ExecutesMiniatureSuiteAndWritesResultsTree) {
   EXPECT_NE(table.find("ok"), std::string::npos);
 }
 
+TEST(SuiteOrchestratorTest, MalformedSweepFailsBeforeAnyRunDirectory) {
+  std::string out = ::testing::TempDir() + "/suite_bad_sweep";
+  std::filesystem::remove_all(out);
+  Properties file = FileFrom({
+      {"suite.name", "bad"},
+      {"suite.output_dir", out},
+      {"base.db", "memkv"},
+      {"sweep.threads", "1,2x"},
+  });
+  SuiteSpec spec;
+  Status s = SuiteSpec::Parse(file, &spec);
+  ASSERT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.message().find("'sweep.threads' = '2x'"), std::string::npos)
+      << s.ToString();
+
+  // A spec built by hand skips Parse; the orchestrator still checks every
+  // expanded run before it writes anything.
+  SuiteSpec direct;
+  direct.name = "bad";
+  direct.output_dir = out;
+  direct.base.Set("db", "memkv");
+  direct.configs.emplace_back("", Properties());
+  direct.mixes.emplace_back("", Properties());
+  direct.sweeps.emplace_back("threads", std::vector<std::string>{"1", "2x"});
+  SuiteOrchestrator orchestrator(std::move(direct));
+  std::vector<SuiteRunOutcome> outcomes;
+  s = orchestrator.Execute(&outcomes);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("threads2x"), std::string::npos) << s.ToString();
+  EXPECT_TRUE(outcomes.empty());
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
 TEST(SuiteOrchestratorTest, FailingRunIsRecordedAndSuiteContinues) {
+  // A run that fails while running (its WAL directory does not exist), not
+  // on a malformed property: those fail the whole suite up front.
   std::string out = ::testing::TempDir() + "/suite_fail";
   Properties file = FileFrom({
       {"suite.name", "fail"},
@@ -156,9 +192,9 @@ TEST(SuiteOrchestratorTest, FailingRunIsRecordedAndSuiteContinues) {
       {"suite.output_dir", out},
       {"base.recordcount", "10"},
       {"base.operationcount", "10"},
-      {"base.status", "false"},
-      {"config.bad.db", "no-such-binding"},
-      {"config.good.db", "memkv"},
+      {"base.db", "memkv"},
+      {"config.bad.memkv.wal_path", out + "/no-such-dir/wal.log"},
+      {"config.good.memkv.shards", "4"},
   });
   SuiteSpec spec;
   ASSERT_TRUE(SuiteSpec::Parse(file, &spec).ok());

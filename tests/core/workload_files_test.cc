@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/benchmark.h"
+#include "core/suite.h"
+#include "db/property_catalog.h"
 
 #ifndef YCSBT_WORKLOADS_DIR
 #define YCSBT_WORKLOADS_DIR "workloads"
+#endif
+#ifndef YCSBT_PERFBENCH_WORKLOADS_DIR
+#define YCSBT_PERFBENCH_WORKLOADS_DIR "perfbench/workloads"
 #endif
 
 namespace ycsbt {
@@ -55,6 +62,37 @@ TEST_P(WorkloadFileTest, RunsWrappedOnTransactionalBinding) {
   if (result.validation.performed) {
     EXPECT_TRUE(result.validation.passed)
         << GetParam() << ": transactional run must validate clean";
+  }
+}
+
+/// Every shipped properties and suite file, the benchmark's included (read
+/// only), names only declared keys with values their declarations accept.
+TEST(ShippedFilesTest, EveryShippedFileValidatesClean) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  for (const auto& [dir, ext] :
+       {std::pair{fs::path(YCSBT_WORKLOADS_DIR), ".properties"},
+        std::pair{fs::path(YCSBT_WORKLOADS_DIR) / "suites", ".suite"},
+        std::pair{fs::path(YCSBT_PERFBENCH_WORKLOADS_DIR), ".properties"}}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ext) files.push_back(entry.path());
+    }
+  }
+  ASSERT_GE(files.size(), 20u);
+  for (const fs::path& path : files) {
+    SCOPED_TRACE(path.string());
+    Properties p;
+    ASSERT_TRUE(p.LoadFromFile(path.string()).ok());
+    std::vector<std::string> unknown;
+    Status s = ValidateProperties(p, &unknown);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(unknown.empty()) << "unknown key " << unknown.front();
+    if (path.extension() != ".suite") continue;
+    SuiteSpec spec;
+    ASSERT_TRUE(SuiteSpec::Parse(p, &spec).ok());
+    for (const SuiteRun& run : spec.Expand()) {
+      EXPECT_TRUE(ValidateProperties(run.props).ok()) << run.name;
+    }
   }
 }
 

@@ -280,7 +280,7 @@ TEST_F(FaultEnvTest, FromPropertiesReadsTheNamespace) {
   props.Set("storage.fault.enospc_after_bytes", "4096");
   props.Set("storage.fault.read_flip_offset", "12");
   props.Set("storage.fault.crash_point", "ckpt_pre_rename");
-  props.Set("storage.fault.crash_point_pass", "0");  // floored to 1
+  props.Set("storage.fault.crash_point_pass", "2");
   props.Set("storage.fault.crash_file", "wal");
   props.Set("storage.fault.drop_unsynced_on_crash", "true");
   StorageFaultOptions opts = StorageFaultOptions::FromProperties(props);
@@ -291,11 +291,16 @@ TEST_F(FaultEnvTest, FromPropertiesReadsTheNamespace) {
   EXPECT_EQ(opts.enospc_after_bytes, 4096u);
   EXPECT_EQ(opts.read_flip_offset, 12);
   EXPECT_EQ(opts.crash_point, "ckpt_pre_rename");
-  EXPECT_EQ(opts.crash_point_pass, 1u);
+  EXPECT_EQ(opts.crash_point_pass, 2u);
   EXPECT_EQ(opts.crash_file, "wal");
   EXPECT_TRUE(opts.drop_unsynced_on_crash);
   EXPECT_TRUE(opts.Any());
   EXPECT_FALSE(StorageFaultOptions{}.Any());
+  // Passes count from 1: a zero is rejected, not floored.
+  Properties zero;
+  zero.Set("storage.fault.crash_point_pass", "0");
+  EXPECT_TRUE(CheckDeclaredProperties(zero, kStorageFaultProperties)
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -24,28 +24,31 @@ namespace ycsbt {
 namespace {
 
 /// Scripted backend: counts arrivals per op class, optionally stalls the
-/// first Get/Scan (the hedging tests' "latency spike"), optionally fails
-/// calls with a fixed status.  Gets answer "primary" on the first call and
-/// "hedge" afterwards so tests can tell whose result won.
+/// first primary Get/Scan (the hedging tests' "latency spike"), optionally
+/// fails calls with a fixed status.  Reads are told apart by
+/// `OpContext::hedge`, never by arrival order (a loaded host may deliver the
+/// hedge first): primaries answer "primary", hedges answer "hedge", so tests
+/// can tell whose result won.
 class ScriptedStore : public kv::Store {
  public:
   std::atomic<int> gets{0}, puts{0}, cputs{0}, dels{0}, cdels{0}, scans{0};
-  Status fail_with = Status::OK();        // every op fails with this when set
-  Status second_get_status = Status::OK();  // gets after the first fail so
-  uint64_t first_read_sleep_us = 0;         // get/scan #0 stalls this long
-  std::mutex mu;                            // guards get_was_hedge
-  std::vector<bool> get_was_hedge;          // OpContext::hedge per get
+  Status fail_with = Status::OK();   // every op fails with this when set
+  Status hedge_get_status = Status::OK();  // hedged gets fail with this
+  uint64_t first_read_sleep_us = 0;  // the first primary get/scan stalls
+  std::mutex mu;                     // guards get_was_hedge
+  std::vector<bool> get_was_hedge;   // OpContext::hedge per get
 
   Status Get(const std::string&, std::string* value, uint64_t* etag) override {
+    bool hedge = CurrentOpContext().hedge;
     {
       std::lock_guard<std::mutex> lock(mu);
-      get_was_hedge.push_back(CurrentOpContext().hedge);
+      get_was_hedge.push_back(hedge);
     }
     int n = gets.fetch_add(1);
-    if (n == 0 && first_read_sleep_us > 0) SleepMicros(first_read_sleep_us);
+    if (!hedge) StallFirstPrimary(primary_gets_);
     if (!fail_with.ok()) return fail_with;
-    if (n > 0 && !second_get_status.ok()) return second_get_status;
-    if (value != nullptr) *value = n == 0 ? "primary" : "hedge";
+    if (hedge && !hedge_get_status.ok()) return hedge_get_status;
+    if (value != nullptr) *value = hedge ? "hedge" : "primary";
     if (etag != nullptr) *etag = static_cast<uint64_t>(n) + 1;
     return Status::OK();
   }
@@ -72,16 +75,26 @@ class ScriptedStore : public kv::Store {
   }
   Status Scan(const std::string&, size_t,
               std::vector<kv::ScanEntry>* out) override {
-    int n = scans.fetch_add(1);
-    if (n == 0 && first_read_sleep_us > 0) SleepMicros(first_read_sleep_us);
+    bool hedge = CurrentOpContext().hedge;
+    scans.fetch_add(1);
+    if (!hedge) StallFirstPrimary(primary_scans_);
     if (!fail_with.ok()) return fail_with;
     if (out != nullptr) {
       out->clear();
-      out->push_back({"k", n == 0 ? "primary" : "hedge", 1});
+      out->push_back({"k", hedge ? "hedge" : "primary", 1});
     }
     return Status::OK();
   }
   size_t Count() const override { return 0; }
+
+ private:
+  void StallFirstPrimary(std::atomic<int>& primaries) {
+    if (primaries.fetch_add(1) == 0 && first_read_sleep_us > 0) {
+      SleepMicros(first_read_sleep_us);
+    }
+  }
+
+  std::atomic<int> primary_gets_{0}, primary_scans_{0};
 };
 
 kv::ResilienceOptions BreakerOnlyOptions() {
@@ -261,7 +274,7 @@ TEST(ResilientStoreTest, HedgedScanWinsToo) {
 TEST(ResilientStoreTest, FailedHedgeIsWastedAndThePrimaryAnswers) {
   auto base = std::make_shared<ScriptedStore>();
   base->first_read_sleep_us = 20'000;
-  base->second_get_status = Status::RateLimited("hedge throttled");
+  base->hedge_get_status = Status::RateLimited("hedge throttled");
   kv::ResilientStore store(base, HedgeOptions(1000), 1);
   std::string value;
   ASSERT_TRUE(store.Get("k", &value).ok());
