@@ -1,13 +1,18 @@
 // Microbenchmarks of the local storage engine (google-benchmark): point
-// operations, conditional writes, scans, and the WAL's overhead.
+// operations, conditional writes, scans, and the WAL's overhead; plus the
+// workload and binding layers above it.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "core/closed_economy_workload.h"
+#include "core/core_workload.h"
+#include "db/kvstore_db.h"
 #include "kv/store.h"
 
 namespace {
@@ -224,6 +229,58 @@ void BM_ShardCountEffect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardCountEffect)->Arg(1)->Arg(16)->Arg(64);
+
+/// Loads `w` over a fresh in-memory engine behind the memkv binding.
+std::unique_ptr<KvStoreDB> LoadedDB(core::Workload* w, core::Workload::ThreadState* ts) {
+  auto db = std::make_unique<KvStoreDB>(std::make_shared<kv::ShardedStore>());
+  for (uint64_t i = 0; i < w->record_count(); ++i) w->DoInsert(*db, ts);
+  return db;
+}
+
+/// One YCSB read through the workload and the binding: key generation,
+/// the engine Get, decoding and, with arg 1, the dataintegrity check — the
+/// harness cost above the engine (DESIGN.md §20).
+void BM_CoreWorkloadRead(benchmark::State& state) {
+  Properties props;
+  props.Set("recordcount", "100000");
+  props.Set("fieldcount", "1");
+  props.Set("readproportion", "1");
+  props.Set("updateproportion", "0");
+  props.Set("requestdistribution", "zipfian");
+  props.Set("dataintegrity", state.range(0) != 0 ? "true" : "false");
+  core::CoreWorkload w;
+  if (!w.Init(props).ok()) {
+    state.SkipWithError("bad workload properties");
+    return;
+  }
+  auto ts = w.InitThread(0, 1);
+  auto db = LoadedDB(&w, ts.get());
+  for (auto _ : state) benchmark::DoNotOptimize(w.DoTransaction(*db, ts.get()).ok);
+}
+BENCHMARK(BM_CoreWorkloadRead)->Arg(0)->Arg(1);
+
+/// One CEW transfer ($1 between two accounts: a two-key MultiRead and two
+/// balance writes) through the workload and the memkv binding.
+void BM_CewTransfer(benchmark::State& state) {
+  Properties props;
+  props.Set("recordcount", "10000");
+  props.Set("readproportion", "0");
+  props.Set("readmodifywriteproportion", "1");
+  props.Set("requestdistribution", "zipfian");
+  core::ClosedEconomyWorkload w;
+  if (!w.Init(props).ok()) {
+    state.SkipWithError("bad workload properties");
+    return;
+  }
+  auto ts = w.InitThread(0, 1);
+  auto db = LoadedDB(&w, ts.get());
+  for (auto _ : state) {
+    core::TxnOpResult r = w.DoTransaction(*db, ts.get());
+    benchmark::DoNotOptimize(r.ok);
+    w.OnTransactionOutcome(ts.get(), r, r.ok);
+  }
+}
+BENCHMARK(BM_CewTransfer);
 
 }  // namespace
 

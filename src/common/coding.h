@@ -60,10 +60,17 @@ class Decoder {
   }
 
   bool GetLengthPrefixed(std::string* s) {
+    std::string_view view;
+    if (!GetLengthPrefixed(&view)) return false;
+    s->assign(view);
+    return true;
+  }
+
+  bool GetLengthPrefixed(std::string_view* s) {  // views the bytes in place
     uint32_t len;
     if (!GetFixed32(&len)) return false;
     if (data_.size() < len) return false;
-    s->assign(data_.data(), len);
+    *s = data_.substr(0, len);
     data_.remove_prefix(len);
     return true;
   }

@@ -1,36 +1,20 @@
 #include "common/fault.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace ycsbt {
 
 const char* CrashPointName(CrashPoint p) {
-  switch (p) {
-    case CrashPoint::kAfterLockPuts:
-      return "after_lock_puts";
-    case CrashPoint::kAfterTsrPut:
-      return "after_tsr_put";
-    case CrashPoint::kMidRollForward:
-      return "mid_roll_forward";
-    case CrashPoint::kBeforeTsrDelete:
-      return "before_tsr_delete";
-  }
-  return "unknown";
+  return kCrashPointTokens[static_cast<uint32_t>(p)].data();
 }
 
 uint32_t ParseCrashPointToken(const std::string& token) {
-  if (token == "all") {
-    return CrashPointBit(CrashPoint::kAfterLockPuts) |
-           CrashPointBit(CrashPoint::kAfterTsrPut) |
-           CrashPointBit(CrashPoint::kMidRollForward) |
-           CrashPointBit(CrashPoint::kBeforeTsrDelete);
-  }
-  if (token == "after_lock_puts") return CrashPointBit(CrashPoint::kAfterLockPuts);
-  if (token == "after_tsr_put" || token == "before_roll_forward") {
-    return CrashPointBit(CrashPoint::kAfterTsrPut);
-  }
-  if (token == "mid_roll_forward") return CrashPointBit(CrashPoint::kMidRollForward);
-  if (token == "before_tsr_delete") {
-    return CrashPointBit(CrashPoint::kBeforeTsrDelete);
-  }
+  auto it = std::find(std::begin(kCrashPointTokens), std::end(kCrashPointTokens), token);
+  uint32_t i = static_cast<uint32_t>(it - std::begin(kCrashPointTokens));
+  if (i < kCrashPointCount) return 1u << i;
+  if (token == "before_roll_forward") return CrashPointBit(CrashPoint::kAfterTsrPut);
+  if (token == "all") return (1u << kCrashPointCount) - 1;
   return 0;
 }
 

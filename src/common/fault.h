@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/properties.h"
 #include "common/property_schema.h"
@@ -32,6 +33,13 @@ enum class CrashPoint : uint32_t {
 inline constexpr uint32_t CrashPointBit(CrashPoint p) {
   return 1u << static_cast<uint32_t>(p);
 }
+
+/// Every `fault.crash_points` token: the points' names in `CrashPoint`
+/// order, then the alias `before_roll_forward` and `all`.
+inline constexpr std::string_view kCrashPointTokens[] = {
+    "after_lock_puts",  "after_tsr_put",       "mid_roll_forward",
+    "before_tsr_delete", "before_roll_forward", "all"};
+inline constexpr uint32_t kCrashPointCount = 4;
 
 /// Short name of a crash point (the `fault.crash_points` property tokens).
 const char* CrashPointName(CrashPoint p);

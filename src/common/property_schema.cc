@@ -66,11 +66,14 @@ std::string Expectation(const PropertyDecl& d) {
     case PropertyType::kString:
       return "a string";
     case PropertyType::kEnum:
+    case PropertyType::kList:
       break;
   }
-  std::string out = "one of";
+  std::string out = d.type == PropertyType::kList ? "a comma list of" : "one of";
+  const size_t lead = out.size();
   for (std::string_view choice : d.choices) {
-    out += (out.size() == 6 ? " " : ", ") + std::string(choice);
+    out += (out.size() == lead ? " " : ", ") +
+           (choice.empty() ? std::string("\"\"") : std::string(choice));
   }
   return out;
 }
@@ -101,6 +104,13 @@ bool Valid(const PropertyDecl& d, std::string_view value) {
     case PropertyType::kEnum:
       return std::find(d.choices.begin(), d.choices.end(), value) !=
              d.choices.end();
+    case PropertyType::kList:
+      for (const std::string& entry : SplitPropertyList(value)) {
+        if (std::find(d.choices.begin(), d.choices.end(), entry) == d.choices.end()) {
+          return false;
+        }
+      }
+      return true;
   }
   return false;
 }
@@ -169,6 +179,7 @@ std::string PropertyDecl::DefaultText() const {
       return number != 0 ? "true" : "false";
     case PropertyType::kString:
     case PropertyType::kEnum:
+    case PropertyType::kList:
       return text.empty() ? "(empty)" : std::string(text);
     default:
       return FormatNumber(number);

@@ -29,7 +29,7 @@ std::optional<bool> ParseBool(std::string_view s);
 /// Splits a comma list, trimming each entry and dropping empty ones.
 std::vector<std::string> SplitPropertyList(std::string_view list);
 
-enum class PropertyType { kInt, kUint, kDouble, kBool, kString, kEnum };
+enum class PropertyType { kInt, kUint, kDouble, kBool, kString, kEnum, kList };
 
 inline constexpr double kNoLimit = std::numeric_limits<double>::infinity();
 inline constexpr double kIntMax = std::numeric_limits<int>::max();
@@ -51,7 +51,7 @@ struct PropertyDecl {
   double min = -kNoLimit;      ///< numeric range, inclusive...
   double max = kNoLimit;
   bool min_exclusive = false;  ///< ...unless the lower bound is open
-  std::span<const std::string_view> choices;  ///< an enum's values
+  std::span<const std::string_view> choices;  ///< an enum's or a list's values
   /// Set when the reader derives the default from other settings; says how.
   std::string_view derived;
   std::string_view doc;
@@ -89,7 +89,8 @@ struct PropertyDecl {
     const std::string* value = Find(props);
     if (value == nullptr) return fallback;
     if constexpr (std::is_same_v<T, std::string>) {
-      assert(type == PropertyType::kString || type == PropertyType::kEnum);
+      assert(type == PropertyType::kString || type == PropertyType::kEnum ||
+             type == PropertyType::kList);
       return *value;
     } else if constexpr (std::is_same_v<T, bool>) {
       assert(type == PropertyType::kBool);
@@ -154,6 +155,12 @@ constexpr PropertyDecl EnumProperty(std::string_view name, std::string_view def,
                                     std::span<const std::string_view> choices,
                                     std::string_view doc) {
   return {name, PropertyType::kEnum, 0, def, 0, 0, false, choices, {}, doc};
+}
+/// A comma list (`SplitPropertyList`) whose every entry is one of `choices`.
+constexpr PropertyDecl ListProperty(std::string_view name, std::string_view def,
+                                    std::span<const std::string_view> choices,
+                                    std::string_view doc) {
+  return {name, PropertyType::kList, 0, def, 0, 0, false, choices, {}, doc};
 }
 /// Marks `decl`'s default as computed by its reader, described by `how`.
 constexpr PropertyDecl Derived(PropertyDecl decl, std::string_view how) {

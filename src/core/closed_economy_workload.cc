@@ -1,9 +1,7 @@
 #include "core/closed_economy_workload.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 namespace ycsbt {
 namespace core {
@@ -70,25 +68,18 @@ int64_t ClosedEconomyWorkload::WithdrawFromBank(int64_t want) {
   }
 }
 
-Status ClosedEconomyWorkload::WriteBalance(DB& db, const std::string& table,
+Status ClosedEconomyWorkload::WriteBalance(DB& db, ThreadState* state,
                                            const std::string& key,
                                            int64_t balance) {
-  FieldMap values;
-  values[kBalanceField] = std::to_string(balance);
+  state->row.clear();
+  state->row.Set(kBalanceField, BalanceText(balance).view());
   // DB::Insert is the blind full-record write of every binding; using it for
   // overwrites keeps CEW updates at one store request, as in the paper.
-  return db.Insert(table, key, values);
+  return db.Insert(table_, key, state->row);
 }
 
 bool ClosedEconomyWorkload::ParseBalance(const FieldMap& fields, int64_t* balance) {
-  auto it = fields.find(kBalanceField);
-  if (it == fields.end()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return false;
-  *balance = v;
-  return true;
+  return ParseBalanceText(fields.Get(kBalanceField), balance);
 }
 
 bool ClosedEconomyWorkload::DoInsert(DB& db, ThreadState* state) {
@@ -99,7 +90,7 @@ bool ClosedEconomyWorkload::DoInsert(DB& db, ThreadState* state) {
   if (key_num == insert_start_) {
     balance += total_cash_ - initial_balance_ * static_cast<int64_t>(record_count());
   }
-  return WriteBalance(db, table_, BuildKeyName(key_num), balance).ok();
+  return WriteBalance(db, state, BuildKeyName(key_num, &state->key), balance).ok();
 }
 
 bool ClosedEconomyWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
@@ -109,32 +100,30 @@ bool ClosedEconomyWorkload::BuildNextInsert(ThreadState* state, LoadRecord* reco
     balance += total_cash_ - initial_balance_ * static_cast<int64_t>(record_count());
   }
   record->table = table_;
-  record->key = BuildKeyName(key_num);
+  BuildKeyName(key_num, &record->key);
   record->values.clear();
-  record->values[kBalanceField] = std::to_string(balance);
+  record->values.Set(kBalanceField, BalanceText(balance).view());
   return true;
 }
 
 bool ClosedEconomyWorkload::DoTransactionRead(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  FieldMap result;
-  Status s = db.Read(table_, key, nullptr, &result);
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
+  Status s = db.Read(table_, key, nullptr, &state->row);
   // A concurrently deleted account is a legitimate NotFound, not a failure.
   return s.ok() || s.IsNotFound();
 }
 
 bool ClosedEconomyWorkload::DoTransactionUpdate(DB& db, ThreadState* state) {
   auto* cew = static_cast<CewThreadState*>(state);
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  FieldMap record;
-  if (!db.Read(table_, key, nullptr, &record).ok()) return false;
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
+  if (!db.Read(table_, key, nullptr, &state->row).ok()) return false;
   int64_t balance;
-  if (!ParseBalance(record, &balance)) return false;
+  if (!ParseBalance(state->row, &balance)) return false;
   // Add $1 captured from delete operations (paper §IV-C2); if nothing has
   // been captured the update rewrites the same balance.
   int64_t gained = WithdrawFromBank(1);
   cew->pending_withdrawn += gained;
-  return WriteBalance(db, table_, key, balance + gained).ok();
+  return WriteBalance(db, state, key, balance + gained).ok();
 }
 
 bool ClosedEconomyWorkload::DoTransactionInsert(DB& db, ThreadState* state) {
@@ -142,20 +131,19 @@ bool ClosedEconomyWorkload::DoTransactionInsert(DB& db, ThreadState* state) {
   uint64_t key_num = insert_sequence_->Next(state->rng);
   int64_t funding = WithdrawFromBank(initial_balance_);
   cew->pending_withdrawn += funding;
-  bool ok = WriteBalance(db, table_, BuildKeyName(key_num), funding).ok();
+  bool ok = WriteBalance(db, state, BuildKeyName(key_num, &state->key), funding).ok();
   insert_sequence_->Acknowledge(key_num);
   return ok;
 }
 
 bool ClosedEconomyWorkload::DoTransactionDelete(DB& db, ThreadState* state) {
   auto* cew = static_cast<CewThreadState*>(state);
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  FieldMap record;
-  Status s = db.Read(table_, key, nullptr, &record);
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
+  Status s = db.Read(table_, key, nullptr, &state->row);
   if (s.IsNotFound()) return true;  // already closed
   if (!s.ok()) return false;
   int64_t balance;
-  if (!ParseBalance(record, &balance)) return false;
+  if (!ParseBalance(state->row, &balance)) return false;
   s = db.Delete(table_, key);
   if (s.IsNotFound()) return true;
   if (!s.ok()) return false;
@@ -166,7 +154,7 @@ bool ClosedEconomyWorkload::DoTransactionDelete(DB& db, ThreadState* state) {
 }
 
 bool ClosedEconomyWorkload::DoTransactionScan(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
   size_t len = static_cast<size_t>(scan_length_chooser_->Next(state->rng));
   std::vector<ScanRow> rows;
   return db.Scan(table_, key, len, nullptr, &rows).ok();
@@ -181,21 +169,23 @@ bool ClosedEconomyWorkload::DoTransactionReadModifyWrite(DB& db,
     uint64_t k2 = k1;
     for (int i = 0; i < 8 && k2 == k1; ++i) k2 = NextKeyNum(state->rng);
     if (k1 == k2) return true;  // single-account economy: nothing to transfer
-    std::string key1 = BuildKeyName(k1);
-    std::string key2 = BuildKeyName(k2);
+    std::vector<std::string>& keys = state->keys;
+    keys.resize(2);
+    BuildKeyName(k1, &keys[0]);
+    BuildKeyName(k2, &keys[1]);
 
     // Both snapshot reads in one batch: with a fan-out executor their round
     // trips overlap; semantically identical to two sequential Reads.
-    std::vector<MultiReadRow> rows;
-    db.MultiRead(table_, {key1, key2}, nullptr, &rows);
+    std::vector<MultiReadRow>& rows = state->rows;
+    db.MultiRead(table_, keys, nullptr, &rows);
     if (!rows[0].status.ok() || !rows[1].status.ok()) return false;
     int64_t bal1, bal2;
     if (!ParseBalance(rows[0].fields, &bal1) || !ParseBalance(rows[1].fields, &bal2)) {
       return false;
     }
 
-    if (!WriteBalance(db, table_, key1, bal1 - 1).ok()) return false;
-    return WriteBalance(db, table_, key2, bal2 + 1).ok();
+    if (!WriteBalance(db, state, keys[0], bal1 - 1).ok()) return false;
+    return WriteBalance(db, state, keys[1], bal2 + 1).ok();
   }
 
   // Batched variant (`cew.transfer_accounts` > 2): one W-account transfer —
@@ -213,11 +203,11 @@ bool ClosedEconomyWorkload::DoTransactionReadModifyWrite(DB& db,
   }
   if (nums.size() < 2) return true;  // tiny economy: nothing to transfer
 
-  std::vector<std::string> keys;
-  keys.reserve(nums.size());
-  for (uint64_t n : nums) keys.push_back(BuildKeyName(n));
+  std::vector<std::string>& keys = state->keys;
+  keys.resize(nums.size());
+  for (size_t i = 0; i < nums.size(); ++i) BuildKeyName(nums[i], &keys[i]);
 
-  std::vector<MultiReadRow> rows;
+  std::vector<MultiReadRow>& rows = state->rows;
   db.MultiRead(table_, keys, nullptr, &rows);
   std::vector<int64_t> balances(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -227,9 +217,9 @@ bool ClosedEconomyWorkload::DoTransactionReadModifyWrite(DB& db,
 
   int64_t payees = static_cast<int64_t>(keys.size()) - 1;
   std::vector<FieldMap> values(keys.size());
-  values[0][kBalanceField] = std::to_string(balances[0] - payees);
+  values[0].Set(kBalanceField, BalanceText(balances[0] - payees).view());
   for (size_t i = 1; i < keys.size(); ++i) {
-    values[i][kBalanceField] = std::to_string(balances[i] + 1);
+    values[i].Set(kBalanceField, BalanceText(balances[i] + 1).view());
   }
   std::vector<Status> statuses;
   db.BatchInsert(table_, keys, values, &statuses);
@@ -241,12 +231,11 @@ bool ClosedEconomyWorkload::DoTransactionReadModifyWrite(DB& db,
 
 bool ClosedEconomyWorkload::DoTransactionBatchRead(DB& db, ThreadState* state) {
   size_t len = NextBatchSize(state->rng);
-  std::vector<std::string> keys;
-  keys.reserve(len);
-  for (size_t i = 0; i < len; ++i) keys.push_back(BuildKeyName(NextKeyNum(state->rng)));
-  std::vector<MultiReadRow> rows;
-  db.MultiRead(table_, keys, nullptr, &rows);
-  for (const auto& row : rows) {
+  std::vector<std::string>& keys = state->keys;
+  keys.resize(len);
+  for (std::string& key : keys) BuildKeyName(NextKeyNum(state->rng), &key);
+  db.MultiRead(table_, keys, nullptr, &state->rows);
+  for (const auto& row : state->rows) {
     // A concurrently closed account is a legitimate NotFound, not a failure.
     if (!row.status.ok() && !row.status.IsNotFound()) return false;
   }
@@ -256,20 +245,18 @@ bool ClosedEconomyWorkload::DoTransactionBatchRead(DB& db, ThreadState* state) {
 bool ClosedEconomyWorkload::DoTransactionBatchInsert(DB& db, ThreadState* state) {
   auto* cew = static_cast<CewThreadState*>(state);
   size_t len = NextBatchSize(state->rng);
-  std::vector<uint64_t> key_nums;
-  std::vector<std::string> keys;
+  std::vector<uint64_t> key_nums(len);
+  std::vector<std::string>& keys = state->keys;
   std::vector<FieldMap> values(len);
-  key_nums.reserve(len);
-  keys.reserve(len);
+  keys.resize(len);
   for (size_t i = 0; i < len; ++i) {
-    uint64_t key_num = insert_sequence_->Next(state->rng);
-    key_nums.push_back(key_num);
-    keys.push_back(BuildKeyName(key_num));
+    key_nums[i] = insert_sequence_->Next(state->rng);
+    BuildKeyName(key_nums[i], &keys[i]);
     // Each new account opens funded from the capture bank, like the
     // single-op insert; money still never enters the system.
     int64_t funding = WithdrawFromBank(initial_balance_);
     cew->pending_withdrawn += funding;
-    values[i][kBalanceField] = std::to_string(funding);
+    values[i].Set(kBalanceField, BalanceText(funding).view());
   }
   std::vector<Status> statuses;
   db.BatchInsert(table_, keys, values, &statuses);

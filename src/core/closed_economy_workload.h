@@ -90,8 +90,8 @@ class ClosedEconomyWorkload : public CoreWorkload {
 
   /// Blind full-record write of a balance (one store put — the paper's
   /// UPDATE is a single request; the read half is a separate READ).
-  static Status WriteBalance(DB& db, const std::string& table,
-                             const std::string& key, int64_t balance);
+  Status WriteBalance(DB& db, ThreadState* state, const std::string& key,
+                      int64_t balance);
 
   /// Parses the balance out of a read/scanned record.
   static bool ParseBalance(const FieldMap& fields, int64_t* balance);

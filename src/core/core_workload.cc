@@ -1,8 +1,8 @@
 #include "core/core_workload.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
+#include <functional>
 #include <utility>
 
 #include "core/runner.h"
@@ -37,8 +37,10 @@ Status CoreWorkload::Init(const Properties& props) {
   insert_count_ = kInsertCount.Get<uint64_t>(props, record_count_);
 
   field_names_.clear();
+  single_fields_.clear();
   for (int i = 0; i < field_count_; ++i) {
     field_names_.push_back(field_prefix_ + std::to_string(i));
+    single_fields_.push_back({field_names_.back()});
   }
 
   if (field_length_dist_ == "constant") {
@@ -138,68 +140,93 @@ Status CoreWorkload::Init(const Properties& props) {
   return Status::OK();
 }
 
-std::string CoreWorkload::BuildKeyName(uint64_t key_num) const {
+namespace {
+
+constexpr char kAlphabet[] =
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+
+char NextChar(Random64& rng) { return kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]; }
+
+void RandomString(Random64& rng, size_t length, std::string* out) {
+  out->resize(length);
+  for (char& c : *out) c = NextChar(rng);
+}
+
+/// The stream a field's deterministic value is drawn from, seeded from key
+/// and field so any reader can re-derive it (YCSB's data-integrity mode).
+/// `std::hash` of a string_view equals that of the same std::string.
+Random64 DeterministicStream(std::string_view key, std::string_view field) {
+  return Random64(FNVHash64(std::hash<std::string_view>{}(key)) ^
+                  std::hash<std::string_view>{}(field));
+}
+
+}  // namespace
+
+const std::string& CoreWorkload::BuildKeyName(uint64_t key_num,
+                                              std::string* out) const {
   if (!ordered_inserts_) key_num = FNVHash64(key_num);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%0*" PRIu64, zero_padding_, key_num);
-  return "user" + std::string(buf);
+  // "user" + the number zero-padded to `zeropadding` digits.  The cap at 31
+  // characters keeps the bytes of the former snprintf into a 32-byte buffer.
+  char digits[20];
+  size_t len = static_cast<size_t>(
+      std::to_chars(digits, digits + sizeof(digits), key_num).ptr - digits);
+  size_t width = static_cast<size_t>(zero_padding_);
+  size_t pad = std::min<size_t>(width > len ? width - len : 0, 31);
+  out->assign("user").append(pad, '0').append(digits, len);
+  out->resize(std::min<size_t>(out->size(), 4 + 31));
+  return *out;
 }
 
 size_t CoreWorkload::NextFieldLength(Random64& rng) {
   return static_cast<size_t>(field_length_generator_->Next(rng));
 }
 
-std::string CoreWorkload::RandomString(Random64& rng, size_t length) const {
-  static constexpr char kAlphabet[] =
-      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
-  std::string out;
-  out.reserve(length);
-  for (size_t i = 0; i < length; ++i) {
-    out.push_back(kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]);
+void CoreWorkload::FieldValue(Random64& rng, std::string_view key,
+                              std::string_view field, std::string* out) {
+  if (data_integrity_) {
+    Random64 stream = DeterministicStream(key, field);
+    RandomString(stream, field_length_, out);
+  } else {
+    RandomString(rng, NextFieldLength(rng), out);
   }
-  return out;
 }
 
-std::string CoreWorkload::DeterministicValue(const std::string& key,
-                                             const std::string& field) const {
-  // Seed a private stream from the key and field so the expected value can
-  // be re-derived by any reader (YCSB's data-integrity construction).
-  uint64_t seed = FNVHash64(std::hash<std::string>{}(key)) ^
-                  std::hash<std::string>{}(field);
-  Random64 rng(seed);
-  return RandomString(rng, field_length_);
+const std::vector<std::string>* CoreWorkload::NextProjection(Random64& rng) const {
+  if (read_all_fields_) return nullptr;
+  return &single_fields_[rng.Uniform(single_fields_.size())];
 }
 
-bool CoreWorkload::VerifyRecord(const std::string& key, const FieldMap& record) {
+bool CoreWorkload::VerifyRecord(std::string_view key, const FieldMap& record) {
   if (!data_integrity_) return true;
+  // Each stored byte is compared against the deterministic stream, so no
+  // expected value is ever built.
   bool clean = !record.empty();
   for (const auto& [name, value] : record) {
-    if (value != DeterministicValue(key, name)) {
-      clean = false;
-      break;
-    }
+    Random64 stream = DeterministicStream(key, name);
+    clean = value.size() == field_length_;
+    for (size_t i = 0; clean && i < value.size(); ++i) clean = value[i] == NextChar(stream);
+    if (!clean) break;
   }
   if (!clean) integrity_errors_.fetch_add(1, std::memory_order_relaxed);
   return clean;
 }
 
-FieldMap CoreWorkload::BuildValues(Random64& rng, const std::string& key) {
-  FieldMap values;
+void CoreWorkload::BuildValues(ThreadState* state, std::string_view key,
+                               FieldMap* out) {
+  out->clear();
   for (const auto& name : field_names_) {
-    values[name] = data_integrity_ ? DeterministicValue(key, name)
-                                   : RandomString(rng, NextFieldLength(rng));
+    FieldValue(state->rng, key, name, &state->value);
+    out->Set(name, state->value);
   }
-  return values;
 }
 
-FieldMap CoreWorkload::BuildUpdate(Random64& rng, const std::string& key) {
-  if (write_all_fields_) return BuildValues(rng, key);
-  FieldMap values;
-  const std::string& name =
-      field_names_[rng.Uniform(field_names_.size())];
-  values[name] = data_integrity_ ? DeterministicValue(key, name)
-                                 : RandomString(rng, NextFieldLength(rng));
-  return values;
+void CoreWorkload::BuildUpdate(ThreadState* state, std::string_view key,
+                               FieldMap* out) {
+  if (write_all_fields_) return BuildValues(state, key, out);
+  out->clear();
+  const std::string& name = field_names_[state->rng.Uniform(field_names_.size())];
+  FieldValue(state->rng, key, name, &state->value);
+  out->Set(name, state->value);
 }
 
 uint64_t CoreWorkload::NextKeyNum(Random64& rng) {
@@ -213,9 +240,9 @@ uint64_t CoreWorkload::NextKeyNum(Random64& rng) {
 
 bool CoreWorkload::DoInsert(DB& db, ThreadState* state) {
   uint64_t key_num = load_sequence_->Next(state->rng);
-  std::string key = BuildKeyName(key_num);
-  FieldMap values = BuildValues(state->rng, key);
-  return db.Insert(table_, key, values).ok();
+  const std::string& key = BuildKeyName(key_num, &state->key);
+  BuildValues(state, key, &state->row);
+  return db.Insert(table_, key, state->row).ok();
 }
 
 bool CoreWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
@@ -223,8 +250,8 @@ bool CoreWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
   // byte-identical to a per-op-loaded one.
   uint64_t key_num = load_sequence_->Next(state->rng);
   record->table = table_;
-  record->key = BuildKeyName(key_num);
-  record->values = BuildValues(state->rng, record->key);
+  BuildKeyName(key_num, &record->key);
+  BuildValues(state, record->key, &record->values);
   return true;
 }
 
@@ -265,58 +292,47 @@ TxnOpResult CoreWorkload::DoTransaction(DB& db, ThreadState* state) {
 }
 
 bool CoreWorkload::DoTransactionRead(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  FieldMap result;
-  Status s;
-  if (read_all_fields_) {
-    s = db.Read(table_, key, nullptr, &result);
-  } else {
-    std::vector<std::string> fields = {
-        field_names_[state->rng.Uniform(field_names_.size())]};
-    s = db.Read(table_, key, &fields, &result);
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
+  if (!db.Read(table_, key, NextProjection(state->rng), &state->row).ok()) {
+    return false;
   }
-  if (!s.ok()) return false;
-  return VerifyRecord(key, result);
+  return VerifyRecord(key, state->row);
 }
 
 bool CoreWorkload::DoTransactionUpdate(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  return db.Update(table_, key, BuildUpdate(state->rng, key)).ok();
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
+  BuildUpdate(state, key, &state->row);
+  return db.Update(table_, key, state->row).ok();
 }
 
 bool CoreWorkload::DoTransactionInsert(DB& db, ThreadState* state) {
   uint64_t key_num = insert_sequence_->Next(state->rng);
-  std::string key = BuildKeyName(key_num);
-  bool ok = db.Insert(table_, key, BuildValues(state->rng, key)).ok();
+  const std::string& key = BuildKeyName(key_num, &state->key);
+  BuildValues(state, key, &state->row);
+  bool ok = db.Insert(table_, key, state->row).ok();
   // Acknowledge even on failure so the window keeps sliding (YCSB behaviour).
   insert_sequence_->Acknowledge(key_num);
   return ok;
 }
 
 bool CoreWorkload::DoTransactionScan(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
   size_t len = static_cast<size_t>(scan_length_chooser_->Next(state->rng));
   std::vector<ScanRow> rows;
-  if (read_all_fields_) {
-    return db.Scan(table_, key, len, nullptr, &rows).ok();
-  }
-  std::vector<std::string> fields = {
-      field_names_[state->rng.Uniform(field_names_.size())]};
-  return db.Scan(table_, key, len, &fields, &rows).ok();
+  return db.Scan(table_, key, len, NextProjection(state->rng), &rows).ok();
 }
 
 bool CoreWorkload::DoTransactionDelete(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  Status s = db.Delete(table_, key);
+  Status s = db.Delete(table_, BuildKeyName(NextKeyNum(state->rng), &state->key));
   return s.ok() || s.IsNotFound();
 }
 
 bool CoreWorkload::DoTransactionReadModifyWrite(DB& db, ThreadState* state) {
-  std::string key = BuildKeyName(NextKeyNum(state->rng));
-  FieldMap result;
-  if (!db.Read(table_, key, nullptr, &result).ok()) return false;
-  if (!VerifyRecord(key, result)) return false;
-  return db.Update(table_, key, BuildUpdate(state->rng, key)).ok();
+  const std::string& key = BuildKeyName(NextKeyNum(state->rng), &state->key);
+  if (!db.Read(table_, key, nullptr, &state->row).ok()) return false;
+  if (!VerifyRecord(key, state->row)) return false;
+  BuildUpdate(state, key, &state->row);
+  return db.Update(table_, key, state->row).ok();
 }
 
 size_t CoreWorkload::NextBatchSize(Random64& rng) {
@@ -324,42 +340,28 @@ size_t CoreWorkload::NextBatchSize(Random64& rng) {
 }
 
 bool CoreWorkload::DoTransactionBatchRead(DB& db, ThreadState* state) {
-  size_t len = NextBatchSize(state->rng);
-  std::vector<std::string> keys;
-  keys.reserve(len);
-  for (size_t i = 0; i < len; ++i) {
-    keys.push_back(BuildKeyName(NextKeyNum(state->rng)));
-  }
-  std::vector<MultiReadRow> rows;
-  if (read_all_fields_) {
-    db.MultiRead(table_, keys, nullptr, &rows);
-  } else {
-    std::vector<std::string> fields = {
-        field_names_[state->rng.Uniform(field_names_.size())]};
-    db.MultiRead(table_, keys, &fields, &rows);
-  }
+  std::vector<std::string>& keys = state->keys;
+  keys.resize(NextBatchSize(state->rng));
+  for (std::string& key : keys) BuildKeyName(NextKeyNum(state->rng), &key);
+  db.MultiRead(table_, keys, NextProjection(state->rng), &state->rows);
   bool ok = true;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (!rows[i].status.ok() || !VerifyRecord(keys[i], rows[i].fields)) {
-      ok = false;
-    }
+  for (size_t i = 0; i < state->rows.size(); ++i) {
+    const MultiReadRow& row = state->rows[i];
+    if (!row.status.ok() || !VerifyRecord(keys[i], row.fields)) ok = false;
   }
   return ok;
 }
 
 bool CoreWorkload::DoTransactionBatchInsert(DB& db, ThreadState* state) {
   size_t len = NextBatchSize(state->rng);
-  std::vector<uint64_t> key_nums;
-  std::vector<std::string> keys;
-  std::vector<FieldMap> values;
-  key_nums.reserve(len);
-  keys.reserve(len);
-  values.reserve(len);
+  std::vector<uint64_t> key_nums(len);
+  std::vector<std::string>& keys = state->keys;
+  std::vector<FieldMap> values(len);
+  keys.resize(len);
   for (size_t i = 0; i < len; ++i) {
-    uint64_t key_num = insert_sequence_->Next(state->rng);
-    key_nums.push_back(key_num);
-    keys.push_back(BuildKeyName(key_num));
-    values.push_back(BuildValues(state->rng, keys.back()));
+    key_nums[i] = insert_sequence_->Next(state->rng);
+    BuildKeyName(key_nums[i], &keys[i]);
+    BuildValues(state, keys[i], &values[i]);
   }
   std::vector<Status> statuses;
   db.BatchInsert(table_, keys, values, &statuses);

@@ -140,8 +140,9 @@ class CoreWorkload : public Workload {
   const std::string& table() const { return table_; }
 
   /// Key-number -> key-string mapping ("user<padded number>", optionally
-  /// FNV-scattered); exposed for tests and the CEW subclass.
-  std::string BuildKeyName(uint64_t key_num) const;
+  /// FNV-scattered), written into the reused buffer `out`; exposed for tests
+  /// and the CEW subclass.
+  const std::string& BuildKeyName(uint64_t key_num, std::string* out) const;
 
   /// Reads detected as corrupted when `dataintegrity=true` (values are
   /// deterministic functions of key+field, re-derived and compared on every
@@ -168,22 +169,23 @@ class CoreWorkload : public Workload {
   /// Draws a key number guaranteed to be <= the highest acknowledged insert.
   uint64_t NextKeyNum(Random64& rng);
 
-  /// Builds a full set of `fieldcount` field values for `key` (random, or
-  /// deterministic when data integrity checking is on).
-  FieldMap BuildValues(Random64& rng, const std::string& key);
+  /// Builds a full set of `fieldcount` field values for `key` into `out`
+  /// (random, or deterministic when data integrity checking is on).
+  void BuildValues(ThreadState* state, std::string_view key, FieldMap* out);
   /// Builds new value(s) for an update of `key` (one field, or all when
-  /// `writeallfields`).
-  FieldMap BuildUpdate(Random64& rng, const std::string& key);
+  /// `writeallfields`) into `out`.
+  void BuildUpdate(ThreadState* state, std::string_view key, FieldMap* out);
+  /// One field value into `out` (from `rng`, or deterministic).
+  void FieldValue(Random64& rng, std::string_view key, std::string_view field,
+                  std::string* out);
 
-  /// The deterministic expected value of one field (dataintegrity mode).
-  std::string DeterministicValue(const std::string& key,
-                                 const std::string& field) const;
+  /// A read's projection: nullptr (`readallfields`) or one drawn field.
+  const std::vector<std::string>* NextProjection(Random64& rng) const;
 
   /// Verifies a read record against the deterministic expectation; counts
   /// and returns false on mismatch.  No-op (true) when integrity is off.
-  bool VerifyRecord(const std::string& key, const FieldMap& record);
+  bool VerifyRecord(std::string_view key, const FieldMap& record);
 
-  std::string RandomString(Random64& rng, size_t length) const;
   size_t NextFieldLength(Random64& rng);
 
   std::string table_ = "usertable";
@@ -210,6 +212,8 @@ class CoreWorkload : public Workload {
   std::unique_ptr<IntegerGenerator> batch_size_chooser_;
   std::unique_ptr<IntegerGenerator> field_length_generator_;
   std::vector<std::string> field_names_;
+  /// {field_names_[i]} for each i, read-only: the one-field projections.
+  std::vector<std::vector<std::string>> single_fields_;
 };
 
 }  // namespace core

@@ -1,7 +1,18 @@
 #include "core/workload.h"
 
+#include <charconv>
+
 namespace ycsbt {
 namespace core {
+
+bool ParseBalanceText(std::string_view text, int64_t* balance) {
+  const char* end = text.data() + text.size();
+  int64_t value = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *balance = value;
+  return true;
+}
 
 std::unique_ptr<Workload::ThreadState> Workload::InitThread(int thread_id,
                                                             int /*thread_count*/) {

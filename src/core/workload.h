@@ -1,8 +1,11 @@
 #ifndef YCSBT_CORE_WORKLOAD_H_
 #define YCSBT_CORE_WORKLOAD_H_
 
+#include <charconv>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,6 +39,21 @@ struct TxnOpResult {
   const char* op = "UNKNOWN";
 };
 
+/// A balance as the bank workloads (CEW, write skew) store it: the decimal
+/// text `std::to_string` writes, formatted into an inline buffer instead of
+/// a fresh string.
+struct BalanceText {
+  explicit BalanceText(int64_t balance)
+      : len(static_cast<size_t>(std::to_chars(buf, std::end(buf), balance).ptr - buf)) {}
+  std::string_view view() const { return {buf, len}; }
+
+  char buf[20];  // fits "-9223372036854775808"
+  size_t len;
+};
+
+/// Parses balance text: all of `text` must be one in-range decimal integer.
+bool ParseBalanceText(std::string_view text, int64_t* balance);
+
 /// Base class of YCSB/YCSB+T workloads (paper Fig 1).
 ///
 /// The workload defines what one *insert* (load phase) and one *transaction*
@@ -63,6 +81,14 @@ class Workload {
     /// consumed by the next `DoTransaction` call, so peeking never perturbs
     /// the deterministic op/key streams.  Null = nothing pending.
     const char* peeked_op = nullptr;
+
+    /// Reused operation buffers: one workload instance serves every client
+    /// thread, so they live here, and once grown they stop allocating.
+    std::string key;
+    std::string value;
+    FieldMap row;
+    std::vector<std::string> keys;
+    std::vector<MultiReadRow> rows;
   };
 
   /// Reads workload parameters.  Called once before any thread starts.

@@ -1,9 +1,7 @@
 #include "core/write_skew_workload.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/core_workload.h"
 #include "generator/uniform_generator.h"
@@ -16,20 +14,11 @@ namespace {
 constexpr char kField[] = "balance";
 
 bool ParseBalance(const FieldMap& fields, int64_t* out) {
-  auto it = fields.find(kField);
-  if (it == fields.end()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
+  return ParseBalanceText(fields.Get(kField), out);
 }
 
 FieldMap BalanceRecord(int64_t balance) {
-  FieldMap fields;
-  fields[kField] = std::to_string(balance);
-  return fields;
+  return FieldMap{{kField, BalanceText(balance).view()}};
 }
 
 }  // namespace

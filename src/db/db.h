@@ -1,9 +1,11 @@
 #ifndef YCSBT_DB_DB_H_
 #define YCSBT_DB_DB_H_
 
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/properties.h"
@@ -11,8 +13,66 @@
 
 namespace ycsbt {
 
-/// A record: field name -> field value (ordered for deterministic encoding).
-using FieldMap = std::map<std::string, std::string>;
+/// A record: field name -> field value, held as one flat row (DESIGN.md §20):
+/// one reusable buffer holding the record in `EncodeFields`'s wire format,
+/// fields in name order, plus the offset of each field in it.  A row reused
+/// across operations stops allocating once its buffers have grown.
+/// Iteration yields {name, value} `std::string_view` pairs into the buffer;
+/// every view (also from `Get`) is valid until the row's next decode or
+/// mutation.
+class FieldMap {
+ public:
+  using Field = std::pair<std::string_view, std::string_view>;
+
+  struct const_iterator {
+    const FieldMap* row;
+    size_t i;
+    Field operator*() const { return row->At(row->offsets_[i]); }
+    const_iterator& operator++() { return ++i, *this; }
+    bool operator!=(const const_iterator& o) const { return i != o.i; }
+  };
+
+  FieldMap() { clear(); }
+  FieldMap(std::initializer_list<Field> fields) : FieldMap() {
+    for (const auto& [name, value] : fields) Set(name, value);
+  }
+
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, offsets_.size()}; }
+  size_t size() const { return offsets_.size(); }
+  bool empty() const { return offsets_.empty(); }
+  bool contains(std::string_view name) const {
+    size_t i = LowerBound(name);
+    return i < size() && At(offsets_[i]).first == name;
+  }
+
+  /// The value of `name`; empty when the row has no such field.
+  std::string_view Get(std::string_view name) const {
+    return contains(name) ? At(offsets_[LowerBound(name)]).second : std::string_view();
+  }
+
+  /// Inserts `name` in name order, or replaces its value in place.  Neither
+  /// argument may view this row's own bytes.
+  void Set(std::string_view name, std::string_view value);
+
+  /// Drops every field; the buffers keep their capacity.
+  void clear();
+
+  /// The record in wire format (what `EncodeFields` returns).
+  std::string_view encoded() const { return buf_; }
+
+  bool operator==(const FieldMap& o) const { return buf_ == o.buf_; }
+
+ private:
+  /// The field whose entry (name, then value, each length-prefixed) starts
+  /// at `buf_[off]`.
+  Field At(size_t off) const;
+  /// Index of the first field whose name is not below `name`.
+  size_t LowerBound(std::string_view name) const;
+
+  std::string buf_;
+  std::vector<size_t> offsets_;  ///< where each field's entry starts, in name order
+};
 
 /// One row of a scan result.  Unlike the Java YCSB scan (which drops keys),
 /// rows carry their key so the YCSB+T validation stage can paginate a full
@@ -60,10 +120,11 @@ class DB {
                          const std::vector<std::string>& keys,
                          const std::vector<std::string>* fields,
                          std::vector<MultiReadRow>* rows) {
-    rows->clear();
-    rows->resize(keys.size());
+    rows->resize(keys.size());  // rows keep their buffers across calls
     for (size_t i = 0; i < keys.size(); ++i) {
-      (*rows)[i].status = Read(table, keys[i], fields, &(*rows)[i].fields);
+      MultiReadRow& row = (*rows)[i];
+      row.fields.clear();
+      row.status = Read(table, keys[i], fields, &row.fields);
     }
   }
 

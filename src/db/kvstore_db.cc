@@ -6,30 +6,19 @@ namespace ycsbt {
 
 Status KvStoreDB::Read(const std::string& table, const std::string& key,
                        const std::vector<std::string>* fields, FieldMap* result) {
-  std::string data;
-  Status s = store_->Get(ComposeKey(table, key), &data);
+  Status s = store_->Get(ComposeKey(table, key, &key_), &raw_);
   if (!s.ok()) return s;
-  return DecodeFieldsProjected(data, fields, result);
+  return DecodeFields(raw_, result, fields);
 }
 
 void KvStoreDB::MultiRead(const std::string& table,
                           const std::vector<std::string>& keys,
                           const std::vector<std::string>* fields,
                           std::vector<MultiReadRow>* rows) {
-  std::vector<std::string> composed;
-  composed.reserve(keys.size());
-  for (const auto& key : keys) composed.push_back(ComposeKey(table, key));
-  std::vector<kv::MultiGetResult> raw;
-  store_->MultiGet(composed, &raw);
-  rows->clear();
-  rows->resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    MultiReadRow& row = (*rows)[i];
-    row.status = raw[i].status;
-    if (row.status.ok()) {
-      row.status = DecodeFieldsProjected(raw[i].value, fields, &row.fields);
-    }
-  }
+  keys_.resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) ComposeKey(table, keys[i], &keys_[i]);
+  store_->MultiGet(keys_, &raw_rows_);
+  DecodeRows(raw_rows_, fields, rows);
 }
 
 Status KvStoreDB::Scan(const std::string& table, const std::string& start_key,
@@ -37,18 +26,9 @@ Status KvStoreDB::Scan(const std::string& table, const std::string& start_key,
                        std::vector<ScanRow>* result) {
   result->clear();
   std::vector<kv::ScanEntry> entries;
-  std::string prefix = table + "/";
   Status s = store_->Scan(ComposeKey(table, start_key), record_count, &entries);
   if (!s.ok()) return s;
-  for (const auto& entry : entries) {
-    if (entry.key.compare(0, prefix.size(), prefix) != 0) break;  // next table
-    ScanRow row;
-    row.key = entry.key.substr(prefix.size());
-    s = DecodeFieldsProjected(entry.value, fields, &row.fields);
-    if (!s.ok()) return s;
-    result->push_back(std::move(row));
-  }
-  return Status::OK();
+  return DecodeScanRows(table, entries, fields, result);
 }
 
 Status KvStoreDB::Update(const std::string& table, const std::string& key,
@@ -57,19 +37,17 @@ Status KvStoreDB::Update(const std::string& table, const std::string& key,
   // read-merge-write below is NOT atomic — precisely the behaviour of a
   // record layer over a plain key-value store, and the source of the
   // anomalies Tier 6 detects when updates race.
-  std::string composed = ComposeKey(table, key);
-  std::string existing;
-  Status s = store_->Get(composed, &existing);
+  ComposeKey(table, key, &key_);
+  Status s = store_->Get(key_, &raw_);
   if (!s.ok()) return s;
-  std::string merged;
-  s = MergeFields(existing, values, &merged);
+  s = MergeFields(raw_, values, &merged_);
   if (!s.ok()) return s;
-  return store_->Put(composed, merged);
+  return store_->Put(key_, merged_.encoded());
 }
 
 Status KvStoreDB::Insert(const std::string& table, const std::string& key,
                          const FieldMap& values) {
-  return store_->Put(ComposeKey(table, key), EncodeFields(values));
+  return store_->Put(ComposeKey(table, key, &key_), values.encoded());
 }
 
 void KvStoreDB::BatchInsert(const std::string& table,
@@ -92,7 +70,7 @@ void KvStoreDB::BatchInsert(const std::string& table,
 }
 
 Status KvStoreDB::Delete(const std::string& table, const std::string& key) {
-  return store_->Delete(ComposeKey(table, key));
+  return store_->Delete(ComposeKey(table, key, &key_));
 }
 
 }  // namespace ycsbt

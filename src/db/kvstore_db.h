@@ -50,9 +50,20 @@ class KvStoreDB : public DB {
   static std::string ComposeKey(const std::string& table, const std::string& key) {
     return table + "/" + key;
   }
+  /// The same layout, written into a reused buffer.
+  static const std::string& ComposeKey(const std::string& table,
+                                       const std::string& key, std::string* out) {
+    return out->assign(table).append(1, '/').append(key);
+  }
 
  private:
   std::shared_ptr<kv::Store> store_;
+  // Per-client buffers (one binding per client thread), reused by every call.
+  std::string key_;
+  std::string raw_;
+  FieldMap merged_;
+  std::vector<std::string> keys_;
+  std::vector<kv::MultiGetResult> raw_rows_;
 };
 
 }  // namespace ycsbt

@@ -12,10 +12,9 @@ Status TxnDB::ReadRaw(const std::string& composed, std::string* value) {
 
 Status TxnDB::Read(const std::string& table, const std::string& key,
                    const std::vector<std::string>* fields, FieldMap* result) {
-  std::string data;
-  Status s = ReadRaw(KvStoreDB::ComposeKey(table, key), &data);
+  Status s = ReadRaw(KvStoreDB::ComposeKey(table, key, &key_), &raw_);
   if (!s.ok()) return s;
-  return DecodeFieldsProjected(data, fields, result);
+  return DecodeFields(raw_, result, fields);
 }
 
 void TxnDB::MultiRead(const std::string& table,
@@ -27,22 +26,10 @@ void TxnDB::MultiRead(const std::string& table,
     DB::MultiRead(table, keys, fields, rows);
     return;
   }
-  std::vector<std::string> composed;
-  composed.reserve(keys.size());
-  for (const auto& key : keys) {
-    composed.push_back(KvStoreDB::ComposeKey(table, key));
-  }
-  std::vector<txn::TxReadResult> raw;
-  txn_->MultiRead(composed, &raw);
-  rows->clear();
-  rows->resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    MultiReadRow& row = (*rows)[i];
-    row.status = raw[i].status;
-    if (row.status.ok()) {
-      row.status = DecodeFieldsProjected(raw[i].value, fields, &row.fields);
-    }
-  }
+  keys_.resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) KvStoreDB::ComposeKey(table, keys[i], &keys_[i]);
+  txn_->MultiRead(keys_, &raw_rows_);
+  DecodeRows(raw_rows_, fields, rows);
 }
 
 Status TxnDB::Scan(const std::string& table, const std::string& start_key,
@@ -50,20 +37,11 @@ Status TxnDB::Scan(const std::string& table, const std::string& start_key,
                    std::vector<ScanRow>* result) {
   result->clear();
   std::vector<txn::TxScanEntry> entries;
-  std::string prefix = table + "/";
   std::string composed = KvStoreDB::ComposeKey(table, start_key);
   Status s = txn_ != nullptr ? txn_->Scan(composed, record_count, &entries)
                              : kv_->ScanCommitted(composed, record_count, &entries);
   if (!s.ok()) return s;
-  for (const auto& entry : entries) {
-    if (entry.key.compare(0, prefix.size(), prefix) != 0) break;
-    ScanRow row;
-    row.key = entry.key.substr(prefix.size());
-    s = DecodeFieldsProjected(entry.value, fields, &row.fields);
-    if (!s.ok()) return s;
-    result->push_back(std::move(row));
-  }
-  return Status::OK();
+  return DecodeScanRows(table, entries, fields, result);
 }
 
 Status TxnDB::Update(const std::string& table, const std::string& key,
@@ -71,23 +49,20 @@ Status TxnDB::Update(const std::string& table, const std::string& key,
   // Read-merge-write; inside a transaction the read joins the read set and
   // the merged record lands in the write buffer, so the whole update is
   // atomic at commit.
-  std::string composed = KvStoreDB::ComposeKey(table, key);
-  std::string existing;
-  Status s = ReadRaw(composed, &existing);
+  KvStoreDB::ComposeKey(table, key, &key_);
+  Status s = ReadRaw(key_, &raw_);
   if (!s.ok()) return s;
-  std::string merged;
-  s = MergeFields(existing, values, &merged);
+  s = MergeFields(raw_, values, &merged_);
   if (!s.ok()) return s;
-  if (txn_ != nullptr) return txn_->Write(composed, merged);
-  return kv_->LoadPut(composed, merged);
+  if (txn_ != nullptr) return txn_->Write(key_, merged_.encoded());
+  return kv_->LoadPut(key_, merged_.encoded());
 }
 
 Status TxnDB::Insert(const std::string& table, const std::string& key,
                      const FieldMap& values) {
-  std::string composed = KvStoreDB::ComposeKey(table, key);
-  std::string encoded = EncodeFields(values);
-  if (txn_ != nullptr) return txn_->Write(composed, encoded);
-  return kv_->LoadPut(composed, encoded);
+  KvStoreDB::ComposeKey(table, key, &key_);
+  if (txn_ != nullptr) return txn_->Write(key_, values.encoded());
+  return kv_->LoadPut(key_, values.encoded());
 }
 
 void TxnDB::BatchInsert(const std::string& table,
@@ -100,15 +75,14 @@ void TxnDB::BatchInsert(const std::string& table,
   statuses->clear();
   statuses->resize(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    std::string composed = KvStoreDB::ComposeKey(table, keys[i]);
-    std::string encoded = EncodeFields(values[i]);
-    (*statuses)[i] = txn_ != nullptr ? txn_->Write(composed, encoded)
-                                     : kv_->LoadPut(composed, encoded);
+    KvStoreDB::ComposeKey(table, keys[i], &key_);
+    (*statuses)[i] = txn_ != nullptr ? txn_->Write(key_, values[i].encoded())
+                                     : kv_->LoadPut(key_, values[i].encoded());
   }
 }
 
 Status TxnDB::Delete(const std::string& table, const std::string& key) {
-  std::string composed = KvStoreDB::ComposeKey(table, key);
+  const std::string& composed = KvStoreDB::ComposeKey(table, key, &key_);
   if (txn_ != nullptr) return txn_->Delete(composed);
   // Auto-commit delete: a one-op transaction.
   auto txn = kv_->Begin();

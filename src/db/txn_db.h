@@ -51,6 +51,12 @@ class TxnDB : public DB {
 
   std::shared_ptr<txn::TransactionalKV> kv_;
   std::unique_ptr<txn::Transaction> txn_;  // active transaction, if any
+  // Per-client buffers (one binding per client thread), reused by every call.
+  std::string key_;
+  std::string raw_;
+  FieldMap merged_;
+  std::vector<std::string> keys_;
+  std::vector<txn::TxReadResult> raw_rows_;
 };
 
 }  // namespace ycsbt

@@ -47,10 +47,12 @@ inline constexpr PropertyDecl kReadFlipRate = DoubleProperty(
     "seeded per-read chance of one bit flip at a seeded offset");
 inline constexpr PropertyDecl kReadFlipFile = StringProperty(
     "storage.fault.read_flip_file", "", "substring filter for flips (empty = all files)");
-/// `wal_frame_mid`, `wal_pre_sync`, `wal_post_sync`, `ckpt_pre_rename`,
-/// `ckpt_post_rename_pre_trunc`, `ckpt_post_trunc`, ...
-inline constexpr PropertyDecl kCrashPoint = StringProperty(
-    "storage.fault.crash_point", "",
+/// Every `MaybeCrashPoint` name in the engine, plus "" for none.
+inline constexpr std::string_view kStorageCrashPoints[] = {
+    "", "wal_pre_sync", "wal_post_sync", "ckpt_pre_rename",
+    "ckpt_post_rename_pre_trunc", "ckpt_post_trunc"};
+inline constexpr PropertyDecl kCrashPoint = EnumProperty(
+    "storage.fault.crash_point", "", kStorageCrashPoints,
     "named point at which the env freezes all file state");
 inline constexpr PropertyDecl kCrashPointPass = UintProperty(
     "storage.fault.crash_point_pass", 1, 1, kNoLimit,

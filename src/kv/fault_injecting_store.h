@@ -35,8 +35,8 @@ inline constexpr PropertyDecl kFaultLostReplyRate = DoubleProperty(
 inline constexpr PropertyDecl kFaultCrashRate = DoubleProperty(
     "fault.crash_rate", 0.0, 0.0, 1.0,
     "probability per enabled commit-pipeline crash point");
-inline constexpr PropertyDecl kFaultCrashPoints = StringProperty(
-    "fault.crash_points", "",
+inline constexpr PropertyDecl kFaultCrashPoints = ListProperty(
+    "fault.crash_points", "", kCrashPointTokens,
     "comma list of after_lock_puts, after_tsr_put (alias before_roll_forward), "
     "mid_roll_forward, before_tsr_delete, or all");
 inline constexpr const PropertyDecl* kFaultProperties[] = {

@@ -1,6 +1,7 @@
 #ifndef YCSBT_KV_SKIPLIST_H_
 #define YCSBT_KV_SKIPLIST_H_
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -96,6 +97,11 @@ class SkipList {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+
+  /// Grows the point index, once, to hold `keys` keys without re-slotting.
+  void ReserveIndex(size_t keys) {
+    if (2 * keys > index_.size()) Regrow(std::bit_ceil(2 * keys));
+  }
 
   /// Forward iterator positioned by `SeekToFirst`/`Seek`; the usual memtable
   /// iteration interface.  Invalidated by any mutation of the list.
@@ -220,15 +226,16 @@ class SkipList {
 
   /// Adds a node not yet in the index and counts it.
   void IndexInsert(Node* node) {
-    if (2 * (size_ + 1) > index_.size()) {
-      std::vector<Node*> old =
-          std::exchange(index_, std::vector<Node*>(index_.size() * 2, nullptr));
-      for (Node* n : old) {
-        if (n != nullptr) Place(n);
-      }
-    }
+    if (2 * (size_ + 1) > index_.size()) Regrow(index_.size() * 2);
     Place(node);
     ++size_;
+  }
+
+  void Regrow(size_t slots) {
+    std::vector<Node*> old = std::exchange(index_, std::vector<Node*>(slots, nullptr));
+    for (Node* n : old) {
+      if (n != nullptr) Place(n);
+    }
   }
 
   void Place(Node* node) {
@@ -283,6 +290,9 @@ class SkipList {
     /// Inserts `key` with `value` (overwriting on an equal key).
     /// Returns true if the key was newly inserted.
     bool Insert(std::string_view key, V value) {
+      // Start loading the index slot (a random line) under the walk below.
+      const uint64_t hash = Hash(key);
+      __builtin_prefetch(&list_->index_[hash & (list_->index_.size() - 1)], 1);
       if (!primed_) {
         // First insert: a regular top-down descent to position the splice
         // frontier.  The per-level resume below starts each level from its
@@ -309,7 +319,7 @@ class SkipList {
         node->value = std::move(value);
         return false;
       }
-      Node* fresh = NewNode(key, list_->RandomHeight(), Hash(key), std::move(value));
+      Node* fresh = NewNode(key, list_->RandomHeight(), hash, std::move(value));
       for (int i = 0; i < fresh->height; ++i) {
         fresh->next(i) = prev_[i]->next(i);
         prev_[i]->next(i) = fresh;

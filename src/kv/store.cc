@@ -342,6 +342,9 @@ Status ShardedStore::BulkLoad(
   cursors.reserve(shards_.size());
   for (auto& shard : shards_) {
     locks.emplace_back(shard->mu);
+    // One index growth for the run, not one re-slotting per doubling.
+    shard->map.ReserveIndex(shard->map.size() +
+                            sorted_records.size() / shards_.size() * 9 / 8);
     cursors.emplace_back(&shard->map);
   }
   // A contiguous etag range, record i carrying first + i, so replay and

@@ -160,10 +160,11 @@ class Transaction {
   /// semantically-equivalent sequential loop.
   virtual void MultiRead(const std::vector<std::string>& keys,
                          std::vector<TxReadResult>* results) {
-    results->clear();
-    results->resize(keys.size());
+    results->resize(keys.size());  // rows keep their buffers across calls
     for (size_t i = 0; i < keys.size(); ++i) {
-      (*results)[i].status = Read(keys[i], &(*results)[i].value);
+      TxReadResult& row = (*results)[i];
+      row.value.clear();
+      row.status = Read(keys[i], &row.value);
     }
   }
 

@@ -156,6 +156,7 @@ TEST(PropertySchemaTest, EveryDeclarationIsWellFormed) {
           EXPECT_TRUE(d->number == 0 || d->number == 1);
           break;
         case PropertyType::kEnum:
+        case PropertyType::kList:
           EXPECT_FALSE(d->choices.empty());
           EXPECT_TRUE(d->Check(d->name, d->text).ok()) << "default not allowed";
           break;

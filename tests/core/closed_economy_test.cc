@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "db/field_codec.h"
 #include "db/kvstore_db.h"
@@ -39,6 +41,20 @@ class ClosedEconomyTest : public ::testing::Test {
     return -1;
   }
 };
+
+TEST(BalanceTextTest, MatchesToStringAndRejectsMalformedText) {
+  for (int64_t v : {INT64_MIN, int64_t{-1}, int64_t{0}, INT64_MAX}) {
+    EXPECT_EQ(BalanceText(v).view(), std::to_string(v));
+    int64_t parsed = 7;
+    ASSERT_TRUE(ParseBalanceText(std::to_string(v), &parsed));
+    EXPECT_EQ(parsed, v);
+  }
+  for (const char* bad : {"12x", "", "99999999999999999999"}) {
+    int64_t parsed = 7;
+    EXPECT_FALSE(ParseBalanceText(bad, &parsed)) << bad;
+    EXPECT_EQ(parsed, 7) << bad;
+  }
+}
 
 TEST_F(ClosedEconomyTest, InitDefaultsMatchThePaper) {
   ClosedEconomyWorkload w;
@@ -189,8 +205,8 @@ TEST_F(ClosedEconomyTest, ValidationDetectsTampering) {
   ASSERT_EQ(entries.size(), 1u);
   FieldMap fields;
   ASSERT_TRUE(DecodeFields(entries[0].value, &fields).ok());
-  int64_t balance = std::stoll(fields["field0"]);
-  fields["field0"] = std::to_string(balance - 7);
+  int64_t balance = std::stoll(std::string(fields.Get("field0")));
+  fields.Set("field0", std::to_string(balance - 7));
   ASSERT_TRUE(store->Put(entries[0].key, EncodeFields(fields)).ok());
 
   ValidationResult result;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -38,17 +40,38 @@ TEST(CoreWorkloadTest, HashedVsOrderedKeys) {
   ASSERT_TRUE(hashed.Init(Props({{"insertorder", "hashed"}})).ok());
   CoreWorkload ordered;
   ASSERT_TRUE(ordered.Init(Props({{"insertorder", "ordered"}})).ok());
-  EXPECT_EQ(ordered.BuildKeyName(7), "user7");
-  EXPECT_NE(hashed.BuildKeyName(7), "user7");
+  std::string k1, k2;
+  EXPECT_EQ(ordered.BuildKeyName(7, &k1), "user7");
+  EXPECT_NE(hashed.BuildKeyName(7, &k1), "user7");
   // Deterministic either way.
-  EXPECT_EQ(hashed.BuildKeyName(7), hashed.BuildKeyName(7));
+  EXPECT_EQ(hashed.BuildKeyName(7, &k1), hashed.BuildKeyName(7, &k2));
 }
 
 TEST(CoreWorkloadTest, ZeroPaddingWidensKeys) {
   CoreWorkload w;
   ASSERT_TRUE(
       w.Init(Props({{"insertorder", "ordered"}, {"zeropadding", "8"}})).ok());
-  EXPECT_EQ(w.BuildKeyName(42), "user00000042");
+  std::string key;
+  EXPECT_EQ(w.BuildKeyName(42, &key), "user00000042");
+}
+
+TEST(CoreWorkloadTest, KeyNamesMatchThePrintfForm) {
+  for (const char* order : {"hashed", "ordered"}) {
+    for (int padding : {1, 8, 25, 40}) {
+      CoreWorkload w;
+      ASSERT_TRUE(w.Init(Props({{"insertorder", order},
+                                {"zeropadding", std::to_string(padding)}}))
+                      .ok());
+      for (uint64_t n : {uint64_t{0}, uint64_t{42}, UINT64_MAX}) {
+        uint64_t printed = std::string(order) == "hashed" ? FNVHash64(n) : n;
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%0*" PRIu64, padding, printed);
+        std::string reused = "stale contents of a reused buffer";
+        EXPECT_EQ(w.BuildKeyName(n, &reused), "user" + std::string(buf))
+            << order << padding;
+      }
+    }
+  }
 }
 
 TEST(CoreWorkloadTest, LoadPhaseInsertsExactlyRecordcountDistinctKeys) {
@@ -156,7 +179,7 @@ TEST(CoreWorkloadTest, FieldLengthDistributionsRespectBounds) {
     FieldMap fields;
     ASSERT_TRUE(DecodeFields(entries[0].value, &fields).ok());
     ASSERT_EQ(fields.size(), 3u);
-    for (auto& [name, value] : fields) {
+    for (const auto& [name, value] : fields) {
       EXPECT_LE(value.size(), 64u) << dist;
       if (std::string(dist) != "constant") {
         EXPECT_GE(value.size(), 1u);
@@ -212,7 +235,10 @@ TEST(CoreWorkloadTest, DataIntegrityDetectsCorruption) {
   for (const auto& entry : entries) {
     FieldMap fields;
     ASSERT_TRUE(DecodeFields(entry.value, &fields).ok());
-    fields.begin()->second[0] ^= 1;
+    auto [name, value] = *fields.begin();
+    std::string flipped(value);
+    flipped[0] ^= 1;
+    fields.Set(std::string(name), flipped);
     ASSERT_TRUE(store->Put(entry.key, EncodeFields(fields)).ok());
   }
 

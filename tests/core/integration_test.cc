@@ -234,6 +234,25 @@ TEST(IntegrationTest, MalformedValuesFailTheRunNamingTheKey) {
   }
 }
 
+TEST(IntegrationTest, MisspelledCrashPointsFailTheRunNamingTheKey) {
+  // Both keys used to accept any string; a misspelled point never fired.
+  for (const auto& [key, value] :
+       {std::pair{"fault.crash_points", "after_lock_put"},
+        std::pair{"fault.crash_points", "all, mid_roll_forwrd"},
+        std::pair{"storage.fault.crash_point", "wal_pre_synk"}}) {
+    Properties p;
+    p.Set("db", "memkv");
+    p.Set("recordcount", "10");
+    p.Set("operationcount", "10");
+    p.Set(key, value);
+    RunResult result;
+    Status s = RunBenchmark(p, &result);
+    EXPECT_TRUE(s.IsInvalidArgument()) << key << ": " << s.ToString();
+    EXPECT_NE(s.message().find(std::string("'") + key + "'"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST(IntegrationTest, OracleTimestampedTxnRunWorks) {
   Properties p = CewBase();
   p.Set("db", "txn+memkv");

@@ -92,7 +92,7 @@ TEST(WriteSkewWorkloadTest, ValidationDetectsPlantedViolation) {
   }
   // Force pair 2 negative behind the workload's back.
   FieldMap fields;
-  fields["balance"] = "-500";
+  fields.Set("balance", "-500");
   ASSERT_TRUE(db.Insert("skewtable", w.PairKey(2, 0), fields).ok());
 
   ValidationResult result;
@@ -124,8 +124,8 @@ TEST(WriteSkewWorkloadTest, SnapshotIsolationAdmitsSkewDeterministically) {
   TxnDB db1(store), db2(store);
   std::string kx = w.PairKey(0, 0), ky = w.PairKey(0, 1);
   FieldMap rx, ry, wx, wy;
-  wx["balance"] = "-100";  // withdraws the full combined balance (200) from x
-  wy["balance"] = "-100";  // and the other from y
+  wx.Set("balance", "-100");  // withdraws the full combined balance (200) from x
+  wy.Set("balance", "-100");  // and the other from y
   ASSERT_TRUE(db1.Start().ok());
   ASSERT_TRUE(db2.Start().ok());
   ASSERT_TRUE(db1.Read("skewtable", kx, nullptr, &rx).ok());
@@ -157,7 +157,7 @@ TEST(WriteSkewWorkloadTest, SerializableRejectsTheSameInterleaving) {
   TxnDB db1(store), db2(store);
   std::string kx = w.PairKey(0, 0), ky = w.PairKey(0, 1);
   FieldMap r, neg;
-  neg["balance"] = "-100";
+  neg.Set("balance", "-100");
   ASSERT_TRUE(db1.Start().ok());
   ASSERT_TRUE(db2.Start().ok());
   ASSERT_TRUE(db1.Read("skewtable", kx, nullptr, &r).ok());

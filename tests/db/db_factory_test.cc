@@ -42,7 +42,7 @@ TEST(DBFactoryTest, MemkvClientsShareTheStore) {
   ASSERT_TRUE(db1->Insert("t", "k", {{"f", "v"}}).ok());
   FieldMap result;
   ASSERT_TRUE(db2->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "v");
+  EXPECT_EQ(result.Get("f"), "v");
 }
 
 TEST(DBFactoryTest, InvalidTxnPropertiesRejected) {
@@ -66,7 +66,7 @@ TEST(DBFactoryTest, TxnBindingSharesOneTransactionalStore) {
   ASSERT_TRUE(db1->Commit().ok());
   FieldMap result;
   ASSERT_TRUE(db2->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "v");
+  EXPECT_EQ(result.Get("f"), "v");
   EXPECT_GE(factory.client_txn_store()->stats().commits, 1u);
 }
 
@@ -100,7 +100,7 @@ TEST(DBFactoryTest, TxnOverCloudComposes) {
   ASSERT_TRUE(db->Commit().ok());
   FieldMap result;
   ASSERT_TRUE(db->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "v");
+  EXPECT_EQ(result.Get("f"), "v");
 }
 
 TEST(DBFactoryTest, OracleTimestampsAccepted) {

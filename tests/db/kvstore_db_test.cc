@@ -35,7 +35,7 @@ TEST_F(KvStoreDBTest, ReadWithProjection) {
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", &fields, &result).ok());
   EXPECT_EQ(result.size(), 1u);
-  EXPECT_EQ(result["b"], "2");
+  EXPECT_EQ(result.Get("b"), "2");
 }
 
 TEST_F(KvStoreDBTest, UpdateMergesFields) {
@@ -43,8 +43,8 @@ TEST_F(KvStoreDBTest, UpdateMergesFields) {
   ASSERT_TRUE(db_->Update("t", "k", {{"b", "NEW"}}).ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["a"], "1");
-  EXPECT_EQ(result["b"], "NEW");
+  EXPECT_EQ(result.Get("a"), "1");
+  EXPECT_EQ(result.Get("b"), "NEW");
 }
 
 TEST_F(KvStoreDBTest, UpdateMissingIsNotFound) {
@@ -57,7 +57,7 @@ TEST_F(KvStoreDBTest, InsertOverwritesExisting) {
   ASSERT_TRUE(db_->Insert("t", "k", {{"a", "2"}}).ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["a"], "2");
+  EXPECT_EQ(result.Get("a"), "2");
 }
 
 TEST_F(KvStoreDBTest, DeleteRemoves) {
@@ -79,7 +79,7 @@ TEST_F(KvStoreDBTest, ScanReturnsOrderedRowsWithKeys) {
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_EQ(rows[0].key, "u005");
   EXPECT_EQ(rows[4].key, "u009");
-  EXPECT_EQ(rows[2].fields["n"], "7");
+  EXPECT_EQ(rows[2].fields.Get("n"), "7");
 }
 
 TEST_F(KvStoreDBTest, ScanStopsAtTableBoundary) {
@@ -97,8 +97,8 @@ TEST_F(KvStoreDBTest, TablesAreNamespaced) {
   FieldMap r1, r2;
   ASSERT_TRUE(db_->Read("t1", "k", nullptr, &r1).ok());
   ASSERT_TRUE(db_->Read("t2", "k", nullptr, &r2).ok());
-  EXPECT_EQ(r1["f"], "one");
-  EXPECT_EQ(r2["f"], "two");
+  EXPECT_EQ(r1.Get("f"), "one");
+  EXPECT_EQ(r2.Get("f"), "two");
 }
 
 TEST_F(KvStoreDBTest, TransactionMethodsAreBackwardCompatibleNoOps) {

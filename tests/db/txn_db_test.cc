@@ -29,10 +29,10 @@ TEST_F(TxnDBTest, AutoCommitOpsWorkOutsideTransactions) {
   ASSERT_TRUE(db_->Insert("t", "k", {{"f", "v"}}).ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "v");
+  EXPECT_EQ(result.Get("f"), "v");
   ASSERT_TRUE(db_->Update("t", "k", {{"f", "w"}}).ok());
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "w");
+  EXPECT_EQ(result.Get("f"), "w");
   ASSERT_TRUE(db_->Delete("t", "k").ok());
   EXPECT_TRUE(db_->Read("t", "k", nullptr, &result).IsNotFound());
 }
@@ -45,9 +45,9 @@ TEST_F(TxnDBTest, CommittedTransactionIsAtomic) {
   ASSERT_TRUE(db_->Commit().ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "a", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "2");
+  EXPECT_EQ(result.Get("f"), "2");
   ASSERT_TRUE(db_->Read("t", "b", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "3");
+  EXPECT_EQ(result.Get("f"), "3");
 }
 
 TEST_F(TxnDBTest, AbortRollsBackEverything) {
@@ -59,7 +59,7 @@ TEST_F(TxnDBTest, AbortRollsBackEverything) {
   ASSERT_TRUE(db_->Abort().ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "a", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "1");
+  EXPECT_EQ(result.Get("f"), "1");
   EXPECT_TRUE(db_->Read("t", "b", nullptr, &result).IsNotFound());
 }
 
@@ -69,7 +69,7 @@ TEST_F(TxnDBTest, ReadYourWritesInsideTransaction) {
   ASSERT_TRUE(db_->Update("t", "k", {{"f", "new"}}).ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "new");
+  EXPECT_EQ(result.Get("f"), "new");
   ASSERT_TRUE(db_->Commit().ok());
 }
 
@@ -80,8 +80,8 @@ TEST_F(TxnDBTest, UpdateInsideTxnMergesAtomically) {
   ASSERT_TRUE(db_->Commit().ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["a"], "1");
-  EXPECT_EQ(result["b"], "NEW");
+  EXPECT_EQ(result.Get("a"), "1");
+  EXPECT_EQ(result.Get("b"), "NEW");
 }
 
 TEST_F(TxnDBTest, StateMachineGuards) {
@@ -125,7 +125,7 @@ TEST_F(TxnDBTest, CommitFailurePropagatesConflict) {
   EXPECT_TRUE(s.IsRetryable());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "mine");
+  EXPECT_EQ(result.Get("f"), "mine");
 }
 
 TEST_F(TxnDBTest, HandleIsReusableAfterFailedCommit) {
@@ -146,7 +146,7 @@ TEST_F(TxnDBTest, HandleIsReusableAfterFailedCommit) {
   ASSERT_TRUE(other.Commit().ok());
   FieldMap result;
   ASSERT_TRUE(db_->Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "retry");
+  EXPECT_EQ(result.Get("f"), "retry");
 
   // Same guarantee after an explicit abort.
   ASSERT_TRUE(other.Start().ok());
@@ -166,7 +166,7 @@ TEST_F(TxnDBTest, WorksWithLocal2PLEngine) {
   ASSERT_TRUE(db.Abort().ok());
   FieldMap result;
   ASSERT_TRUE(db.Read("t", "k", nullptr, &result).ok());
-  EXPECT_EQ(result["f"], "1");
+  EXPECT_EQ(result.Get("f"), "1");
 }
 
 }  // namespace

@@ -271,6 +271,17 @@ TEST_F(FaultEnvTest, SameSeedSameStreamSameSchedule) {
   EXPECT_NE(first.find('a'), std::string::npos);
 }
 
+TEST_F(FaultEnvTest, EveryEngineCrashPointNameValidates) {
+  // The names the engine passes to MaybeCrashPoint, which the torture sweep
+  // arms.
+  for (const char* point : {"wal_pre_sync", "wal_post_sync", "ckpt_pre_rename",
+                            "ckpt_post_rename_pre_trunc", "ckpt_post_trunc"}) {
+    EXPECT_TRUE(kCrashPoint.Check(kCrashPoint.name, point).ok()) << point;
+  }
+  EXPECT_TRUE(kCrashPoint.Check(kCrashPoint.name, "").ok());
+  EXPECT_TRUE(kCrashPoint.Check(kCrashPoint.name, "wal_frame_mid").IsInvalidArgument());
+}
+
 TEST_F(FaultEnvTest, FromPropertiesReadsTheNamespace) {
   Properties props;
   props.Set("storage.fault.seed", "99");

@@ -63,6 +63,20 @@ TEST(FaultOptionsTest, AllCrashPointsToken) {
   }
 }
 
+TEST(FaultOptionsTest, CrashPointTokensAreTheDeclaredList) {
+  for (uint32_t i = 0; i < kCrashPointCount; ++i) {
+    CrashPoint p = static_cast<CrashPoint>(i);
+    EXPECT_EQ(ParseCrashPointToken(CrashPointName(p)), CrashPointBit(p));
+  }
+  EXPECT_EQ(ParseCrashPointToken("before_roll_forward"),
+            CrashPointBit(CrashPoint::kAfterTsrPut));
+  EXPECT_EQ(ParseCrashPointToken("after_lock_put"), 0u);
+  EXPECT_TRUE(
+      kFaultCrashPoints.Check(kFaultCrashPoints.name, "after_lock_puts, all").ok());
+  EXPECT_TRUE(kFaultCrashPoints.Check(kFaultCrashPoints.name, "after_lock_put")
+                  .IsInvalidArgument());
+}
+
 TEST(FaultOptionsTest, DefaultIsInert) {
   EXPECT_FALSE(FaultOptions::FromProperties(Properties()).Any());
 }

@@ -245,6 +245,26 @@ TEST(SkipListTest, SortedInserterKeysAreFindableAndErasable) {
   EXPECT_EQ(list.size(), 167u);
 }
 
+TEST(SkipListTest, ReservedIndexKeepsEveryKeyFindable) {
+  SkipList<int> list;
+  for (int i = 0; i < 100; ++i) list.Upsert(StrCat("key", 10000 + 2 * i), i);
+  list.ReserveIndex(3000);  // re-slots the 100 indexed nodes once
+  list.ReserveIndex(10);    // never shrinks
+  SkipList<int>::SortedInserter cursor(&list);
+  for (int i = 0; i < 1000; ++i) cursor.Insert(StrCat("key", 10000 + 2 * i + 1), -i);
+  ASSERT_EQ(list.size(), 1100u);
+  for (int i = 0; i < 100; ++i) {
+    const int* v = list.Find(StrCat("key", 10000 + 2 * i));
+    ASSERT_NE(v, nullptr) << i;
+    EXPECT_EQ(*v, i);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const int* v = list.Find(StrCat("key", 10000 + 2 * i + 1));
+    ASSERT_NE(v, nullptr) << i;
+    EXPECT_EQ(*v, -i);
+  }
+}
+
 TEST(SkipListTest, FindPointerIsStableAcrossOverwritesAndGrowth) {
   SkipList<std::string> list;
   list.Upsert("anchor", "v1");
