@@ -1,8 +1,9 @@
 // ycsbt_suite — the declarative suite orchestrator binary (DESIGN.md §11):
 // reads a suite file declaring a matrix of {config, mix, sweep, repeat}
 // runs, executes every expanded run through the benchmark driver, writes the
-// consolidated results tree and prints the roll-up table.  Replaces the
-// retired per-figure mains; their sweeps live in workloads/suites/.
+// consolidated results tree and prints the roll-up table with the suite's
+// `expect.` verdicts.  Every runner-shaped experiment of EXPERIMENTS.md is a
+// suite under workloads/suites/.
 //
 // Sweeps take any registered property, including dotted namespaces — e.g.
 // `sweep.arrival.rate=500,1000,2000` drives the open-loop offered-rate curve
@@ -11,8 +12,9 @@
 //   ycsbt_suite -S workloads/suites/fig2_cloud_throughput.suite
 //               [-o results/fig2] [-p base.threads=4] ...
 //
-// Exit status: 0 when every run succeeded, 1 on any failure (configuration,
-// load, run, or results-tree write), 2 on bad usage.
+// Exit status: 0 when every run succeeded and every expectation held, 1 on
+// any failure (configuration, load, run, results-tree write or a failed
+// expectation), 2 on bad usage.
 
 #include <cstdio>
 #include <cstring>
@@ -106,7 +108,8 @@ int main(int argc, char** argv) {
   std::vector<core::SuiteRunOutcome> outcomes;
   s = orchestrator.Execute(&outcomes);
 
-  std::printf("\n%s", core::SuiteOrchestrator::RollupTable(outcomes).c_str());
+  std::printf("\n%s", core::SuiteOrchestrator::RollupTable(
+                           outcomes, orchestrator.verdicts()).c_str());
   std::printf("\nresults tree: %s\n", orchestrator.spec().output_dir.c_str());
   if (!s.ok()) {
     std::fprintf(stderr, "%s: suite %s failed: %s\n", argv[0],

@@ -27,8 +27,7 @@ ycsbt::Properties CewProps(const char* db) {
   p.Set("threads", "8");
   // A modest simulated network hop widens the race window, as in the
   // paper's WiredTiger-behind-HTTP setup.
-  p.Set("rawhttp.latency_median_us", "300");
-  p.Set("rawhttp.latency_floor_us", "200");
+  p.Set("cloud.latency_scale", "0.2");  // ~290 us round trips
   return p;
 }
 

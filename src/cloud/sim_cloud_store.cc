@@ -37,6 +37,18 @@ CloudProfile CloudProfile::Gcs() {
   return p;
 }
 
+CloudProfile CloudProfile::Loopback() {
+  CloudProfile p;
+  p.name = "loopback";
+  p.read_latency_median_us = 1450.0;
+  p.write_latency_median_us = 1450.0;
+  p.latency_sigma = 0.35;
+  p.latency_floor_us = 1150.0;
+  p.container_rate_limit = 0.0;
+  p.client_serial_us_per_inflight = 0.0;
+  return p;
+}
+
 SimCloudStore::SimCloudStore(CloudProfile profile, std::shared_ptr<kv::Store> backing)
     : profile_(std::move(profile)),
       backing_(backing != nullptr
@@ -105,7 +117,7 @@ Status SimCloudStore::BeginRequest(bool is_write, const std::string& key) {
   //    Cost grows once the host runs more in-flight requests than it has
   //    contention-free capacity for — the Fig 2 degradation mechanism.
   //    Modelled as a single-server queue over a shared deadline.
-  {
+  if (profile_.client_serial_us_per_inflight > 0.0) {
     double serial_us = profile_.client_serial_us_per_inflight *
                        std::max(inflight, profile_.client_contention_free_threads);
     uint64_t serial_ns = static_cast<uint64_t>(serial_us * 1000.0);

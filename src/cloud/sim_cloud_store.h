@@ -19,7 +19,7 @@ class RpcExecutor;
 
 namespace cloud {
 
-/// Overrides of the `was`/`gcs` profile below.
+/// Overrides of the `was`/`gcs`/`rawhttp` profile below.
 inline constexpr PropertyDecl kCloudRateLimit = Derived(
     DoubleProperty("cloud.rate_limit", 0.0, 0.0, kNoLimit,
                    "requests/s one container sustains; 0 = uncapped"),
@@ -90,6 +90,10 @@ struct CloudProfile {
   static CloudProfile Was();
   /// Google Cloud Storage-like profile (slightly slower, higher cap).
   static CloudProfile Gcs();
+  /// The paper's WiredTiger behind a loopback Boost-ASIO HTTP server
+  /// (`rawhttp`): Listing 3's round trip (min ~1.2 ms, mean ~1.5 ms, long
+  /// tail), no rate cap and no client-serial cost.
+  static CloudProfile Loopback();
 
   /// `profile` with the `cloud.*` overrides above applied.
   static CloudProfile FromProperties(const Properties& props,

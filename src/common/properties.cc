@@ -1,23 +1,11 @@
 #include "common/properties.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
 
 #include "common/property_schema.h"
 
 namespace ycsbt {
-
-namespace {
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-}  // namespace
 
 void Properties::Set(std::string key, std::string value) {
   map_[std::move(key)] = std::move(value);

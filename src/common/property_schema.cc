@@ -11,8 +11,6 @@
 
 namespace ycsbt {
 
-namespace {
-
 std::string_view Trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
     s.remove_prefix(1);
@@ -22,6 +20,8 @@ std::string_view Trim(std::string_view s) {
   }
   return s;
 }
+
+namespace {
 
 template <typename T>
 std::optional<T> ParseWhole(std::string_view s) {
@@ -209,7 +209,9 @@ Status ValidatePropertiesAgainst(const Properties& props,
   for (const std::string& key : props.Keys()) {
     std::string_view inner = key;
     bool sweep = false;
-    if (ConsumePrefix(&inner, "sweep.")) {
+    if (ConsumePrefix(&inner, "expect.")) {
+      continue;  // a suite's checks, not a property; SuiteSpec::Parse reads them
+    } else if (ConsumePrefix(&inner, "sweep.")) {
       sweep = true;
     } else if (ConsumePrefix(&inner, "config.") || ConsumePrefix(&inner, "mix.")) {
       // config.<name>.<key> / mix.<name>.<key>: the axis name is free-form.

@@ -26,6 +26,9 @@ std::optional<uint64_t> ParseUint(std::string_view s);
 std::optional<double> ParseDouble(std::string_view s);
 std::optional<bool> ParseBool(std::string_view s);
 
+/// `s` without surrounding whitespace.
+std::string_view Trim(std::string_view s);
+
 /// Splits a comma list, trimming each entry and dropping empty ones.
 std::vector<std::string> SplitPropertyList(std::string_view list);
 
@@ -177,7 +180,8 @@ const PropertyDecl* FindPropertyDecl(std::span<const PropertyList> lists,
 
 /// Checks every key of `props` against `lists`, understanding the suite forms
 /// `base.<key>`, `config.<name>.<key>`, `mix.<name>.<key>` and `sweep.<key>`
-/// (each listed value checked).  Returns the first failing key's
+/// (each listed value checked); a suite's `expect.<label>` checks are left
+/// to `SuiteSpec::Parse`.  Returns the first failing key's
 /// InvalidArgument.  A key no list declares is not an error: it is warned
 /// about once per process, or returned in `unknown` when that is given.
 Status ValidatePropertiesAgainst(const Properties& props,

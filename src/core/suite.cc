@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 
 #include "common/logging.h"
 #include "core/benchmark.h"
@@ -52,6 +55,149 @@ std::string AxisLeaf(const std::string& key) {
   return dot == std::string::npos ? key : key.substr(dot + 1);
 }
 
+constexpr std::string_view kExpectPrefix = "expect.";
+constexpr std::string_view kExpectOps[] = {"==", "!=", "<=", ">=", "<", ">"};
+
+/// Parses one side of an expectation: a number, or `[<number> *]
+/// <run>:<metric>` where `runs` holds the names the suite expands to.
+Status ParseTerm(const std::string& key, std::string_view text,
+                 const std::set<std::string>& runs, SuiteExpectation::Term* out) {
+  auto bad = [&key](const std::string& why) {
+    return Status::InvalidArgument("suite key '" + key + "': " + why);
+  };
+  text = Trim(text);
+  if (text.empty()) return bad("empty term");
+  size_t colon = text.find(':');
+  if (colon == std::string_view::npos) {
+    std::optional<double> number = ParseDouble(text);
+    if (!number) {
+      return bad("'" + std::string(text) + "' is neither a number nor <run>:<metric>");
+    }
+    out->factor = *number;
+    return Status::OK();
+  }
+  size_t star = text.find('*');
+  if (star < colon) {
+    std::string_view factor = Trim(text.substr(0, star));
+    std::optional<double> number = ParseDouble(factor);
+    if (!number) return bad("non-numeric factor '" + std::string(factor) + "'");
+    out->factor = *number;
+    text = Trim(text.substr(star + 1));
+    colon = text.find(':');
+  }
+  out->run = std::string(Trim(text.substr(0, colon)));
+  out->metric = std::string(Trim(text.substr(colon + 1)));
+  if (runs.count(out->run) == 0) return bad("unknown run '" + out->run + "'");
+  if (out->metric.empty()) return bad("empty metric after '" + out->run + ":'");
+  return Status::OK();
+}
+
+/// Parses `expect.<label>=<term> <op> <term>`; the operator is the one
+/// whitespace-delimited token in `kExpectOps`.
+Status ParseExpectation(const std::string& key, const std::string& value,
+                        const std::set<std::string>& runs, SuiteExpectation* out) {
+  out->label = key.substr(kExpectPrefix.size());
+  out->expression = value;
+  if (out->label.empty()) return Status::InvalidArgument("empty expect. key");
+  std::string_view text = value;
+  size_t op_at = std::string_view::npos;
+  for (size_t pos = 0; (pos = text.find_first_not_of(" \t", pos)) != text.npos;) {
+    size_t end = std::min(text.find_first_of(" \t", pos), text.size());
+    std::string_view token = text.substr(pos, end - pos);
+    if (std::find(std::begin(kExpectOps), std::end(kExpectOps), token) !=
+        std::end(kExpectOps)) {
+      if (op_at != std::string_view::npos) {
+        return Status::InvalidArgument("suite key '" + key +
+                                       "': more than one comparison operator");
+      }
+      op_at = pos;
+      out->op = std::string(token);
+    }
+    pos = end;
+  }
+  if (op_at == std::string_view::npos) {
+    return Status::InvalidArgument(
+        "suite key '" + key + "': '" + value +
+        "' needs one of == != < <= > >=, spaced, between two terms");
+  }
+  Status s = ParseTerm(key, text.substr(0, op_at), runs, &out->lhs);
+  if (!s.ok()) return s;
+  return ParseTerm(key, text.substr(op_at + out->op.size()), runs, &out->rhs);
+}
+
+/// The number on `metric`'s line of a text export: the line whose fields
+/// before the last, joined by spaces, read `metric`.
+std::optional<double> ReportValue(std::string_view report, std::string_view metric) {
+  while (!report.empty()) {
+    size_t eol = std::min(report.find('\n'), report.size());
+    std::string_view line = report.substr(0, eol);
+    report.remove_prefix(std::min(eol + 1, report.size()));
+    size_t last = line.rfind(", ");
+    if (last == std::string_view::npos) continue;
+    std::string lead(line.substr(0, last));
+    for (size_t at = 0; (at = lead.find(", ", at)) != std::string::npos;) {
+      lead.replace(at, 2, " ");
+    }
+    if (lead == metric) return ParseDouble(line.substr(last + 2));
+  }
+  return std::nullopt;
+}
+
+bool Holds(double lhs, const std::string& op, double rhs) {
+  if (op == "==") return lhs == rhs;
+  if (op == "!=") return lhs != rhs;
+  if (op == "<") return lhs < rhs;
+  if (op == "<=") return lhs <= rhs;
+  if (op == ">") return lhs > rhs;
+  return lhs >= rhs;
+}
+
+/// Checks every expectation inside every repeat against the runs' reports.
+std::vector<SuiteVerdict> Evaluate(const SuiteSpec& spec,
+                                   const std::vector<SuiteRunOutcome>& outcomes) {
+  std::map<std::string, const SuiteRunOutcome*> by_name;
+  for (const auto& o : outcomes) by_name[o.run.name] = &o;
+  std::vector<SuiteVerdict> verdicts;
+  for (int repeat = 1; repeat <= spec.repeats; ++repeat) {
+    for (const SuiteExpectation& e : spec.expectations) {
+      SuiteVerdict v;
+      v.label = e.label;
+      v.expression = e.expression;
+      v.repeat = repeat;
+      auto side = [&](const SuiteExpectation::Term& term, double* value) {
+        *value = term.factor;
+        if (term.run.empty()) return true;
+        std::string name = term.run;
+        if (spec.repeats > 1) name += "_rep" + std::to_string(repeat);
+        auto it = by_name.find(name);
+        if (it == by_name.end() || !it->second->status.ok()) {
+          v.error = "run " + name + " did not complete";
+          return false;
+        }
+        std::optional<double> metric = ReportValue(it->second->report, term.metric);
+        if (!metric) {
+          v.error = "run " + name + " printed no numeric '" + term.metric + "' line";
+          return false;
+        }
+        *value *= *metric;
+        return true;
+      };
+      v.pass = side(e.lhs, &v.lhs) && side(e.rhs, &v.rhs) &&
+               Holds(v.lhs, e.op, v.rhs);
+      verdicts.push_back(std::move(v));
+    }
+  }
+  return verdicts;
+}
+
+/// `%.9g`, or null for a value a failed verdict never read.
+std::string JsonNumber(double v, bool known) {
+  if (!known || !std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
 Status WriteFile(const std::filesystem::path& path, const std::string& content) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return Status::IOError("cannot open " + path.string());
@@ -76,6 +222,7 @@ Status SuiteSpec::Parse(const Properties& file, SuiteSpec* out) {
   // so run naming and substrate grouping) is deterministic.
   std::map<std::string, Properties> configs;
   std::map<std::string, Properties> mixes;
+  std::vector<std::pair<std::string, std::string>> expects;
 
   for (const std::string& key : file.Keys()) {
     const std::string value = file.Get(key);
@@ -102,11 +249,13 @@ Status SuiteSpec::Parse(const Properties& file, SuiteSpec* out) {
         return Status::InvalidArgument("sweep '" + key + "' lists no values");
       }
       out->sweeps.emplace_back(key.substr(6), std::move(values));
+    } else if (key.rfind(kExpectPrefix, 0) == 0) {
+      expects.emplace_back(key, value);  // parsed once the runs are known
     } else {
       return Status::InvalidArgument(
           "unrecognised suite key '" + key +
           "' (run properties need a base. / config.<name>. / mix.<name>. / "
-          "sweep. prefix)");
+          "sweep. prefix; checks an expect. prefix)");
     }
   }
 
@@ -115,6 +264,18 @@ Status SuiteSpec::Parse(const Properties& file, SuiteSpec* out) {
   // Unused axes collapse to one unnamed entry so Expand stays one loop nest.
   if (out->configs.empty()) out->configs.emplace_back("", Properties());
   if (out->mixes.empty()) out->mixes.emplace_back("", Properties());
+
+  // Expectations name runs without the repeat suffix.
+  std::set<std::string> runs;
+  SuiteSpec single = *out;
+  single.repeats = 1;
+  for (const SuiteRun& run : single.Expand()) runs.insert(run.name);
+  for (const auto& [key, value] : expects) {
+    SuiteExpectation e;
+    Status s = ParseExpectation(key, value, runs, &e);
+    if (!s.ok()) return s;
+    out->expectations.push_back(std::move(e));
+  }
   return Status::OK();
 }
 
@@ -179,6 +340,7 @@ std::vector<SuiteRun> SuiteSpec::Expand() const {
 
 Status SuiteOrchestrator::Execute(std::vector<SuiteRunOutcome>* outcomes) {
   outcomes->clear();
+  verdicts_.clear();
   std::vector<SuiteRun> runs = spec_.Expand();
   if (runs.empty()) return Status::InvalidArgument("suite expands to no runs");
   // Every run is checked before the first one starts, so a bad sweep point
@@ -263,26 +425,37 @@ Status SuiteOrchestrator::Execute(std::vector<SuiteRunOutcome>* outcomes) {
       YCSBT_WARN("[SUITE] " << run.name << " FAILED: " << out.status.ToString());
       ++failures;
     }
+    out.report = std::move(report);
     outcomes->push_back(std::move(out));
   }
 
+  verdicts_ = Evaluate(spec_, *outcomes);
   Status ws = WriteFile(std::filesystem::path(spec_.output_dir) / "rollup.txt",
-                        RollupTable(*outcomes));
+                        RollupTable(*outcomes, verdicts_));
   if (ws.ok()) {
     ws = WriteFile(std::filesystem::path(spec_.output_dir) / "rollup.json",
-                   RollupJson(*outcomes));
+                   RollupJson(*outcomes, verdicts_));
   }
   if (!ws.ok()) return ws;
 
+  std::string failed;
   if (failures != 0) {
-    return Status::Internal(std::to_string(failures) + " of " +
-                            std::to_string(runs.size()) + " suite runs failed");
+    failed = std::to_string(failures) + " of " + std::to_string(runs.size()) +
+             " suite runs failed";
   }
-  return Status::OK();
+  for (const SuiteVerdict& v : verdicts_) {
+    if (v.pass) continue;
+    if (!failed.empty()) failed += "; ";
+    failed += "expectation " + v.label + " failed in repeat " +
+              std::to_string(v.repeat) + ": " + v.expression;
+    if (!v.error.empty()) failed += " (" + v.error + ")";
+  }
+  return failed.empty() ? Status::OK() : Status::Internal(failed);
 }
 
 std::string SuiteOrchestrator::RollupTable(
-    const std::vector<SuiteRunOutcome>& outcomes) {
+    const std::vector<SuiteRunOutcome>& outcomes,
+    const std::vector<SuiteVerdict>& verdicts) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line), "%-40s %-12s %-16s %7s %10s %12s %8s %10s  %s\n",
@@ -301,12 +474,30 @@ std::string SuiteOrchestrator::RollupTable(
                   o.status.ok() ? "ok" : o.status.ToString().c_str());
     out += line;
   }
+  if (verdicts.empty()) return out;
+  std::snprintf(line, sizeof(line), "\n%-28s %6s %-7s %12s %12s  %s\n",
+                "expectation", "repeat", "verdict", "lhs", "rhs", "expression");
+  out += line;
+  for (const SuiteVerdict& v : verdicts) {
+    std::snprintf(line, sizeof(line), "%-28s %6d %-7s ", v.label.c_str(),
+                  v.repeat, v.pass ? "pass" : "FAIL");
+    out += line;
+    if (v.error.empty()) {
+      std::snprintf(line, sizeof(line), "%12.6g %12.6g  ", v.lhs, v.rhs);
+    } else {
+      std::snprintf(line, sizeof(line), "%12s %12s  ", "-", "-");
+    }
+    out += line + v.expression;
+    if (!v.error.empty()) out += "  (" + v.error + ")";
+    out += "\n";
+  }
   return out;
 }
 
 std::string SuiteOrchestrator::RollupJson(
-    const std::vector<SuiteRunOutcome>& outcomes) {
-  std::string out = "[\n";
+    const std::vector<SuiteRunOutcome>& outcomes,
+    const std::vector<SuiteVerdict>& verdicts) {
+  std::string out = "{\"runs\": [\n";
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const auto& o = outcomes[i];
     char buf[512];
@@ -330,7 +521,18 @@ std::string SuiteOrchestrator::RollupJson(
         i + 1 < outcomes.size() ? "," : "");
     out += buf;
   }
-  out += "]\n";
+  out += "],\n\"expectations\": [\n";
+  for (size_t i = 0; i < verdicts.size(); ++i) {
+    const SuiteVerdict& v = verdicts[i];
+    bool known = v.error.empty();
+    out += "  {\"label\": \"" + JsonEscape(v.label) + "\", \"expression\": \"" +
+           JsonEscape(v.expression) + "\", \"repeat\": " + std::to_string(v.repeat) +
+           ", \"lhs\": " + JsonNumber(v.lhs, known) +
+           ", \"rhs\": " + JsonNumber(v.rhs, known) +
+           ", \"pass\": " + (v.pass ? "true" : "false") + ", \"error\": \"" +
+           JsonEscape(v.error) + "\"}" + (i + 1 < verdicts.size() ? "," : "") + "\n";
+  }
+  out += "]}\n";
   return out;
 }
 

@@ -41,6 +41,41 @@ inline constexpr const PropertyDecl* kSuiteProperties[] = {
     &kSuiteName, &kSuiteOutputDir, &kSuiteLoad, &kSuiteRepeats,
     &kSuiteOperationsPerThread};
 
+/// One `expect.<label>=<term> <op> <term>` line of a suite (DESIGN.md §11):
+///
+///   op   := == | != | < | <= | > | >=      (whitespace on both sides)
+///   term := <number> | [<number> *] <run>:<metric>
+///
+/// `<run>` is a run name as `Expand` prints it without the `_rep<n>` suffix;
+/// with `suite.repeats` > 1 the expectation is checked inside every repeat.
+/// `<metric>` is the leading part of a line of that run's text export, its
+/// `, ` separators written as spaces: `[ANOMALY SCORE]`,
+/// `[OVERALL] Throughput(ops/sec)`, `[READ] 99thPercentileLatency(us)`.
+struct SuiteExpectation {
+  /// A constant (`run` empty, the number in `factor`) or a scaled metric.
+  struct Term {
+    double factor = 1.0;
+    std::string run;
+    std::string metric;
+  };
+  std::string label;
+  std::string expression;  ///< the value as written
+  Term lhs;
+  std::string op;
+  Term rhs;
+};
+
+/// One expectation checked in one repeat.
+struct SuiteVerdict {
+  std::string label;
+  std::string expression;
+  int repeat = 1;
+  double lhs = 0.0;
+  double rhs = 0.0;
+  bool pass = false;
+  std::string error;  ///< why a side has no value; empty when both have one
+};
+
 /// Declarative benchmark-suite specification (DESIGN.md §11), parsed from a
 /// properties-syntax file:
 ///
@@ -53,6 +88,7 @@ inline constexpr const PropertyDecl* kSuiteProperties[] = {
 ///   config.mix90_10.readproportion=0.9   # substrate/config axis bundles
 ///   mix.scanheavy.scanproportion=0.95    # workload axis bundles
 ///   sweep.threads=1,2,4,8,16             # swept single properties
+///   expect.zero=threads1:[ANOMALY SCORE] == 0   # checked after the runs
 ///
 /// The matrix is the cross product configs x mixes x sweeps x repeats.  A
 /// suite without `config.*` (or `mix.*`) keys has one unnamed entry on that
@@ -72,11 +108,14 @@ struct SuiteSpec {
   std::vector<std::pair<std::string, Properties>> configs;
   std::vector<std::pair<std::string, Properties>> mixes;
   std::vector<std::pair<std::string, std::vector<std::string>>> sweeps;
+  std::vector<SuiteExpectation> expectations;
 
   /// Validates a loaded properties file (`ValidateProperties`: every value,
   /// each listed sweep value included) and parses it into a spec.  Every
-  /// key must be `suite.*` or carry one of the axis prefixes; anything else
-  /// is an InvalidArgument (suites are declarations, not grab bags).
+  /// key must be `suite.*` or carry one of the axis or `expect.` prefixes;
+  /// anything else is an InvalidArgument (suites are declarations, not grab
+  /// bags).  So is a malformed expectation or one naming a run the suite
+  /// does not expand to.
   static Status Parse(const Properties& file, SuiteSpec* out);
 
   /// Expands the matrix into concrete runs, ordered config -> repeat ->
@@ -89,6 +128,7 @@ struct SuiteRunOutcome {
   SuiteRun run;
   Status status;
   RunResult result;
+  std::string report;  ///< the text export, as written to summary.txt
 };
 
 /// Executes a suite through the existing benchmark driver and writes the
@@ -97,11 +137,13 @@ struct SuiteRunOutcome {
 ///   <output_dir>/<run name>/run.properties   the run's exact property set
 ///   <output_dir>/<run name>/summary.txt      Listing-3 text export
 ///   <output_dir>/<run name>/summary.json     JSON export
-///   <output_dir>/rollup.txt                  one-line-per-run table
+///   <output_dir>/rollup.txt                  one line per run, then one
+///                                            per expectation verdict
 ///   <output_dir>/rollup.json                 same, machine-readable
 ///
 /// A failing run is recorded (its directory holds the error) and the suite
-/// continues; Execute returns non-OK at the end if any run failed.
+/// continues.  After the runs every expectation is evaluated; Execute
+/// returns non-OK at the end if any run or any expectation failed.
 class SuiteOrchestrator {
  public:
   explicit SuiteOrchestrator(SuiteSpec spec) : spec_(std::move(spec)) {}
@@ -109,12 +151,17 @@ class SuiteOrchestrator {
   Status Execute(std::vector<SuiteRunOutcome>* outcomes);
 
   const SuiteSpec& spec() const { return spec_; }
+  /// The expectation verdicts of the last Execute, repeat by repeat.
+  const std::vector<SuiteVerdict>& verdicts() const { return verdicts_; }
 
-  static std::string RollupTable(const std::vector<SuiteRunOutcome>& outcomes);
-  static std::string RollupJson(const std::vector<SuiteRunOutcome>& outcomes);
+  static std::string RollupTable(const std::vector<SuiteRunOutcome>& outcomes,
+                                 const std::vector<SuiteVerdict>& verdicts);
+  static std::string RollupJson(const std::vector<SuiteRunOutcome>& outcomes,
+                                const std::vector<SuiteVerdict>& verdicts);
 
  private:
   SuiteSpec spec_;
+  std::vector<SuiteVerdict> verdicts_;
 };
 
 }  // namespace core

@@ -28,18 +28,6 @@ std::shared_ptr<kv::Store> DBFactory::MakeLocalEngine() {
   return store;
 }
 
-std::shared_ptr<kv::Store> DBFactory::MakeRawHttp() {
-  // The paper's WiredTiger-behind-Boost-ASIO server, modelled as the local
-  // engine plus the loopback HTTP round trip observed in Listing 3.
-  auto inner = MakeLocalEngine();
-  auto instrumented = std::make_shared<kv::InstrumentedStore>(inner);
-  instrumented->set_latency_model(
-      LatencyModel(kRawHttpLatencyMedianUs.Get<double>(props_),
-                   kRawHttpLatencySigma.Get<double>(props_),
-                   kRawHttpLatencyFloorUs.Get<double>(props_)));
-  return instrumented;
-}
-
 void DBFactory::MaybeInjectFaults() {
   kv::FaultOptions options = kv::FaultOptions::FromProperties(props_);
   if (!options.Any()) return;
@@ -88,14 +76,11 @@ Status DBFactory::BuildBase(const std::string& base_name) {
     front_store_ = MakeLocalEngine();
     return local_engine_status_;
   }
-  if (base_name == "rawhttp") {
-    front_store_ = MakeRawHttp();
-    return local_engine_status_;
-  }
-  if (base_name == "was" || base_name == "gcs") {
+  if (base_name == "was" || base_name == "gcs" || base_name == "rawhttp") {
     cloud::CloudProfile profile = cloud::CloudProfile::FromProperties(
-        props_, base_name == "was" ? cloud::CloudProfile::Was()
-                                   : cloud::CloudProfile::Gcs());
+        props_, base_name == "was"   ? cloud::CloudProfile::Was()
+                : base_name == "gcs" ? cloud::CloudProfile::Gcs()
+                                     : cloud::CloudProfile::Loopback());
     cloud_ = std::make_shared<cloud::SimCloudStore>(profile, MakeLocalEngine());
     if (!local_engine_status_.ok()) return local_engine_status_;
     Register(cloud_.get());

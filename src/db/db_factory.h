@@ -16,7 +16,6 @@
 #include "db/db.h"
 #include "kv/fault_env.h"
 #include "kv/fault_injecting_store.h"
-#include "kv/instrumented_store.h"
 #include "kv/resilient_store.h"
 #include "txn/client_txn_store.h"
 #include "txn/local_2pl.h"
@@ -32,15 +31,6 @@ inline constexpr PropertyDecl kDb =
     EnumProperty("db", "basic", kDbNames, "the DB binding (table below)");
 inline constexpr PropertyDecl kBasicDbDelayUs =
     UintProperty("basicdb.delay_us", 0, "sleep per BasicDB operation");
-/// Defaults model the paper's Listing 3 loopback round trip (min ~1.2 ms,
-/// mean ~1.5 ms, heavy tail).
-inline constexpr PropertyDecl kRawHttpLatencyMedianUs = DoubleProperty(
-    "rawhttp.latency_median_us", 1450.0, 0.0, kNoLimit,
-    "median simulated loopback-HTTP round trip");
-inline constexpr PropertyDecl kRawHttpLatencySigma = DoubleProperty(
-    "rawhttp.latency_sigma", 0.35, 0.0, kNoLimit, "lognormal shape of that round trip");
-inline constexpr PropertyDecl kRawHttpLatencyFloorUs = DoubleProperty(
-    "rawhttp.latency_floor_us", 1150.0, 0.0, kNoLimit, "floor of that round trip");
 inline constexpr std::string_view kTimestampSources[] = {"hlc", "oracle"};
 inline constexpr PropertyDecl kTxnTimestamps = EnumProperty(
     "txn.timestamps", "hlc", kTimestampSources,
@@ -54,8 +44,7 @@ inline constexpr PropertyDecl kTxnFanoutThreads = IntProperty(
 inline constexpr PropertyDecl kTxnMaxInflight = IntProperty(
     "txn.max_inflight", 0, 0, kIntMax, "per-batch in-flight cap (0 = pool size)");
 inline constexpr const PropertyDecl* kDBFactoryProperties[] = {
-    &kDb, &kBasicDbDelayUs, &kRawHttpLatencyMedianUs, &kRawHttpLatencySigma,
-    &kRawHttpLatencyFloorUs, &kTxnTimestamps, &kTxnOracleRttUs, &kTxnFanoutThreads,
+    &kDb, &kBasicDbDelayUs, &kTxnTimestamps, &kTxnOracleRttUs, &kTxnFanoutThreads,
     &kTxnMaxInflight};
 
 /// Builds the run's shared substrate from properties and hands each client
@@ -68,8 +57,7 @@ inline constexpr const PropertyDecl* kDBFactoryProperties[] = {
 /// |---------------|---------|-----------|
 /// | `basic`       | BasicDB stub | none |
 /// | `memkv`       | KvStoreDB | local engine (`kv::ShardedStore`) |
-/// | `rawhttp`     | KvStoreDB | local engine + simulated loopback-HTTP latency |
-/// | `was`, `gcs`  | KvStoreDB | simulated cloud store |
+/// | `was`, `gcs`, `rawhttp` | KvStoreDB | simulated cloud store over the local engine (`rawhttp`: the loopback-HTTP profile, `CloudProfile::Loopback`) |
 /// | `txn+memkv`, `txn+rawhttp`, `txn+was`, `txn+gcs` | TxnDB | client-coordinated txn library over that base |
 /// | `2pl+memkv`   | TxnDB | embedded strict-2PL engine |
 /// | `occ+memkv`   | TxnDB | embedded Silo-style OCC engine (`txn::OccEngine`) |
@@ -184,9 +172,6 @@ class DBFactory {
   /// Builds the local `kv::ShardedStore` engine from `memkv.*` properties
   /// and remembers it in `local_engine_`.
   std::shared_ptr<kv::Store> MakeLocalEngine();
-
-  /// Local engine wrapped in the simulated loopback-HTTP latency decorator.
-  std::shared_ptr<kv::Store> MakeRawHttp();
 
   /// Wraps `front_store_` in the fault-injection decorator when any
   /// `fault.*` rate is configured.

@@ -14,10 +14,10 @@ namespace ycsbt {
 /// One class covers three of the paper's setups, differing only in the store
 /// supplied by the factory:
 ///  - `memkv`   — the local engine directly;
-///  - `rawhttp` — the local engine behind an `InstrumentedStore` injecting
-///                the loopback-HTTP latency of the paper's WiredTiger server
-///                (this is the `RawHttpDB` of Listing 1);
-///  - `was`/`gcs` — a `SimCloudStore`.
+///  - `was`/`gcs` — a `SimCloudStore` over the local engine;
+///  - `rawhttp` — a `SimCloudStore` with the loopback profile
+///                (`CloudProfile::Loopback`): the loopback-HTTP round trip of
+///                the paper's WiredTiger server (the `RawHttpDB` of Listing 1).
 ///
 /// `Start`/`Commit`/`Abort` inherit the DB no-ops: operations are
 /// individually atomic in the store but nothing groups them, so concurrent

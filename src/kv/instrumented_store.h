@@ -5,24 +5,15 @@
 #include <memory>
 #include <string>
 
-#include "common/latency_model.h"
 #include "kv/store.h"
 
 namespace ycsbt {
 namespace kv {
 
-/// Store decorator that injects latency and test hooks around every
-/// operation of an underlying store.
-///
-/// Two jobs:
-///  - **Latency injection** — the `RawHttpDB` binding wraps the local engine
-///    in one of these with a ~1.5 ms lognormal model to stand in for the
-///    paper's loopback Boost-ASIO HTTP hop (Listing 3 latencies).  The wider
-///    per-operation window is also what lets concurrent read-modify-write
-///    races actually interleave, producing the Figure 4 anomalies.
-///  - **Deterministic fault injection** — tests install hooks that pause a
-///    thread between specific operations, turning "may lose an update under
-///    concurrency" into an exact, repeatable interleaving.
+/// Test hook around every operation of an underlying store: tests install
+/// hooks that pause a thread between specific operations, turning "may lose
+/// an update under concurrency" into an exact, repeatable interleaving.
+/// (Simulated network latency is `cloud::SimCloudStore`'s job.)
 class InstrumentedStore : public Store {
  public:
   enum class Op { kGet, kPut, kConditionalPut, kDelete, kConditionalDelete, kScan };
@@ -33,9 +24,6 @@ class InstrumentedStore : public Store {
   /// @param base underlying store; shared so bindings can layer freely.
   explicit InstrumentedStore(std::shared_ptr<Store> base)
       : base_(std::move(base)) {}
-
-  /// Installs the latency model sampled (with a per-thread RNG) on every op.
-  void set_latency_model(LatencyModel model) { latency_ = model; }
 
   /// Installs a test hook; pass nullptr to remove.
   void set_hook(Hook hook) { hook_ = std::move(hook); }
@@ -94,9 +82,6 @@ class InstrumentedStore : public Store {
  private:
   void Enter(Op op, const std::string& key) {
     if (hook_) hook_(op, key, /*after=*/false);
-    if (latency_.Enabled()) {
-      latency_.Inject(ThreadLocalRandom());
-    }
   }
 
   void Exit(Op op, const std::string& key) {
@@ -104,7 +89,6 @@ class InstrumentedStore : public Store {
   }
 
   std::shared_ptr<Store> base_;
-  LatencyModel latency_;
   Hook hook_;
 };
 

@@ -231,7 +231,8 @@ Status ApplyWriteOp(Store& store, const WriteOp& op, uint64_t* etag_out);
 ///
 /// This is the WiredTiger stand-in of the evaluation (DESIGN.md
 /// *Substitutions*): the Tier-6 experiments (Figs 4, 5) run the Closed
-/// Economy Workload against it through the `RawHttpDB` binding.
+/// Economy Workload against it through the `rawhttp` binding (the loopback
+/// `cloud::SimCloudStore` profile over this engine).
 class ShardedStore : public Store, public StatsLayer {
  public:
   explicit ShardedStore(StoreOptions options = {});

@@ -18,7 +18,8 @@ namespace txn {
 /// timestamp oracles*, which become a bottleneck over high-latency networks,
 /// and the authors' library, which uses only the client's local clock.
 /// Abstracting the source lets the same commit protocol run either way — the
-/// `ablation_timestamp_oracle` bench measures exactly this difference.
+/// `workloads/suites/ablation_timestamp_oracle.suite` runs measure exactly
+/// this difference.
 class TimestampSource {
  public:
   virtual ~TimestampSource() = default;

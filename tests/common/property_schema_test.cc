@@ -203,8 +203,7 @@ TEST(PropertySchemaTest, DeclaredKeysAreExactlyTheFormerRegistry) {
       "memkv.wal_group_commit", "memkv.wal_group_max_batch",
       "memkv.wal_group_window_us", "memkv.wal_path", "minfieldlength",
       "occ.epoch_ms", "occ.read_validation", "occ.retire_batch",
-      "operationcount", "rawhttp.latency_floor_us",
-      "rawhttp.latency_median_us", "rawhttp.latency_sigma", "readallfields",
+      "operationcount", "readallfields",
       "readmodifywriteproportion", "readproportion", "recordcount",
       "requestdistribution", "retry.backoff_initial_us",
       "retry.backoff_max_us", "retry.backoff_multiplier", "retry.deadline_us",
@@ -228,7 +227,7 @@ TEST(PropertySchemaTest, DeclaredKeysAreExactlyTheFormerRegistry) {
       "txn.lock_wait_jitter", "txn.lock_wait_max_delay_us", "txn.max_inflight",
       "txn.oracle_rtt_us", "txn.timestamps", "updateproportion", "workload",
       "writeallfields", "writeskew.initial", "zeropadding", "zipfian.theta"};
-  ASSERT_EQ(registry.size(), 160u);
+  ASSERT_EQ(registry.size(), 157u);
   std::set<std::string_view> declared;
   for (PropertyList list : AllPropertyLists()) {
     for (const PropertyDecl* d : list) declared.insert(d->name);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/benchmark.h"
 
 namespace ycsbt {
@@ -44,8 +48,7 @@ TEST(IntegrationTest, CewOnRawHttpConcurrentProducesAnomalies) {
   for (int attempt = 0; attempt < 5 && score == 0.0; ++attempt) {
     Properties p = CewBase();
     p.Set("db", "rawhttp");
-    p.Set("rawhttp.latency_median_us", "400");
-    p.Set("rawhttp.latency_floor_us", "300");
+    p.Set("cloud.latency_scale", "0.28");  // ~400 us median round trip
     p.Set("recordcount", "100");
     p.Set("totalcash", "100000");
     p.Set("operationcount", "3000");
@@ -55,6 +58,22 @@ TEST(IntegrationTest, CewOnRawHttpConcurrentProducesAnomalies) {
     score = result.validation.anomaly_score;
   }
   EXPECT_GT(score, 0.0) << "lost updates must corrupt the closed economy";
+}
+
+TEST(IntegrationTest, RawHttpRunsThroughTheCloudLayer) {
+  // rawhttp is the simulated cloud store's loopback profile: its run
+  // registers the `cloud` layer and counts every round trip.
+  Properties p = CewBase();
+  p.Set("db", "rawhttp");
+  p.Set("cloud.latency_scale", "0.01");
+  p.Set("operationcount", "200");
+  RunResult result;
+  ASSERT_TRUE(RunBenchmark(p, &result).ok());
+  std::vector<std::string> layers;
+  for (const auto& layer : result.layers) layers.push_back(layer.layer);
+  EXPECT_NE(std::find(layers.begin(), layers.end(), "cloud"), layers.end());
+  EXPECT_GT(result.Counter("CLOUD REQUESTS").value_or(0), 0u);
+  EXPECT_EQ(result.Counter("CLOUD THROTTLED"), 0u);  // no rate cap
 }
 
 TEST(IntegrationTest, CewOnClientTxnStoreConcurrentStaysConsistent) {

@@ -78,8 +78,7 @@ TEST_P(SerialBindingSweep, SerialCewIsAlwaysConsistent) {
   BindingCase binding{GetParam(), GetParam(), nullptr, nullptr};
   Properties p = CewFor(binding, 1);
   if (std::string(GetParam()) == "rawhttp") {
-    p.Set("rawhttp.latency_median_us", "30");
-    p.Set("rawhttp.latency_floor_us", "20");
+    p.Set("cloud.latency_scale", "0.02");  // ~30 us round trips
   }
   RunResult result;
   ASSERT_TRUE(RunBenchmark(p, &result).ok());

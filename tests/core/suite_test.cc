@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -61,6 +63,57 @@ TEST(SuiteSpecTest, RejectsKeysOutsideTheSuiteGrammar) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   s = SuiteSpec::Parse(FileFrom({{"config.noproperty", "x"}}), &spec);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
+TEST(SuiteSpecTest, ParsesExpectationsOverExpandedRunNames) {
+  Properties file = FileFrom({
+      {"suite.name", "exp"},
+      {"base.db", "memkv"},
+      {"sweep.threads", "1,2"},
+      {"expect.scaled", "threads2:[OVERALL] Throughput(ops/sec) >= 0.8 * "
+                        "threads1:[OVERALL] Throughput(ops/sec)"},
+      {"expect.constant", "0 == threads1:[ANOMALY SCORE]"},
+  });
+  SuiteSpec spec;
+  Status s = SuiteSpec::Parse(file, &spec);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(spec.expectations.size(), 2u);
+  const SuiteExpectation& constant = spec.expectations[0];  // key order
+  EXPECT_EQ(constant.label, "constant");
+  EXPECT_EQ(constant.lhs.run, "");
+  EXPECT_EQ(constant.lhs.factor, 0.0);
+  EXPECT_EQ(constant.op, "==");
+  EXPECT_EQ(constant.rhs.run, "threads1");
+  EXPECT_EQ(constant.rhs.metric, "[ANOMALY SCORE]");
+  const SuiteExpectation& scaled = spec.expectations[1];
+  EXPECT_EQ(scaled.lhs.run, "threads2");
+  EXPECT_EQ(scaled.lhs.metric, "[OVERALL] Throughput(ops/sec)");
+  EXPECT_EQ(scaled.op, ">=");
+  EXPECT_EQ(scaled.rhs.factor, 0.8);
+  EXPECT_EQ(scaled.rhs.run, "threads1");
+}
+
+TEST(SuiteSpecTest, RejectsMalformedExpectationsNamingTheKey) {
+  for (const auto& [expression, why] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"threads4:[ANOMALY SCORE] == 0", "unknown run 'threads4'"},
+           {"threads1:[ANOMALY SCORE] =< 0", "needs one of"},
+           {"threads1:[ANOMALY SCORE] == 0 == 1", "more than one"},
+           {"twice * threads1:[ANOMALY SCORE] > 0", "non-numeric factor 'twice'"},
+           {"threads1:[ANOMALY SCORE] == ", "empty term"},
+           {" > threads1:[ANOMALY SCORE]", "empty term"},
+           {"threads1: == 0", "empty metric"},
+       }) {
+    SCOPED_TRACE(expression);
+    SuiteSpec spec;
+    Status s = SuiteSpec::Parse(FileFrom({{"base.db", "memkv"},
+                                          {"sweep.threads", "1,2"},
+                                          {"expect.shape", expression}}),
+                                &spec);
+    ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("'expect.shape'"), std::string::npos) << s.ToString();
+    EXPECT_NE(s.message().find(why), std::string::npos) << s.ToString();
+  }
 }
 
 TEST(SuiteSpecTest, ExpandsFullCrossProduct) {
@@ -147,6 +200,140 @@ TEST(SuiteOrchestratorTest, ExecutesMiniatureSuiteAndWritesResultsTree) {
   EXPECT_NE(table.find("threads1"), std::string::npos);
   EXPECT_NE(table.find("threads2"), std::string::npos);
   EXPECT_NE(table.find("ok"), std::string::npos);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A two-point read-only memkv suite: each run prints `[READ], Operations,
+/// 100` and the throughput line.
+Properties MiniatureWithExpectations(
+    const std::string& out,
+    const std::vector<std::pair<std::string, std::string>>& extra) {
+  Properties file = FileFrom({
+      {"suite.name", "verdicts"},
+      {"suite.output_dir", out},
+      {"base.db", "memkv"},
+      {"base.recordcount", "50"},
+      {"base.operationcount", "100"},
+      {"base.readproportion", "1.0"},
+      {"base.updateproportion", "0"},
+      {"base.status", "false"},
+      {"sweep.threads", "1,2"},
+  });
+  for (const auto& [k, v] : extra) file.Set(k, v);
+  return file;
+}
+
+TEST(SuiteOrchestratorTest, ExpectationVerdictsFailTheSuiteAndLandInBothRollups) {
+  std::string out = ::testing::TempDir() + "/suite_verdicts";
+  SuiteSpec spec;
+  ASSERT_TRUE(SuiteSpec::Parse(
+                  MiniatureWithExpectations(
+                      out, {{"expect.holds", "threads1:[READ] Operations == 100"},
+                            {"expect.breaks", "threads1:[READ] Operations > "
+                                              "2 * threads2:[READ] Operations"}}),
+                  &spec)
+                  .ok());
+  SuiteOrchestrator orchestrator(std::move(spec));
+  std::vector<SuiteRunOutcome> outcomes;
+  Status s = orchestrator.Execute(&outcomes);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("expectation breaks failed"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(s.message().find("holds"), std::string::npos) << s.ToString();
+  for (const auto& outcome : outcomes) EXPECT_TRUE(outcome.status.ok());
+
+  const std::vector<SuiteVerdict>& verdicts = orchestrator.verdicts();
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[0].label, "breaks");
+  EXPECT_FALSE(verdicts[0].pass);
+  EXPECT_EQ(verdicts[0].lhs, 100.0);
+  EXPECT_EQ(verdicts[0].rhs, 200.0);
+  EXPECT_EQ(verdicts[1].label, "holds");
+  EXPECT_TRUE(verdicts[1].pass);
+
+  std::string table = ReadFile(out + "/rollup.txt");
+  EXPECT_NE(table.find("breaks"), std::string::npos) << table;
+  EXPECT_NE(table.find("FAIL"), std::string::npos) << table;
+  EXPECT_NE(table.find("threads1:[READ] Operations == 100"), std::string::npos)
+      << table;
+  EXPECT_NE(table.find(" 200 "), std::string::npos) << table;
+  std::string json = ReadFile(out + "/rollup.json");
+  EXPECT_NE(json.find("{\"label\": \"breaks\", \"expression\": \"threads1:[READ] "
+                      "Operations > 2 * threads2:[READ] Operations\", \"repeat\": 1, "
+                      "\"lhs\": 100, \"rhs\": 200, \"pass\": false, \"error\": \"\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"label\": \"holds\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"pass\": true"), std::string::npos) << json;
+  EXPECT_EQ(std::system(("python3 -m json.tool " + out + "/rollup.json > /dev/null")
+                            .c_str()),
+            0);
+}
+
+TEST(SuiteOrchestratorTest, AMetricLineTheRunNeverPrintedFailsByName) {
+  std::string out = ::testing::TempDir() + "/suite_missing_line";
+  SuiteSpec spec;
+  ASSERT_TRUE(SuiteSpec::Parse(
+                  MiniatureWithExpectations(
+                      out, {{"expect.scored", "threads2:[ANOMALY SCORE] == 0"}}),
+                  &spec)
+                  .ok());
+  SuiteOrchestrator orchestrator(std::move(spec));
+  std::vector<SuiteRunOutcome> outcomes;
+  Status s = orchestrator.Execute(&outcomes);
+  ASSERT_FALSE(s.ok());
+  // A core workload validates nothing, so it prints no anomaly score.
+  EXPECT_NE(s.message().find("run threads2 printed no numeric '[ANOMALY SCORE]' line"),
+            std::string::npos)
+      << s.ToString();
+  ASSERT_EQ(orchestrator.verdicts().size(), 1u);
+  EXPECT_FALSE(orchestrator.verdicts()[0].pass);
+  std::string json = ReadFile(out + "/rollup.json");
+  EXPECT_NE(json.find("\"lhs\": null, \"rhs\": null, \"pass\": false"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(ReadFile(out + "/rollup.txt").find("'[ANOMALY SCORE]' line"),
+            std::string::npos);
+}
+
+TEST(SuiteOrchestratorTest, ExpectationsAreCheckedInEveryRepeat) {
+  std::string out = ::testing::TempDir() + "/suite_repeat_verdicts";
+  SuiteSpec spec;
+  ASSERT_TRUE(SuiteSpec::Parse(
+                  MiniatureWithExpectations(
+                      out, {{"suite.repeats", "2"},
+                            {"expect.reads", "threads2:[READ] Operations == 100"},
+                            {"expect.speed", "threads2:[OVERALL] Throughput(ops/sec) > 0"}}),
+                  &spec)
+                  .ok());
+  SuiteOrchestrator orchestrator(std::move(spec));
+  std::vector<SuiteRunOutcome> outcomes;
+  Status s = orchestrator.Execute(&outcomes);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(outcomes.size(), 4u);
+  const std::vector<SuiteVerdict>& verdicts = orchestrator.verdicts();
+  ASSERT_EQ(verdicts.size(), 4u);  // two expectations x two repeats
+  for (int repeat = 1; repeat <= 2; ++repeat) {
+    const SuiteVerdict& reads = verdicts[2 * (repeat - 1)];
+    const SuiteVerdict& speed = verdicts[2 * (repeat - 1) + 1];
+    EXPECT_EQ(reads.repeat, repeat);
+    EXPECT_TRUE(reads.pass) << reads.error;
+    EXPECT_EQ(reads.lhs, 100.0);
+    EXPECT_EQ(speed.repeat, repeat);
+    EXPECT_TRUE(speed.pass) << speed.error;
+    // Each repeat reads its own run: threads2_rep<repeat>.
+    const std::string name = "threads2_rep" + std::to_string(repeat);
+    auto run = std::find_if(outcomes.begin(), outcomes.end(),
+                            [&name](const SuiteRunOutcome& o) { return o.run.name == name; });
+    ASSERT_NE(run, outcomes.end()) << name;
+    EXPECT_NEAR(speed.lhs, run->result.throughput_ops_sec,
+                1e-5 * run->result.throughput_ops_sec);
+  }
 }
 
 TEST(SuiteOrchestratorTest, MalformedSweepFailsBeforeAnyRunDirectory) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,7 @@ TEST(ShippedFilesTest, EveryShippedFileValidatesClean) {
     }
   }
   ASSERT_GE(files.size(), 20u);
+  size_t expectations = 0;
   for (const fs::path& path : files) {
     SCOPED_TRACE(path.string());
     Properties p;
@@ -89,11 +91,25 @@ TEST(ShippedFilesTest, EveryShippedFileValidatesClean) {
     EXPECT_TRUE(unknown.empty()) << "unknown key " << unknown.front();
     if (path.extension() != ".suite") continue;
     SuiteSpec spec;
-    ASSERT_TRUE(SuiteSpec::Parse(p, &spec).ok());
+    Status parsed = SuiteSpec::Parse(p, &spec);
+    ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+    std::set<std::string> names;
     for (const SuiteRun& run : spec.Expand()) {
       EXPECT_TRUE(ValidateProperties(run.props).ok()) << run.name;
+      names.insert(run.name);
     }
+    // Every `expect.` line names runs this suite expands to, so renaming a
+    // config or a sweep point breaks here rather than in a CI run.
+    for (const SuiteExpectation& e : spec.expectations) {
+      for (const SuiteExpectation::Term* term : {&e.lhs, &e.rhs}) {
+        if (!term->run.empty()) {
+          EXPECT_TRUE(names.count(term->run)) << e.label;
+        }
+      }
+    }
+    expectations += spec.expectations.size();
   }
+  EXPECT_GE(expectations, 30u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/clock.h"
 #include "common/sync.h"
 
 namespace ycsbt {
@@ -29,16 +28,6 @@ TEST(InstrumentedStoreTest, PassesThroughAllOps) {
   EXPECT_EQ(rows.size(), 1u);
   ASSERT_TRUE(store->Delete("k").ok());
   EXPECT_EQ(store->Count(), 0u);
-}
-
-TEST(InstrumentedStoreTest, LatencyModelDelaysOps) {
-  auto store = MakeStore();
-  store->set_latency_model(LatencyModel(3000.0, 0.0));  // fixed 3 ms
-  store->Put("k", "v");
-  Stopwatch watch;
-  std::string value;
-  store->Get("k", &value);
-  EXPECT_GE(watch.ElapsedMicros(), 2500u);
 }
 
 TEST(InstrumentedStoreTest, HookSeesBeforeAndAfter) {

@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "cloud/sim_cloud_store.h"
 #include "common/clock.h"
-#include "kv/instrumented_store.h"
 #include "txn/client_txn_store.h"
 
 namespace ycsbt {
@@ -150,13 +150,19 @@ TEST_F(TxnConcurrencyTest, HotKeyCounterNeverLosesCommittedIncrements) {
 
 TEST_F(TxnConcurrencyTest, AggressiveRecoveryNeverTearsTransactions) {
   // Torture test for the recovery/commit race: the lock lease is far
-  // shorter than a commit takes (the store injects per-op latency), so
+  // shorter than a commit takes (a simulated store adds per-op latency), so
   // readers constantly "recover" locks whose owners are alive and
   // mid-commit.  The TSR arbitration must guarantee each transaction is
   // all-or-nothing: the transfer invariant survives any interleaving of
   // recoveries, reader-aborts and commits.
-  auto slow_base = std::make_shared<kv::InstrumentedStore>(base_);
-  slow_base->set_latency_model(LatencyModel(300.0, 0.2, 200.0));
+  cloud::CloudProfile profile;
+  profile.read_latency_median_us = 300.0;
+  profile.write_latency_median_us = 300.0;
+  profile.latency_sigma = 0.2;
+  profile.latency_floor_us = 200.0;
+  profile.container_rate_limit = 0.0;
+  profile.client_serial_us_per_inflight = 0.0;
+  auto slow_base = std::make_shared<cloud::SimCloudStore>(profile, base_);
   TxnOptions options;
   options.lock_lease_us = 500;  // expires mid-commit on purpose
   options.lock_wait_retries = 2;
