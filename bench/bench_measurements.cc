@@ -1,17 +1,14 @@
 // Measurement-pipeline microbenchmark: what does recording one sample cost,
 // and how does that cost scale with client threads?
 //
-// Three paths, worst to best:
-//   seed_string_path    the pre-refactor hot path: build "TX-<OP>" with
-//                       std::string, look the series up in the shared map,
-//                       then lock the per-series mutex for the sample.
+// Two paths, worse to better:
 //   interned_shared     op names interned to OpIds up front; the sample
-//                       still lands in the shared series under its mutex.
+//                       lands in the shared series under its mutex.
 //   thread_sink         the runner's path: OpIds + a per-thread ThreadSink,
 //                       so a sample is pure thread-local work (merged into
 //                       the shared registry only at Flush).
 //
-// The interesting column is per-sample time at 8+ threads: the string path
+// The interesting column is per-sample time at 8+ threads: the shared path
 // serialises every client through one mutex per series, the sink path is
 // contention-free by construction.
 
@@ -47,24 +44,6 @@ void TeardownMeasurements(const benchmark::State&) {
   delete g_measurements;
   g_measurements = nullptr;
 }
-
-/// The seed hot path: per-sample string construction + shared-map lookup +
-/// per-series mutex (now the compatibility shim).
-void BM_SeedStringPath(benchmark::State& state) {
-  size_t i = static_cast<size_t>(state.thread_index());
-  for (auto _ : state) {
-    const char* op = kOps[i++ % kOpNames];
-    std::string series = std::string("TX-") + op;
-    g_measurements->Measure(series, 42);
-    g_measurements->ReportStatus(series, Status::OK());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SeedStringPath)
-    ->Setup(SetupMeasurements)
-    ->Teardown(TeardownMeasurements)
-    ->ThreadRange(1, 16)
-    ->UseRealTime();
 
 /// Interned ids, shared series: no strings, but still one lock per sample.
 void BM_InternedSharedPath(benchmark::State& state) {

@@ -5,6 +5,7 @@
 
 #include "common/clock.h"
 #include "common/op_context.h"
+#include "kv/ordered_admission.h"
 
 namespace ycsbt {
 namespace cloud {
@@ -344,14 +345,15 @@ void ReplicatedCloudStore::OverlayGet(int region, const std::string& key,
   }
 }
 
+ReplicatedCloudStore::Route ReplicatedCloudStore::AdmitRead() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (armed_) TickLocked(/*is_write=*/false);
+  return ReadRouteLocked();
+}
+
 Status ReplicatedCloudStore::Get(const std::string& key, std::string* value,
                                  uint64_t* etag) {
-  Route route;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) TickLocked(/*is_write=*/false);
-    route = ReadRouteLocked();
-  }
+  Route route = AdmitRead();
   if (!route.reject.ok()) return route.reject;
   Status s = base_->Get(key, value, etag);
   if (route.view_region >= 0) OverlayGet(route.view_region, key, &s, value, etag);
@@ -360,12 +362,7 @@ Status ReplicatedCloudStore::Get(const std::string& key, std::string* value,
 
 Status ReplicatedCloudStore::Scan(const std::string& start_key, size_t limit,
                                   std::vector<kv::ScanEntry>* out) {
-  Route route;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) TickLocked(/*is_write=*/false);
-    route = ReadRouteLocked();
-  }
+  Route route = AdmitRead();
   if (!route.reject.ok()) return route.reject;
   if (route.view_region < 0) return base_->Scan(start_key, limit, out);
   return ScanView(route.view_region, start_key, limit, out);
@@ -436,188 +433,96 @@ Status ReplicatedCloudStore::ScanView(int region, const std::string& start_key,
 
 void ReplicatedCloudStore::MultiGet(const std::vector<std::string>& keys,
                                     std::vector<kv::MultiGetResult>* results) {
-  results->assign(keys.size(), kv::MultiGetResult{});
-  std::vector<Route> routes(keys.size());
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (armed_) TickLocked(/*is_write=*/false);
-      routes[i] = ReadRouteLocked();
-    }
-  }
-  std::vector<std::string> admitted;
-  std::vector<size_t> index;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (routes[i].reject.ok()) {
-      admitted.push_back(keys[i]);
-      index.push_back(i);
-    } else {
-      (*results)[i].status = routes[i].reject;
-    }
-  }
-  if (!admitted.empty()) {
-    std::vector<kv::MultiGetResult> sub;
-    base_->MultiGet(admitted, &sub);
-    for (size_t j = 0; j < index.size(); ++j) {
-      (*results)[index[j]] = std::move(sub[j]);
-    }
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (routes[i].view_region < 0 || !routes[i].reject.ok()) continue;
-    kv::MultiGetResult& row = (*results)[i];
-    OverlayGet(routes[i].view_region, keys[i], &row.status, &row.value,
-               &row.etag);
-  }
+  kv::AdmitInOrder<int>(
+      *base_, keys, results,
+      [this](const std::string&, int* view_region) {
+        Route route = AdmitRead();
+        *view_region = route.view_region;
+        return route.reject;
+      },
+      [this](const std::string& key, int view_region, kv::MultiGetResult* row) {
+        if (view_region < 0) return;
+        OverlayGet(view_region, key, &row->status, &row->value, &row->etag);
+      });
 }
 
-Status ReplicatedCloudStore::Put(const std::string& key, std::string_view value,
-                                 uint64_t* etag_out) {
-  bool lost_reply = false;
+Status ReplicatedCloudStore::AdmitWrite(const std::string& key,
+                                        WriteTicket* ticket) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (armed_) {
       TickLocked(/*is_write=*/true);
-      Status gate = WriteGateLocked(&lost_reply);
+      Status gate = WriteGateLocked(&ticket->lost_reply);
       if (!gate.ok()) return gate;
     }
   }
-  PendingApply pre = CapturePreImage(key);
-  uint64_t etag = 0;
-  Status s = base_->Put(key, value, &etag);
+  ticket->pre = CapturePreImage(key);
+  return Status::OK();
+}
+
+void ReplicatedCloudStore::SettleWrite(const std::string& key,
+                                       const WriteTicket& ticket, Status* s,
+                                       uint64_t* etag) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (s.ok() && armed_) ReplicateLocked(key, pre);
+    if (s->ok() && armed_) ReplicateLocked(key, ticket.pre);
   }
-  if (lost_reply) {
-    return Status::Timeout("ambiguous: applied on crashing leader, ack lost");
+  if (ticket.lost_reply) {
+    *s = Status::Timeout("ambiguous: applied on crashing leader, ack lost");
+    *etag = 0;
   }
+}
+
+template <typename Op>
+Status ReplicatedCloudStore::Write(const std::string& key, uint64_t* etag_out,
+                                   const Op& op) {
+  WriteTicket ticket;
+  Status s = AdmitWrite(key, &ticket);
+  if (!s.ok()) return s;
+  uint64_t etag = 0;
+  s = op(&etag);
+  SettleWrite(key, ticket, &s, &etag);
   if (s.ok() && etag_out) *etag_out = etag;
   return s;
+}
+
+Status ReplicatedCloudStore::Put(const std::string& key, std::string_view value,
+                                 uint64_t* etag_out) {
+  return Write(key, etag_out,
+               [&](uint64_t* etag) { return base_->Put(key, value, etag); });
 }
 
 Status ReplicatedCloudStore::ConditionalPut(const std::string& key,
                                             std::string_view value,
                                             uint64_t expected_etag,
                                             uint64_t* etag_out) {
-  bool lost_reply = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) {
-      TickLocked(/*is_write=*/true);
-      Status gate = WriteGateLocked(&lost_reply);
-      if (!gate.ok()) return gate;
-    }
-  }
-  PendingApply pre = CapturePreImage(key);
-  uint64_t etag = 0;
-  Status s = base_->ConditionalPut(key, value, expected_etag, &etag);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (s.ok() && armed_) ReplicateLocked(key, pre);
-  }
-  if (lost_reply) {
-    return Status::Timeout("ambiguous: applied on crashing leader, ack lost");
-  }
-  if (s.ok() && etag_out) *etag_out = etag;
-  return s;
+  return Write(key, etag_out, [&](uint64_t* etag) {
+    return base_->ConditionalPut(key, value, expected_etag, etag);
+  });
 }
 
 Status ReplicatedCloudStore::Delete(const std::string& key) {
-  bool lost_reply = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) {
-      TickLocked(/*is_write=*/true);
-      Status gate = WriteGateLocked(&lost_reply);
-      if (!gate.ok()) return gate;
-    }
-  }
-  PendingApply pre = CapturePreImage(key);
-  Status s = base_->Delete(key);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (s.ok() && armed_) ReplicateLocked(key, pre);
-  }
-  if (lost_reply) {
-    return Status::Timeout("ambiguous: applied on crashing leader, ack lost");
-  }
-  return s;
+  return Write(key, nullptr, [&](uint64_t*) { return base_->Delete(key); });
 }
 
 Status ReplicatedCloudStore::ConditionalDelete(const std::string& key,
                                                uint64_t expected_etag) {
-  bool lost_reply = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) {
-      TickLocked(/*is_write=*/true);
-      Status gate = WriteGateLocked(&lost_reply);
-      if (!gate.ok()) return gate;
-    }
-  }
-  PendingApply pre = CapturePreImage(key);
-  Status s = base_->ConditionalDelete(key, expected_etag);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (s.ok() && armed_) ReplicateLocked(key, pre);
-  }
-  if (lost_reply) {
-    return Status::Timeout("ambiguous: applied on crashing leader, ack lost");
-  }
-  return s;
+  return Write(key, nullptr, [&](uint64_t*) {
+    return base_->ConditionalDelete(key, expected_etag);
+  });
 }
 
 void ReplicatedCloudStore::MultiWrite(const std::vector<kv::WriteOp>& ops,
                                       std::vector<kv::WriteResult>* results) {
-  results->assign(ops.size(), kv::WriteResult{});
-  std::vector<char> lost(ops.size(), 0);
-  std::vector<char> admit(ops.size(), 1);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (armed_) {
-      // Gates draw in item order before any item executes, the same
-      // discipline FaultInjectingStore uses so pool scheduling can never
-      // reorder the deterministic schedule.
-      for (size_t i = 0; i < ops.size(); ++i) {
-        TickLocked(/*is_write=*/true);
-        bool lost_reply = false;
-        Status gate = WriteGateLocked(&lost_reply);
-        if (!gate.ok()) {
-          (*results)[i].status = gate;
-          admit[i] = 0;
-        } else if (lost_reply) {
-          lost[i] = 1;
-        }
-      }
-    }
-  }
-  std::vector<PendingApply> pres(ops.size());
-  std::vector<kv::WriteOp> sub;
-  std::vector<size_t> index;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!admit[i]) continue;
-    pres[i] = CapturePreImage(ops[i].key);
-    sub.push_back(ops[i]);
-    index.push_back(i);
-  }
-  if (!sub.empty()) {
-    std::vector<kv::WriteResult> subres;
-    base_->MultiWrite(sub, &subres);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t j = 0; j < index.size(); ++j) {
-      size_t i = index[j];
-      (*results)[i] = subres[j];
-      if (subres[j].status.ok() && armed_) {
-        ReplicateLocked(ops[i].key, pres[i]);
-      }
-    }
-  }
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!lost[i]) continue;
-    (*results)[i].status =
-        Status::Timeout("ambiguous: applied on crashing leader, ack lost");
-    (*results)[i].etag = 0;
-  }
+  kv::AdmitInOrder<WriteTicket>(
+      *base_, ops, results,
+      [this](const std::string& key, WriteTicket* ticket) {
+        return AdmitWrite(key, ticket);
+      },
+      [this](const std::string& key, const WriteTicket& ticket,
+             kv::WriteResult* row) {
+        SettleWrite(key, ticket, &row->status, &row->etag);
+      });
 }
 
 size_t ReplicatedCloudStore::Count() const { return base_->Count(); }

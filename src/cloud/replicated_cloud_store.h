@@ -190,6 +190,12 @@ class ReplicatedCloudStore : public kv::Store, public StatsLayer {
     int view_region = -1;  ///< >= 0 = overlay this region's lagging view
   };
 
+  /// What an admitted write carries to its settlement.
+  struct WriteTicket {
+    PendingApply pre;         ///< the key's state before the write
+    bool lost_reply = false;  ///< applies, but the ack is lost (lost tail)
+  };
+
   bool VisibleLocked(const PendingApply& p) const;
   void DrainLocked(std::deque<PendingApply>* q);
   /// Drains `key`'s queue in `region`; true (and `*front` filled) when an
@@ -212,6 +218,19 @@ class ReplicatedCloudStore : public kv::Store, public StatsLayer {
   Status WriteGateLocked(bool* lost_reply);
   Route ReadRouteLocked();
   int StaleRegionLocked() const;
+
+  /// Every read's way in: tick (when armed) and route.
+  Route AdmitRead();
+  /// Every write's way in: tick and gate (when armed), then the pre-image.
+  /// OK = proceed with the write; anything else is its rejection.
+  Status AdmitWrite(const std::string& key, WriteTicket* ticket);
+  /// Every admitted write's way out: replicate a success (when armed), then
+  /// turn a lost-tail write's reply into the ambiguous Timeout.
+  void SettleWrite(const std::string& key, const WriteTicket& ticket,
+                   Status* s, uint64_t* etag);
+  /// A single-key write: `AdmitWrite`, `op(&etag)`, `SettleWrite`.
+  template <typename Op>
+  Status Write(const std::string& key, uint64_t* etag_out, const Op& op);
 
   /// Captures `key`'s current authoritative state (latency-free when a raw
   /// engine is attached).

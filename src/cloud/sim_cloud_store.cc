@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/op_context.h"
 #include "common/random.h"
-#include "common/rpc_executor.h"
 
 namespace ycsbt {
 namespace cloud {
@@ -218,39 +217,6 @@ Status SimCloudStore::Scan(const std::string& start_key, size_t limit,
   s = backing_->Scan(start_key, limit, out);
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   return s;
-}
-
-void SimCloudStore::MultiGet(const std::vector<std::string>& keys,
-                             std::vector<kv::MultiGetResult>* results) {
-  if (executor_ == nullptr || !executor_->enabled() || keys.size() < 2) {
-    Store::MultiGet(keys, results);
-    return;
-  }
-  results->clear();
-  results->resize(keys.size());
-  // Each item is a complete, independent request (admission, latency sleep,
-  // backing op) on its own executor lane — this is where fan-out turns N
-  // serial WAN round trips into ~N/max_inflight overlapping ones.
-  executor_->ParallelForEach(keys.size(), [this, &keys, results](size_t i) {
-    kv::MultiGetResult& r = (*results)[i];
-    r.status = Get(keys[i], &r.value, &r.etag);
-    return r.status;
-  });
-}
-
-void SimCloudStore::MultiWrite(const std::vector<kv::WriteOp>& ops,
-                               std::vector<kv::WriteResult>* results) {
-  if (executor_ == nullptr || !executor_->enabled() || ops.size() < 2) {
-    Store::MultiWrite(ops, results);
-    return;
-  }
-  results->clear();
-  results->resize(ops.size());
-  executor_->ParallelForEach(ops.size(), [this, &ops, results](size_t i) {
-    kv::WriteResult& r = (*results)[i];
-    r.status = kv::ApplyWriteOp(*this, ops[i], &r.etag);
-    return r.status;
-  });
 }
 
 size_t SimCloudStore::Count() const { return backing_->Count(); }

@@ -14,9 +14,6 @@
 #include "kv/store.h"
 
 namespace ycsbt {
-
-class RpcExecutor;
-
 namespace cloud {
 
 /// Overrides of the `was`/`gcs`/`rawhttp` profile below.
@@ -141,22 +138,7 @@ class SimCloudStore : public kv::Store, public StatsLayer {
   Status ConditionalDelete(const std::string& key, uint64_t expected_etag) override;
   Status Scan(const std::string& start_key, size_t limit,
               std::vector<kv::ScanEntry>* out) override;
-  /// Batch ops: with a fan-out executor attached, every item runs its FULL
-  /// single-op path — serialized client section, container rate cap, sampled
-  /// service latency, backing op — on its own pool lane, so the per-request
-  /// WAN latencies genuinely overlap instead of summing.  Without an
-  /// executor the default sequential loop applies (the seed behaviour).
-  void MultiGet(const std::vector<std::string>& keys,
-                std::vector<kv::MultiGetResult>* results) override;
-  void MultiWrite(const std::vector<kv::WriteOp>& ops,
-                  std::vector<kv::WriteResult>* results) override;
   size_t Count() const override;
-
-  /// Attaches the shared fan-out executor (DBFactory wires it from
-  /// `txn.fanout_threads`); null keeps batches sequential.
-  void set_executor(std::shared_ptr<RpcExecutor> executor) {
-    executor_ = std::move(executor);
-  }
 
   const CloudProfile& profile() const { return profile_; }
 
@@ -183,7 +165,6 @@ class SimCloudStore : public kv::Store, public StatsLayer {
 
   CloudProfile profile_;
   std::shared_ptr<kv::Store> backing_;
-  std::shared_ptr<RpcExecutor> executor_;  // null = sequential batches
   LatencyModel read_latency_;
   LatencyModel write_latency_;
   std::vector<std::unique_ptr<TokenBucket>> container_limits_;

@@ -15,8 +15,9 @@ namespace ycsbt {
 /// `retry.deadline_us`); every layer below — `TxnDB`, `ClientTxnStore`, the
 /// resilience decorator, `SimCloudStore` — reads the same thread-local, so a
 /// doomed transaction stops issuing RPCs mid-flight instead of timing out N
-/// more times.  Hedge and fan-out workers carry the submitting thread's
-/// context across the hop with the `OpContext::Snapshot()` /
+/// more times.  `RpcExecutor`, the one pool that runs RPCs off the caller's
+/// thread (fan-out items and hedged primaries), carries the submitting
+/// thread's context across the hop with the `OpContext::Snapshot()` /
 /// `OpContextAdoptScope` pair so the deadline survives the thread hop.
 ///
 /// `exempt` marks sections that must keep issuing requests even past the
@@ -34,9 +35,8 @@ struct OpContext {
   bool hedge = false;
 
   /// Captures the calling thread's ambient context, to be re-installed on
-  /// another thread with `OpContextAdoptScope` (the Snapshot/Adopt pair the
-  /// fan-out executor and the hedge workers use).  Defined after the
-  /// thread-local below.
+  /// another thread with `OpContextAdoptScope` (the Snapshot/Adopt pair
+  /// `RpcExecutor` uses).  Defined after the thread-local below.
   static OpContext Snapshot();
 };
 
@@ -121,9 +121,9 @@ class OpHedgeScope {
 /// RAII: adopts a context captured with `OpContext::Snapshot()` on another
 /// thread, restoring the worker's own context on destruction.  This is the
 /// second half of the Snapshot/Adopt pair: any code that moves an RPC onto a
-/// pool thread (the fan-out executor's workers, `ResilientStore`'s hedge
-/// workers) must adopt the issuing thread's snapshot, or the RPC silently
-/// runs with no deadline and no exempt marking.
+/// pool thread must adopt the issuing thread's snapshot, or the RPC silently
+/// runs with no deadline and no exempt marking.  `RpcExecutor` does so for
+/// every task it runs.
 class OpContextAdoptScope {
  public:
   explicit OpContextAdoptScope(const OpContext& ctx)

@@ -14,6 +14,22 @@ inline constexpr PropertyDecl kSeed =
     UintProperty("seed", 0x5EEDBA5E, "run seed every random stream derives from");
 inline constexpr const PropertyDecl* kSeedProperties[] = {&kSeed};
 
+/// splitmix64 finaliser: a high-quality 64->64 mix, so consecutive inputs
+/// give uncorrelated outputs.
+inline constexpr uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// Deterministic uniform double in [0,1) for draw number `ticket` of stream
+/// `salt` under `seed` (distinct salts give independent streams): how the
+/// fault injectors make every decision a pure function of (seed, ticket).
+inline double TicketDraw(uint64_t seed, uint64_t ticket, uint64_t salt) {
+  uint64_t v = Mix64(seed ^ Mix64(ticket ^ (salt * 0x9E3779B97F4A7C15ull)));
+  return static_cast<double>(v >> 11) * (1.0 / 9007199254740992.0);
+}
+
 /// Fast, seedable 64-bit PRNG (xoshiro256**), one instance per client thread.
 ///
 /// The YCSB generators need a cheap random source whose cost is negligible
@@ -29,10 +45,7 @@ class Random64 {
     // splitmix64 expansion of the seed into the four lanes.
     for (auto& lane : s_) {
       seed += 0x9E3779B97F4A7C15ull;
-      uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      lane = z ^ (z >> 31);
+      lane = Mix64(seed);
     }
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/op_context.h"
 #include "common/random.h"
 
 namespace ycsbt {
@@ -34,7 +33,7 @@ void RpcExecutor::WorkerLoop(size_t worker_index) {
   ThreadLocalRandom().Seed(seed_ ^
                            (0x9E3779B97F4A7C15ull * (worker_index + 1)));
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -42,14 +41,19 @@ void RpcExecutor::WorkerLoop(size_t worker_index) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    OpContextAdoptScope adopt(task.ctx);
+    task.fn();
   }
 }
 
 void RpcExecutor::Submit(std::function<void()> task) {
+  if (!enabled()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{OpContext::Snapshot(), std::move(task)});
   }
   cv_.notify_one();
 }
@@ -79,10 +83,9 @@ std::vector<Status> RpcExecutor::ParallelForEach(
     size_t helpers_done = 0;
   };
   BatchState state;
-  const OpContext ctx = OpContext::Snapshot();
 
-  auto run_items = [&state, &statuses, &fn, items, ctx] {
-    OpContextAdoptScope adopt(ctx);
+  // Helpers run under the caller's context: `Submit` carries it across.
+  auto run_items = [&state, &statuses, &fn, items] {
     for (;;) {
       size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= items) return;

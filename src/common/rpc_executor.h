@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/op_context.h"
 #include "common/stats_layer.h"
 #include "common/status.h"
 
@@ -30,15 +31,16 @@ struct FanoutStats {
 /// A small fixed thread pool purpose-built for fanning out independent store
 /// RPCs (DESIGN.md §10).
 ///
-/// The one combinator, `ParallelForEach`, runs `fn(0..items)` with bounded
-/// concurrency and collects one `Status` per item.  Three properties matter
-/// more than raw pool throughput here:
+/// The combinator, `ParallelForEach`, runs `fn(0..items)` with bounded
+/// concurrency and collects one `Status` per item; `Submit` runs one task
+/// fire-and-forget (`ResilientStore`'s hedged primaries).  Three properties
+/// matter more than raw pool throughput here:
 ///
-///  1. **OpContext travels with the batch.**  The caller's thread-local
-///     deadline/exempt state (`OpContext::Snapshot()`) is adopted by every
-///     worker running an item, so a deadline set on the issuing thread
-///     fences RPCs executed on pool threads and post-commit-point cleanup
-///     stays exempt across the hop.
+///  1. **OpContext travels with the work.**  The submitting thread's
+///     thread-local deadline/exempt/hedge state (`OpContext::Snapshot()`) is
+///     adopted by the worker running a task, so a deadline set on the
+///     issuing thread fences RPCs executed on pool threads and
+///     post-commit-point cleanup stays exempt across the hop.
 ///  2. **The caller participates.**  The issuing thread works the same item
 ///     queue as the helpers it submitted, so a batch always makes progress
 ///     even when every pool worker is busy with other clients' batches —
@@ -75,6 +77,12 @@ class RpcExecutor : public StatsLayer {
   std::vector<Status> ParallelForEach(size_t items,
                                       const std::function<Status(size_t)>& fn);
 
+  /// Queues `task` for a pool worker, which runs it under the caller's
+  /// `OpContext`, and returns at once.  Runs it inline when the pool is
+  /// disabled.  Tasks still queued at destruction run before the workers
+  /// are joined.
+  void Submit(std::function<void()> task);
+
   /// Snapshot-and-reset of the fan-out counters accumulated since the last
   /// drain.
   FanoutStats DrainStats();
@@ -83,15 +91,20 @@ class RpcExecutor : public StatsLayer {
   void Collect(LayerStats* out) override;
 
  private:
+  /// A queued task and the context its submitter ran under.
+  struct Task {
+    OpContext ctx;
+    std::function<void()> fn;
+  };
+
   void WorkerLoop(size_t worker_index);
-  void Submit(std::function<void()> task);
 
   const int max_inflight_;
   const uint64_t seed_;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   bool stopping_ = false;
 
   std::mutex stats_mu_;

@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/random.h"
+
 namespace ycsbt {
 namespace kv {
 
 namespace {
-
-/// splitmix64 finaliser, the same mix the request-level fault substrate uses:
-/// consecutive tickets give uncorrelated draws, and the whole schedule is a
-/// pure function of (seed, operation stream).
-uint64_t Mix64(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 bool PathMatches(const std::string& path, const std::string& filter) {
   return filter.empty() || path.find(filter) != std::string::npos;
@@ -117,12 +110,6 @@ Status FaultInjectingEnv::CrashedStatus() const {
   return Status::IOError("injected: env crashed (simulated kernel crash)");
 }
 
-double FaultInjectingEnv::Draw(uint64_t ticket, uint64_t salt) const {
-  uint64_t v =
-      Mix64(options_.seed ^ Mix64(ticket ^ (salt * 0x9E3779B97F4A7C15ull)));
-  return static_cast<double>(v >> 11) * (1.0 / 9007199254740992.0);
-}
-
 std::string FaultInjectingEnv::DirOf(const std::string& path) {
   size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -160,7 +147,8 @@ Status FaultInjectingEnv::DoAppend(FaultWritableFile* file,
   }
 
   if (options_.write_error_rate > 0.0 &&
-      Draw(ticket, /*salt=*/11) < options_.write_error_rate) {
+      TicketDraw(options_.seed, ticket, /*salt=*/11) <
+          options_.write_error_rate) {
     stats_.write_errors++;
     return Injected("write error");
   }
@@ -206,7 +194,8 @@ Status FaultInjectingEnv::DoSync(FaultWritableFile* file) {
   const bool fail =
       options_.sync_fail_at == ticket ||
       (options_.sync_fail_rate > 0.0 &&
-       Draw(ticket, /*salt=*/13) < options_.sync_fail_rate);
+       TicketDraw(options_.seed, ticket, /*salt=*/13) <
+           options_.sync_fail_rate);
   if (fail) {
     // fsyncgate: the error is reported exactly once, and the dirty pages it
     // covered are GONE — a later sync of the same fd silently "succeeds"
@@ -254,7 +243,8 @@ Status FaultInjectingEnv::ReadFileToString(const std::string& path,
     flip_at = static_cast<int64_t>(
         static_cast<uint64_t>(options_.read_flip_offset) % out->size());
   } else if (options_.read_flip_rate > 0.0 &&
-             Draw(ticket, /*salt=*/17) < options_.read_flip_rate) {
+             TicketDraw(options_.seed, ticket, /*salt=*/17) <
+                 options_.read_flip_rate) {
     flip_at = static_cast<int64_t>(Mix64(options_.seed ^ (ticket * 0x9E37ull)) %
                                    out->size());
   }

@@ -195,7 +195,6 @@ class FaultInjectingEnv : public Env, public StatsLayer {
   /// Freezes the env: rolls back un-dir-synced renames, optionally drops
   /// unsynced file bytes, and fails every later operation.  Requires `mu_`.
   void TriggerCrashLocked(const std::string& point);
-  double Draw(uint64_t ticket, uint64_t salt) const;
   static std::string DirOf(const std::string& path);
 
   Env* base_;

@@ -2,21 +2,11 @@
 
 #include "common/latency_model.h"
 #include "common/op_context.h"
+#include "common/random.h"
+#include "kv/ordered_admission.h"
 
 namespace ycsbt {
 namespace kv {
-
-namespace {
-
-/// splitmix64 finaliser: a high-quality 64->64 mix, so consecutive tickets
-/// give uncorrelated draws.
-uint64_t Mix64(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 FaultOptions FaultOptions::FromProperties(const Properties& props) {
   FaultOptions o;
@@ -67,11 +57,6 @@ void FaultInjectingStore::Collect(LayerStats* out) {
   collected_ = now;
 }
 
-double FaultInjectingStore::Draw(uint64_t ticket, uint64_t salt) const {
-  uint64_t v = Mix64(options_.seed ^ Mix64(ticket ^ (salt * 0x9E3779B97F4A7C15ull)));
-  return static_cast<double>(v >> 11) * (1.0 / 9007199254740992.0);
-}
-
 Status FaultInjectingStore::BeginRequest() {
   if (!enabled()) return Status::OK();
   // A hedge (a duplicate of a read already in flight) is faulted like any
@@ -89,7 +74,8 @@ Status FaultInjectingStore::BeginRequest() {
             : ticket_.fetch_add(1, std::memory_order_relaxed);
 
   if (options_.latency_spike_rate > 0.0 &&
-      Draw(ticket, /*salt=*/1) < options_.latency_spike_rate) {
+      TicketDraw(options_.seed, ticket, /*salt=*/1) <
+          options_.latency_spike_rate) {
     count(latency_spikes_);
     SleepMicros(options_.latency_spike_us);
   }
@@ -108,7 +94,8 @@ Status FaultInjectingStore::BeginRequest() {
       count(throttles_);
       return Status::RateLimited("injected: throttle burst");
     }
-    if (Draw(ticket, /*salt=*/2) < options_.throttle_rate) {
+    if (TicketDraw(options_.seed, ticket, /*salt=*/2) <
+        options_.throttle_rate) {
       if (!hedge) {
         throttle_burst_left_.store(options_.throttle_burst - 1,
                                    std::memory_order_relaxed);
@@ -119,7 +106,7 @@ Status FaultInjectingStore::BeginRequest() {
   }
 
   if (options_.error_rate > 0.0 &&
-      Draw(ticket, /*salt=*/3) < options_.error_rate) {
+      TicketDraw(options_.seed, ticket, /*salt=*/3) < options_.error_rate) {
     // Half the transient errors are Timeouts (retryable), half IOErrors
     // (not retryable per Status::IsRetryable) — so a retry loop's giveup
     // path is exercised alongside its success path.
@@ -136,7 +123,8 @@ Status FaultInjectingStore::BeginRequest() {
 bool FaultInjectingStore::LoseReply() {
   if (!enabled() || options_.lost_reply_rate <= 0.0) return false;
   uint64_t ticket = ticket_.fetch_add(1, std::memory_order_relaxed);
-  if (Draw(ticket, /*salt=*/4) < options_.lost_reply_rate) {
+  if (TicketDraw(options_.seed, ticket, /*salt=*/4) <
+      options_.lost_reply_rate) {
     lost_replies_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -147,7 +135,7 @@ bool FaultInjectingStore::ShouldCrash(CrashPoint point) {
   if (!enabled() || options_.crash_rate <= 0.0) return false;
   if ((options_.crash_points & CrashPointBit(point)) == 0) return false;
   uint64_t ticket = crash_ticket_.fetch_add(1, std::memory_order_relaxed);
-  if (Draw(ticket, /*salt=*/5) < options_.crash_rate) {
+  if (TicketDraw(options_.seed, ticket, /*salt=*/5) < options_.crash_rate) {
     crashes_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -200,62 +188,22 @@ Status FaultInjectingStore::ConditionalDelete(const std::string& key,
 
 void FaultInjectingStore::MultiGet(const std::vector<std::string>& keys,
                                    std::vector<MultiGetResult>* results) {
-  results->clear();
-  results->resize(keys.size());
-  // Gate every key in item order BEFORE anything goes down: the ticket
-  // sequence (and the shared throttle-burst drain) must not depend on how
-  // the base store schedules the surviving sub-batch across pool threads.
-  std::vector<std::string> admitted;
-  std::vector<size_t> admitted_index;
-  admitted.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    Status s = BeginRequest();
-    if (!s.ok()) {
-      (*results)[i].status = s;
-      continue;
-    }
-    admitted.push_back(keys[i]);
-    admitted_index.push_back(i);
-  }
-  if (admitted.empty()) return;
-  std::vector<MultiGetResult> sub;
-  base_->MultiGet(admitted, &sub);
-  for (size_t j = 0; j < sub.size(); ++j) {
-    (*results)[admitted_index[j]] = std::move(sub[j]);
-  }
+  AdmitInOrder(
+      *base_, keys, results,
+      [this](const std::string&, NoTicket*) { return BeginRequest(); },
+      [](const std::string&, NoTicket&, MultiGetResult*) {});
 }
 
 void FaultInjectingStore::MultiWrite(const std::vector<WriteOp>& ops,
                                      std::vector<WriteResult>* results) {
-  results->clear();
-  results->resize(ops.size());
-  std::vector<WriteOp> admitted;
-  std::vector<size_t> admitted_index;
-  admitted.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    Status s = BeginRequest();
-    if (!s.ok()) {
-      (*results)[i].status = s;
-      continue;
-    }
-    admitted.push_back(ops[i]);
-    admitted_index.push_back(i);
-  }
-  if (!admitted.empty()) {
-    std::vector<WriteResult> sub;
-    base_->MultiWrite(admitted, &sub);
-    for (size_t j = 0; j < sub.size(); ++j) {
-      (*results)[admitted_index[j]] = std::move(sub[j]);
-    }
-  }
-  // Lost-reply draws also run in item order, after the whole sub-batch
-  // settled, for the same determinism reason.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    WriteResult& r = (*results)[i];
-    if (r.status.ok() && LoseReply()) {
-      r.status = Status::Timeout("injected: reply lost");
-    }
-  }
+  AdmitInOrder(
+      *base_, ops, results,
+      [this](const std::string&, NoTicket*) { return BeginRequest(); },
+      [this](const std::string&, NoTicket&, WriteResult* r) {
+        if (r->status.ok() && LoseReply()) {
+          r->status = Status::Timeout("injected: reply lost");
+        }
+      });
 }
 
 Status FaultInjectingStore::Scan(const std::string& start_key, size_t limit,

@@ -147,10 +147,8 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
                            uint64_t expected_etag) override;
   Status Scan(const std::string& start_key, size_t limit,
               std::vector<ScanEntry>* out) override;
-  /// Batch ops: every item pays its own fault gate (and, for mutations, its
-  /// own lost-reply draw), evaluated sequentially in item order so the
-  /// ticket schedule stays deterministic; only the admitted subset is passed
-  /// down as a (possibly concurrent) sub-batch.
+  /// Batch ops go through `AdmitInOrder`: every item pays its own fault
+  /// gate and, for mutations, its own lost-reply draw, in item order.
   void MultiGet(const std::vector<std::string>& keys,
                 std::vector<MultiGetResult>* results) override;
   void MultiWrite(const std::vector<WriteOp>& ops,
@@ -168,10 +166,6 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
   /// Post-apply gate for mutations: true = swallow the success and report
   /// a lost reply instead.
   bool LoseReply();
-
-  /// Deterministic uniform double in [0,1) for ticket `ticket` and fault
-  /// stream `salt` (distinct salts give independent streams).
-  double Draw(uint64_t ticket, uint64_t salt) const;
 
   /// Top bit set on hedge tickets: their draws never repeat a primary's.
   static constexpr uint64_t kHedgeStream = uint64_t{1} << 63;

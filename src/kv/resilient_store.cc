@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "common/rpc_executor.h"
+#include "kv/ordered_admission.h"
 
 namespace ycsbt {
 namespace kv {
@@ -24,46 +25,6 @@ ResilienceOptions ResilienceOptions::FromProperties(const Properties& props) {
   return o;
 }
 
-ResilientStore::WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ResilientStore::WorkerPool::Start(int workers) {
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopping, queue drained
-        std::function<void()> fn = std::move(queue_.front());
-        queue_.pop_front();
-        lock.unlock();
-        fn();
-        lock.lock();
-      }
-    });
-  }
-}
-
-void ResilientStore::WorkerPool::Submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (workers_.empty() || stopping_) {
-      // No pool (hedging off) — degenerate to inline execution.
-      fn();
-      return;
-    }
-    queue_.push_back(std::move(fn));
-  }
-  cv_.notify_one();
-}
-
 ResilientStore::ResilientStore(std::shared_ptr<Store> base,
                                ResilienceOptions options, int backends)
     : base_(std::move(base)), options_(std::move(options)) {
@@ -73,14 +34,13 @@ ResilientStore::ResilientStore(std::shared_ptr<Store> base,
   }
   if (options_.hedge_enabled) {
     read_samples_us_.reserve(256);
-    pool_.Start(options_.hedge_workers);
+    hedge_pool_ = std::make_unique<RpcExecutor>(options_.hedge_workers);
   }
 }
 
 ResilientStore::~ResilientStore() = default;
 
-Status ResilientStore::Preflight(const std::string& key, CircuitBreaker** b,
-                                 bool* probe) {
+Status ResilientStore::Preflight(const std::string& key, Admission* admission) {
   if (OpExempt()) return Status::OK();
   if (options_.deadline_fail_fast && OpDeadlineExpired()) {
     deadline_rejects_.fetch_add(1, std::memory_order_relaxed);
@@ -104,8 +64,8 @@ Status ResilientStore::Preflight(const std::string& key, CircuitBreaker** b,
           "breaker open; retry_after_us=" +
           std::to_string(options_.breaker.cooldown_us));
     }
-    *b = &breaker;
-    *probe = ticket.probe;
+    admission->breaker = &breaker;
+    admission->probe = ticket.probe;
   }
   return Status::OK();
 }
@@ -141,19 +101,16 @@ uint64_t ResilientStore::CurrentHedgeDelayUs() const {
 }
 
 Status ResilientStore::HedgedRead(const std::string& key, const ReadFn& op,
-                                  CircuitBreaker* b, bool probe,
-                                  ReadResult* out) {
+                                  Admission admission, ReadResult* out) {
   auto cell = std::make_shared<HedgeCell>();
-  // The primary runs on a pool worker carrying this thread's OpContext, so
-  // the caller can adopt the hedge's answer and return while the stalled
+  // The primary runs on a pool worker under this thread's OpContext, so the
+  // caller can adopt the hedge's answer and return while the stalled
   // primary is still in flight.
-  OpContext ctx = OpContext::Snapshot();
-  pool_.Submit([this, cell, op, b, probe, ctx] {
-    OpContextAdoptScope scope(ctx);
+  hedge_pool_->Submit([this, cell, op, admission] {
     Stopwatch watch;
     ReadResult result;
     result.status = op(*base_, &result);
-    if (b != nullptr) b->OnResult(result.status, probe);
+    admission.Settle(result.status);
     RecordReadSampleUs(watch.ElapsedMicros());
     std::lock_guard<std::mutex> lock(cell->mu);
     cell->primary = std::move(result);
@@ -173,15 +130,14 @@ Status ResilientStore::HedgedRead(const std::string& key, const ReadFn& op,
     // own breaker/deadline admission, so an overloaded backend is never
     // double-hammered through the hedging path.
     lock.unlock();
-    CircuitBreaker* hb = nullptr;
-    bool hedge_probe = false;
-    bool send = Preflight(key, &hb, &hedge_probe).ok();
+    Admission hedge_admission;
+    bool send = Preflight(key, &hedge_admission).ok();
     ReadResult hedge;
     if (send) {
       hedges_sent_.fetch_add(1, std::memory_order_relaxed);
       OpHedgeScope hedge_scope;
       hedge.status = op(*base_, &hedge);
-      if (hb != nullptr) hb->OnResult(hedge.status, hedge_probe);
+      hedge_admission.Settle(hedge.status);
     }
     lock.lock();
     if (send) {
@@ -206,16 +162,15 @@ Status ResilientStore::HedgedRead(const std::string& key, const ReadFn& op,
 
 Status ResilientStore::RunRead(const std::string& key, const ReadFn& op,
                                ReadResult* out) {
-  CircuitBreaker* b = nullptr;
-  bool probe = false;
-  Status admit = Preflight(key, &b, &probe);
+  Admission admission;
+  Status admit = Preflight(key, &admission);
   if (!admit.ok()) return admit;
   if (options_.hedge_enabled && !OpExempt()) {
-    return HedgedRead(key, op, b, probe, out);
+    return HedgedRead(key, op, admission, out);
   }
   Stopwatch watch;
   out->status = op(*base_, out);
-  if (b != nullptr) b->OnResult(out->status, probe);
+  admission.Settle(out->status);
   if (options_.hedge_enabled) RecordReadSampleUs(watch.ElapsedMicros());
   return out->status;
 }
@@ -252,156 +207,72 @@ Status ResilientStore::Scan(const std::string& start_key, size_t limit,
   return s;
 }
 
-void ResilientStore::MultiGet(const std::vector<std::string>& keys,
-                              std::vector<MultiGetResult>* results) {
-  if (options_.hedge_enabled) {
-    // Hedging must see every request individually (the straggler protection
-    // is per-RPC), so the batch decomposes into per-key hedged reads.  With
-    // an executor attached they run concurrently — the fan-out then happens
-    // here rather than in the cloud store below.
-    results->clear();
-    results->resize(keys.size());
-    auto run_one = [this, &keys, results](size_t i) {
-      MultiGetResult& r = (*results)[i];
-      const std::string& key = keys[i];
-      ReadResult read;
-      r.status = RunRead(
-          key,
-          [key](Store& store, ReadResult* out) {
-            return store.Get(key, &out->value, &out->etag);
-          },
-          &read);
-      if (r.status.ok()) {
-        r.value = std::move(read.value);
-        r.etag = read.etag;
-      }
-      return r.status;
-    };
-    if (executor_ != nullptr) {
-      executor_->ParallelForEach(keys.size(), run_one);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) run_one(i);
-    }
-    return;
-  }
-
-  // No hedging: admit every key in item order, pass the admitted subset down
-  // as one batch, settle the breaker tickets in item order afterwards.  The
-  // ordered admission/settlement keeps the breaker lifecycle a pure function
-  // of the request stream even when the sub-batch fans out below.
-  results->clear();
-  results->resize(keys.size());
-  std::vector<std::string> admitted;
-  std::vector<size_t> admitted_index;
-  std::vector<CircuitBreaker*> admitted_breaker;
-  std::vector<bool> admitted_probe;
-  admitted.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    CircuitBreaker* b = nullptr;
-    bool probe = false;
-    Status s = Preflight(keys[i], &b, &probe);
-    if (!s.ok()) {
-      (*results)[i].status = s;
-      continue;
-    }
-    admitted.push_back(keys[i]);
-    admitted_index.push_back(i);
-    admitted_breaker.push_back(b);
-    admitted_probe.push_back(probe);
-  }
-  if (admitted.empty()) return;
-  std::vector<MultiGetResult> sub;
-  base_->MultiGet(admitted, &sub);
-  for (size_t j = 0; j < sub.size(); ++j) {
-    if (admitted_breaker[j] != nullptr) {
-      admitted_breaker[j]->OnResult(sub[j].status, admitted_probe[j]);
-    }
-    (*results)[admitted_index[j]] = std::move(sub[j]);
-  }
+template <typename Item, typename Row>
+void ResilientStore::AdmitBatch(const std::vector<Item>& items,
+                                std::vector<Row>* rows) {
+  AdmitInOrder<Admission>(
+      *base_, items, rows,
+      [this](const std::string& key, Admission* admission) {
+        return Preflight(key, admission);
+      },
+      [](const std::string&, const Admission& admission, Row* row) {
+        admission.Settle(row->status);
+      });
 }
 
-void ResilientStore::MultiWrite(const std::vector<WriteOp>& ops,
-                                std::vector<WriteResult>* results) {
-  // Mutations are never hedged; the batch analogue of the single-op
-  // mutation path is ordered admission, one sub-batch, ordered settlement.
-  results->clear();
-  results->resize(ops.size());
-  std::vector<WriteOp> admitted;
-  std::vector<size_t> admitted_index;
-  std::vector<CircuitBreaker*> admitted_breaker;
-  std::vector<bool> admitted_probe;
-  admitted.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    CircuitBreaker* b = nullptr;
-    bool probe = false;
-    Status s = Preflight(ops[i].key, &b, &probe);
-    if (!s.ok()) {
-      (*results)[i].status = s;
-      continue;
-    }
-    admitted.push_back(ops[i]);
-    admitted_index.push_back(i);
-    admitted_breaker.push_back(b);
-    admitted_probe.push_back(probe);
+void ResilientStore::MultiGet(const std::vector<std::string>& keys,
+                              std::vector<MultiGetResult>* results) {
+  // Hedging must see every request individually (the straggler protection
+  // is per-RPC), so the batch is one hedged Get per key, fanned out here
+  // rather than in the cloud store below.
+  if (options_.hedge_enabled) {
+    Store::MultiGet(keys, results);
+    return;
   }
-  if (admitted.empty()) return;
-  std::vector<WriteResult> sub;
-  base_->MultiWrite(admitted, &sub);
-  for (size_t j = 0; j < sub.size(); ++j) {
-    if (admitted_breaker[j] != nullptr) {
-      admitted_breaker[j]->OnResult(sub[j].status, admitted_probe[j]);
-    }
-    (*results)[admitted_index[j]] = std::move(sub[j]);
-  }
+  AdmitBatch(keys, results);
 }
 
 // Mutations: breaker + deadline admission only.  They never enter the
 // hedging path — a duplicated lock put, TSR put or delete would break the
 // transaction protocol's exactly-once assumptions.
 
+void ResilientStore::MultiWrite(const std::vector<WriteOp>& ops,
+                                std::vector<WriteResult>* results) {
+  AdmitBatch(ops, results);
+}
+
+template <typename Op>
+Status ResilientStore::Mutate(const std::string& key, const Op& op) {
+  Admission admission;
+  Status admit = Preflight(key, &admission);
+  if (!admit.ok()) return admit;
+  Status s = op();
+  admission.Settle(s);
+  return s;
+}
+
 Status ResilientStore::Put(const std::string& key, std::string_view value,
                            uint64_t* etag_out) {
-  CircuitBreaker* b = nullptr;
-  bool probe = false;
-  Status admit = Preflight(key, &b, &probe);
-  if (!admit.ok()) return admit;
-  Status s = base_->Put(key, value, etag_out);
-  if (b != nullptr) b->OnResult(s, probe);
-  return s;
+  return Mutate(key, [&] { return base_->Put(key, value, etag_out); });
 }
 
 Status ResilientStore::ConditionalPut(const std::string& key,
                                       std::string_view value,
                                       uint64_t expected_etag,
                                       uint64_t* etag_out) {
-  CircuitBreaker* b = nullptr;
-  bool probe = false;
-  Status admit = Preflight(key, &b, &probe);
-  if (!admit.ok()) return admit;
-  Status s = base_->ConditionalPut(key, value, expected_etag, etag_out);
-  if (b != nullptr) b->OnResult(s, probe);
-  return s;
+  return Mutate(key, [&] {
+    return base_->ConditionalPut(key, value, expected_etag, etag_out);
+  });
 }
 
 Status ResilientStore::Delete(const std::string& key) {
-  CircuitBreaker* b = nullptr;
-  bool probe = false;
-  Status admit = Preflight(key, &b, &probe);
-  if (!admit.ok()) return admit;
-  Status s = base_->Delete(key);
-  if (b != nullptr) b->OnResult(s, probe);
-  return s;
+  return Mutate(key, [&] { return base_->Delete(key); });
 }
 
 Status ResilientStore::ConditionalDelete(const std::string& key,
                                          uint64_t expected_etag) {
-  CircuitBreaker* b = nullptr;
-  bool probe = false;
-  Status admit = Preflight(key, &b, &probe);
-  if (!admit.ok()) return admit;
-  Status s = base_->ConditionalDelete(key, expected_etag);
-  if (b != nullptr) b->OnResult(s, probe);
-  return s;
+  return Mutate(key,
+                [&] { return base_->ConditionalDelete(key, expected_etag); });
 }
 
 size_t ResilientStore::Count() const { return base_->Count(); }

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/circuit_breaker.h"
@@ -120,22 +118,16 @@ class ResilientStore : public Store, public StatsLayer {
                            uint64_t expected_etag) override;
   Status Scan(const std::string& start_key, size_t limit,
               std::vector<ScanEntry>* out) override;
-  /// Batch ops: every item pays its own breaker/deadline admission and
-  /// settles its own breaker ticket, in item order, so the breaker's
-  /// rolling-window lifecycle stays deterministic under fan-out.  With
-  /// hedging on, a `MultiGet` decomposes into per-key hedged reads (run on
-  /// the shared executor when one is attached) so each request keeps its
-  /// straggler protection; mutations are batched but never hedged.
+  /// Batch ops go through `AdmitInOrder`: each item's admission and breaker
+  /// settlement, in item order.  With hedging on, a `MultiGet` is instead
+  /// the base class's per-key loop over the hedged `Get` (fanned out on the
+  /// attached executor), so each request keeps its straggler protection;
+  /// mutations are batched but never hedged.
   void MultiGet(const std::vector<std::string>& keys,
                 std::vector<MultiGetResult>* results) override;
   void MultiWrite(const std::vector<WriteOp>& ops,
                   std::vector<WriteResult>* results) override;
   size_t Count() const override;
-
-  /// Attaches the shared fan-out executor used by hedged `MultiGet`.
-  void set_executor(std::shared_ptr<RpcExecutor> executor) {
-    executor_ = std::move(executor);
-  }
 
   /// Overrides the key->backend mapping the per-backend breakers charge.
   /// By default keys hash over the backends (the cloud store's container
@@ -183,27 +175,28 @@ class ResilientStore : public Store, public StatsLayer {
     ReadResult primary;
   };
 
-  /// Tiny fixed worker pool running hedged primaries, so a caller whose
-  /// primary is stuck behind a latency spike can take the hedge's answer
-  /// and move on.
-  class WorkerPool {
-   public:
-    ~WorkerPool();
-    void Start(int workers);
-    void Submit(std::function<void()> fn);
-
-   private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
-    std::vector<std::thread> workers_;
-    bool stopping_ = false;
+  /// An admitted request's breaker ticket, settled with its outcome (no
+  /// breaker, or an exempt request: nothing to settle).
+  struct Admission {
+    CircuitBreaker* breaker = nullptr;
+    bool probe = false;
+    void Settle(const Status& s) const {
+      if (breaker != nullptr) breaker->OnResult(s, probe);
+    }
   };
 
-  /// Deadline + breaker admission shared by every op.  On admission `*b`
-  /// (may stay null) and `*probe` describe the breaker ticket to settle via
-  /// `OnResult`; a non-OK return is the fail-fast status.
-  Status Preflight(const std::string& key, CircuitBreaker** b, bool* probe);
+  /// Deadline + breaker admission shared by every op.  OK fills
+  /// `*admission`; a non-OK return is the fail-fast status.
+  Status Preflight(const std::string& key, Admission* admission);
+
+  /// A single-key mutation: admission, `op()`, settlement.
+  template <typename Op>
+  Status Mutate(const std::string& key, const Op& op);
+
+  /// A batch through `AdmitInOrder` with `Preflight` and the breaker's
+  /// settlement.
+  template <typename Item, typename Row>
+  void AdmitBatch(const std::vector<Item>& items, std::vector<Row>* rows);
 
   /// A usable answer callers take as final: everything except the
   /// infrastructure failures the breaker counts (throttle/timeout/IO).
@@ -214,7 +207,7 @@ class ResilientStore : public Store, public StatsLayer {
 
   Status RunRead(const std::string& key, const ReadFn& op, ReadResult* out);
   Status HedgedRead(const std::string& key, const ReadFn& op,
-                    CircuitBreaker* b, bool probe, ReadResult* out);
+                    Admission admission, ReadResult* out);
 
   void RecordReadSampleUs(uint64_t us);
 
@@ -222,7 +215,6 @@ class ResilientStore : public Store, public StatsLayer {
   const ResilienceOptions options_;
   std::unique_ptr<CircuitBreakerSet> breakers_;  // null when breaker is off
   std::function<size_t(const std::string&)> backend_resolver_;  // null = hash
-  std::shared_ptr<RpcExecutor> executor_;        // null = sequential batches
 
   std::atomic<uint64_t> hedges_sent_{0};
   std::atomic<uint64_t> hedges_won_{0};
@@ -235,8 +227,11 @@ class ResilientStore : public Store, public StatsLayer {
   std::vector<uint64_t> read_samples_us_;
   size_t samples_next_ = 0;
 
-  /// Last member: destroyed (joined) first, before `base_` goes away.
-  WorkerPool pool_;
+  /// `hedge.workers` threads running hedged primaries, so a caller whose
+  /// primary is stuck behind a latency spike can take the hedge's answer
+  /// and move on; null when hedging is off.  Last member: destroyed
+  /// (joined) first, before `base_` goes away.
+  std::unique_ptr<RpcExecutor> hedge_pool_;
 };
 
 }  // namespace kv

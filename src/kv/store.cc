@@ -10,24 +10,42 @@
 namespace ycsbt {
 namespace kv {
 
+namespace {
+
+/// Runs `fn(0..items)`: on `executor` when it can fan the batch out, as a
+/// sequential loop otherwise.
+template <typename Fn>
+void ForEachItem(RpcExecutor* executor, size_t items, const Fn& fn) {
+  if (executor != nullptr && executor->enabled() && items >= 2) {
+    executor->ParallelForEach(items, [&fn](size_t i) {
+      fn(i);
+      return Status::OK();
+    });
+    return;
+  }
+  for (size_t i = 0; i < items; ++i) fn(i);
+}
+
+}  // namespace
+
 void Store::MultiGet(const std::vector<std::string>& keys,
                      std::vector<MultiGetResult>* results) {
   results->clear();
   results->resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
+  ForEachItem(executor_.get(), keys.size(), [this, &keys, results](size_t i) {
     MultiGetResult& r = (*results)[i];
     r.status = Get(keys[i], &r.value, &r.etag);
-  }
+  });
 }
 
 void Store::MultiWrite(const std::vector<WriteOp>& ops,
                        std::vector<WriteResult>* results) {
   results->clear();
   results->resize(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
+  ForEachItem(executor_.get(), ops.size(), [this, &ops, results](size_t i) {
     WriteResult& r = (*results)[i];
     r.status = ApplyWriteOp(*this, ops[i], &r.etag);
-  }
+  });
 }
 
 Status ApplyWriteOp(Store& store, const WriteOp& op, uint64_t* etag_out) {
@@ -571,36 +589,6 @@ size_t ShardedStore::Count() const {
     total += shard_ptr->map.size();
   }
   return total;
-}
-
-void ShardedStore::MultiGet(const std::vector<std::string>& keys,
-                            std::vector<MultiGetResult>* results) {
-  if (executor_ == nullptr || !executor_->enabled() || keys.size() < 2) {
-    Store::MultiGet(keys, results);
-    return;
-  }
-  results->clear();
-  results->resize(keys.size());
-  executor_->ParallelForEach(keys.size(), [this, &keys, results](size_t i) {
-    MultiGetResult& r = (*results)[i];
-    r.status = Get(keys[i], &r.value, &r.etag);
-    return r.status;
-  });
-}
-
-void ShardedStore::MultiWrite(const std::vector<WriteOp>& ops,
-                              std::vector<WriteResult>* results) {
-  if (executor_ == nullptr || !executor_->enabled() || ops.size() < 2) {
-    Store::MultiWrite(ops, results);
-    return;
-  }
-  results->clear();
-  results->resize(ops.size());
-  executor_->ParallelForEach(ops.size(), [this, &ops, results](size_t i) {
-    WriteResult& r = (*results)[i];
-    r.status = ApplyWriteOp(*this, ops[i], &r.etag);
-    return r.status;
-  });
 }
 
 }  // namespace kv

@@ -203,22 +203,31 @@ class Store {
 
   /// Reads every key of `keys`, filling `results` (resized to match) with
   /// one independent per-key outcome; a missing key is a per-row NotFound,
-  /// never a batch failure.  The base implementation is a plain sequential
-  /// loop over `Get` — semantically the contract — which latency-simulating
-  /// stores override to issue the requests concurrently (DESIGN.md §10).
-  /// Like `Scan`, the batch is NOT atomic across keys.
+  /// never a batch failure.  The default runs `Get` per key: on the attached
+  /// executor when there is one, so the requests overlap (DESIGN.md §10),
+  /// and as a sequential loop otherwise.  Decorators override it with
+  /// `AdmitInOrder`.  Like `Scan`, the batch is NOT atomic across keys.
   virtual void MultiGet(const std::vector<std::string>& keys,
                         std::vector<MultiGetResult>* results);
 
   /// Applies every op of `ops`, filling `results` (resized to match) with
-  /// one independent per-op outcome.  Same contract as `MultiGet`: a
-  /// sequential loop by default, concurrent issue in cloud stores, no
-  /// cross-op atomicity ever.
+  /// one independent per-op outcome.  Same contract and default as
+  /// `MultiGet`; no cross-op atomicity ever.
   virtual void MultiWrite(const std::vector<WriteOp>& ops,
                           std::vector<WriteResult>* results);
 
   /// Number of live keys (approximate under concurrency).
   virtual size_t Count() const = 0;
+
+  /// Attaches the shared fan-out executor the default batch forms run their
+  /// items on (`DBFactory` wires it from `txn.fanout_threads`); null keeps
+  /// them sequential.
+  void set_executor(std::shared_ptr<RpcExecutor> executor) {
+    executor_ = std::move(executor);
+  }
+
+ private:
+  std::shared_ptr<RpcExecutor> executor_;  // null = sequential batches
 };
 
 /// Executes one `WriteOp` against `store` through the single-op interface —
@@ -292,21 +301,6 @@ class ShardedStore : public Store, public StatsLayer {
               std::vector<ScanEntry>* out) override;
   size_t Count() const override;
 
-  /// Batched forms fanned out on the shared executor when one is attached
-  /// (`txn.fanout_threads`): shards are independently locked, so per-key ops
-  /// of one batch proceed in parallel exactly like the cloud stores'
-  /// concurrent requests (DESIGN.md §10).  Null executor = the base
-  /// sequential loop.
-  void MultiGet(const std::vector<std::string>& keys,
-                std::vector<MultiGetResult>* results) override;
-  void MultiWrite(const std::vector<WriteOp>& ops,
-                  std::vector<WriteResult>* results) override;
-
-  /// Attaches the shared fan-out executor used by the batched forms.
-  void set_executor(std::shared_ptr<RpcExecutor> executor) {
-    executor_ = std::move(executor);
-  }
-
   const StoreOptions& options() const { return options_; }
 
   /// True when mutations are being logged (a WAL path is configured).
@@ -368,7 +362,6 @@ class ShardedStore : public Store, public StatsLayer {
   Status PoisonStore(const std::string& why);
 
   StoreOptions options_;
-  std::shared_ptr<RpcExecutor> executor_;  // null = sequential batches
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> etag_source_{0};
   WriteAheadLog wal_;

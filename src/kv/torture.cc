@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/random.h"
 #include "kv/env.h"
 #include "kv/fault_env.h"
 #include "kv/store.h"
@@ -21,12 +22,6 @@ namespace {
 
 constexpr const char* kWalFile = "wal.log";
 constexpr const char* kCkptFile = "ckpt.snap";
-
-uint64_t Mix64(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 /// splitmix64 stream: the torture schedule must be a pure function of the
 /// seed, so every random choice comes from here.

@@ -63,18 +63,6 @@ void Measurements::MergeHistogram(OpId op, const Histogram& histogram,
   cell->returns[static_cast<size_t>(code)] += histogram.Count();
 }
 
-void Measurements::Measure(OpId op, int64_t latency_us) {
-  Series* cell = SeriesFor(op);
-  std::lock_guard<std::mutex> lock(cell->mu);
-  cell->histogram.Add(latency_us);
-}
-
-void Measurements::ReportStatus(OpId op, Status::Code code) {
-  Series* cell = SeriesFor(op);
-  std::lock_guard<std::mutex> lock(cell->mu);
-  ++cell->returns[static_cast<size_t>(code)];
-}
-
 void Measurements::RecordInterval(const IntervalSample& sample) {
   std::lock_guard<std::mutex> lock(intervals_mu_);
   intervals_.push_back(sample);

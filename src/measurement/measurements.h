@@ -77,11 +77,6 @@ class ThreadSink {
     SlotFor(op).histogram.Add(latency_us);
   }
 
-  /// Records a return code only.
-  void ReportStatus(OpId op, Status::Code code) {
-    ++SlotFor(op).returns[static_cast<size_t>(code)];
-  }
-
   /// Merges all locally accumulated samples into the parent `Measurements`
   /// and resets the local accumulators.  Owner thread only; may be called
   /// repeatedly.
@@ -114,17 +109,16 @@ class ThreadSink {
 /// threads report whole-transaction `TX-<OP>` samples — giving Tier 5 its
 /// transactional-overhead data.
 ///
+/// Clients intern their op names to `OpId`s once at setup (`RegisterOp`).
 /// Two recording paths exist:
-///  - The hot path: clients intern their op names to `OpId`s once at setup
-///    (`RegisterOp`), obtain a `ThreadSink` (`CreateSink`), and record
-///    lock-free into thread-local state that is merged here only at flush
-///    points.  This is what `WorkloadRunner` and `MeasuredDB` use, so client
-///    threads never serialise through the measurement layer mid-run.
-///  - A string-keyed compatibility shim (`Measure`/`ReportStatus` by name)
-///    that interns per call and records into the shared series under its
-///    mutex — the seed API, kept for tests and one-off callers.
+///  - The hot path: a client obtains a `ThreadSink` (`CreateSink`) and
+///    records lock-free into thread-local state that is merged here only at
+///    flush points.  This is what `WorkloadRunner` and `MeasuredDB` use, so
+///    client threads never serialise through the measurement layer mid-run.
+///  - `Record` and `MergeHistogram` into the shared series under its mutex,
+///    for setup-time and one-off callers.
 ///
-/// Snapshots observe everything flushed (or recorded via the shim) so far;
+/// Snapshots observe everything flushed (or recorded directly) so far;
 /// live per-window progress comes from the runner's interval counters, which
 /// feed the `IntervalSample` time series stored here.
 ///
@@ -153,7 +147,7 @@ class Measurements {
   /// owner.  The pointer stays valid until `Reset()` or destruction.
   ThreadSink* CreateSink();
 
-  // --- interned shared-series path (setup/compat; locks per sample) ---
+  // --- the shared-series path (setup and one-off callers; locks) ---
 
   /// Records one completed operation into the shared series.
   void Record(OpId op, int64_t latency_us, Status::Code code);
@@ -163,22 +157,6 @@ class Measurements {
   /// the measurement layer (the WAL's sync-latency and batch-size stats)
   /// enter the exporter pipeline.  No-op when `histogram` is empty.
   void MergeHistogram(OpId op, const Histogram& histogram, Status::Code code);
-
-  /// Records one latency sample for `op`.
-  void Measure(OpId op, int64_t latency_us);
-
-  /// Records the outcome code for one completed `op`.
-  void ReportStatus(OpId op, Status::Code code);
-
-  // --- string-keyed compatibility shims (the seed API) ---
-
-  void Measure(const std::string& op, int64_t latency_us) {
-    Measure(RegisterOp(op), latency_us);
-  }
-
-  void ReportStatus(const std::string& op, const Status& status) {
-    ReportStatus(RegisterOp(op), status.code());
-  }
 
   // --- interval time series (fed by the runner's status thread) ---
 

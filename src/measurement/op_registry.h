@@ -30,7 +30,7 @@ struct OpId {
 /// once per client, and the runner interns each `TX-<OP>` series the first
 /// time a workload reports that op — so `Intern` may take an exclusive lock
 /// without ever appearing on the per-sample path.  Lookups (`Find`, `Name`)
-/// take a shared lock and are only used by snapshot/compat code.
+/// take a shared lock and are only used by snapshot code.
 class OpRegistry {
  public:
   OpRegistry() = default;

@@ -1042,29 +1042,15 @@ Status ClientTxnStore::ReadCommitted(const std::string& key, std::string* value)
   uint64_t etag;
   Status s = LoadRecord(key, &record, &etag);
   if (!s.ok()) return s;
+  // Resolved exactly like a scan's row: "latest committed" is a snapshot at
+  // infinity.
   if (record.Locked()) {
-    // Latest-committed read: a committed TSR means the pending write is live.
-    std::string tsr_data;
-    Status ts = base_->Get(TsrKey(record.lock_owner), &tsr_data);
-    if (ts.ok()) {
-      TsrRecord tsr;
-      Status ds = DecodeTsr(tsr_data, &tsr);
-      if (!ds.ok()) return ds;
-      if (tsr.state == TsrRecord::State::kCommitted) {
-        if (record.pending_delete) return Status::NotFound(key);
-        if (value != nullptr) *value = record.pending_value;
-        return Status::OK();
-      }
-    }
-    if (LeaseExpired(record, options_.lock_lease_us)) {
-      s = RecoverLock(key, &record, &etag);
-      if (s.IsNotFound()) return s;
-      if (!s.ok() && !s.IsBusy()) return s;
-    }
+    s = ResolveLockedForScan(key, &record, &etag);
+    if (!s.ok()) return s;
   }
-  if (record.commit_ts == 0) return Status::NotFound(key);
-  if (value != nullptr) *value = record.value;
-  return Status::OK();
+  s = VisibleVersion(record, std::numeric_limits<uint64_t>::max(), value,
+                     nullptr);
+  return s.ok() ? s : Status::NotFound(key);
 }
 
 Status ClientTxnStore::ResolveLockedForScan(const std::string& key,

@@ -117,10 +117,11 @@ class ClientTxnStore : public TransactionalKV, public StatsLayer {
   /// when the lock is fresh.
   Status RecoverLock(const std::string& key, TxRecord* record, uint64_t* etag);
 
-  /// Resolves a locked record met by a scan: committed-TSR locks are viewed
-  /// rolled forward (and physically recovered once the lease has expired),
-  /// aborted/undecided locks keep their committed versions.  NotFound means
-  /// the committed outcome deleted the record (skip it).
+  /// Resolves a locked record met by a scan or by `ReadCommitted`:
+  /// committed-TSR locks are viewed rolled forward (and physically recovered
+  /// once the lease has expired), aborted/undecided locks keep their
+  /// committed versions.  NotFound means the committed outcome deleted the
+  /// record (skip it); a failed TSR read is returned as it is.
   Status ResolveLockedForScan(const std::string& key, TxRecord* record,
                               uint64_t* etag);
 

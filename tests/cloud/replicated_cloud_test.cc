@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "batch_schedule.h"
 #include "common/retry_policy.h"
+#include "common/rpc_executor.h"
 #include "kv/resilient_store.h"
 #include "kv/store.h"
 
@@ -393,6 +395,66 @@ TEST(ReplicatedCloudStoreTest, WallClockElectionEmbedsARetryAfterHint) {
   uint64_t hint = RetryAfterUsHint(s);
   EXPECT_GT(hint, 0u);
   EXPECT_LE(hint, 50'000u);
+}
+
+// Characterization pin: a fixed batch schedule across count-based lag, a
+// scripted election with a lost tail, and a partition of the stale-read
+// region.  Ticks, gates and pre-images run in item order on the way in, and
+// replication, overlays and the lost-tail rewrite in item order on the way
+// out, so the rows and counters are fixed by the script.  The expected
+// strings were recorded before the batch bodies moved onto the shared
+// admission helper.
+std::pair<std::string, std::string> RunReplicationBatchPin(
+    std::shared_ptr<RpcExecutor> executor) {
+  auto engine = MakeEngine();
+  engine->set_executor(std::move(executor));
+  ReplicationOptions o;
+  o.regions = 3;
+  o.read_mode = ReadMode::kStale;
+  o.local_region = 1;
+  o.replica_lag_ops = 6;
+  o.script.leader_crash_at = 6;
+  o.script.election_ops = 3;
+  o.script.lost_tail = 2;
+  o.script.partition_region = 2;
+  o.script.partition_at = 40;
+  o.script.partition_ops = 4;
+  ReplicatedCloudStore store(engine, engine, o);
+  store.set_fault_enabled(true);
+  std::string rows = RunBatchSchedule(store);
+  return {rows, CollectedCounters(store)};
+}
+
+constexpr const char* kReplicationPinRows =
+    "NotFound | OK NotFound | "
+    "NotFound NotFound NotFound NotFound NotFound | Conflict | "
+    "NotFound NotFound | OK NotFound Timeout Timeout NotLeader | "
+    "NotFound | NotLeader NotLeader | "
+    "NotFound NotFound NotFound OK NotFound | Conflict | "
+    "NotFound NotFound | Conflict OK OK NotFound Conflict | OK | "
+    "OK NotFound | "
+    "NotFound NotFound NotFound NotFound Unavailable | Conflict | "
+    "Unavailable Unavailable | OK NotFound Conflict OK OK | "
+    "Unavailable | Conflict OK | "
+    "OK NotFound NotFound OK NotFound | Conflict | NotFound OK | "
+    "Conflict OK OK OK Conflict | OK | OK NotFound | "
+    "OK OK NotFound NotFound OK | Conflict | OK OK | "
+    "OK OK Conflict OK OK";
+constexpr const char* kReplicationPinCounters =
+    "FAILOVERS=1, NOT-LEADER REJECTS=3, LOST-TAIL WRITES=2, "
+    "STALE READS=4, REPLICA APPLIES=13, PARTITION REJECTS=4";
+
+TEST(ReplicatedCloudStoreTest, BatchSchedulePin) {
+  auto [rows, counters] = RunReplicationBatchPin(nullptr);
+  EXPECT_EQ(rows, kReplicationPinRows);
+  EXPECT_EQ(counters, kReplicationPinCounters);
+}
+
+TEST(ReplicatedCloudStoreTest, BatchSchedulePinHoldsUnderFanOut) {
+  auto [rows, counters] =
+      RunReplicationBatchPin(std::make_shared<RpcExecutor>(4));
+  EXPECT_EQ(rows, kReplicationPinRows);
+  EXPECT_EQ(counters, kReplicationPinCounters);
 }
 
 }  // namespace

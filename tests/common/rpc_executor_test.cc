@@ -10,6 +10,7 @@
 #include "common/latency_model.h"
 #include "common/op_context.h"
 #include "common/status.h"
+#include "common/sync.h"
 
 namespace ycsbt {
 namespace {
@@ -146,6 +147,35 @@ TEST(RpcExecutorTest, WorkerContextRestoredBetweenBatches) {
   for (size_t i = 0; i < expired.size(); ++i) {
     EXPECT_EQ(expired[i], 0) << "item " << i << " inherited a stale deadline";
   }
+}
+
+TEST(RpcExecutorTest, SubmitRunsOnAWorkerUnderTheCallersContext) {
+  RpcExecutor executor(2);
+  CountDownLatch done(1);
+  std::thread::id ran_on;
+  bool saw_exempt = false;
+  bool saw_hedge = false;
+  {
+    OpExemptScope exempt;
+    OpHedgeScope hedge;
+    executor.Submit([&] {
+      ran_on = std::this_thread::get_id();
+      saw_exempt = OpExempt();
+      saw_hedge = CurrentOpContext().hedge;
+      done.CountDown();
+    });
+  }
+  done.Wait();
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(saw_exempt);
+  EXPECT_TRUE(saw_hedge);
+}
+
+TEST(RpcExecutorTest, DisabledExecutorSubmitsInline) {
+  RpcExecutor executor(0);
+  std::thread::id ran_on;
+  executor.Submit([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(RpcExecutorTest, DrainStatsCountsFannedBatchesAndResets) {

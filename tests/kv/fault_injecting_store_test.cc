@@ -1,4 +1,5 @@
 #include "kv/fault_injecting_store.h"
+#include "batch_schedule.h"
 #include "str_cat.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/op_context.h"
+#include "common/rpc_executor.h"
 
 namespace ycsbt {
 namespace kv {
@@ -244,6 +246,59 @@ TEST(FaultInjectingStoreTest, ParseCrashPointTokens) {
   EXPECT_EQ(ParseCrashPointToken("before_tsr_delete"),
             CrashPointBit(CrashPoint::kBeforeTsrDelete));
   EXPECT_EQ(ParseCrashPointToken("nonsense"), 0u);
+}
+
+// Characterization pin: a fixed batch schedule with errors, throttle bursts
+// and lost replies armed.  Admission and lost-reply draws run in item order,
+// so the rows and counters are fixed by the seed.  The expected strings were
+// recorded before the batch bodies moved onto the shared admission helper.
+std::pair<std::string, std::string> RunFaultBatchPin(
+    std::shared_ptr<RpcExecutor> executor) {
+  auto engine = std::make_shared<ShardedStore>();
+  engine->set_executor(std::move(executor));
+  FaultOptions o;
+  o.seed = 77;
+  o.error_rate = 0.2;
+  o.throttle_rate = 0.08;
+  o.throttle_burst = 3;
+  o.lost_reply_rate = 0.25;
+  FaultInjectingStore store(engine, o);
+  store.set_enabled(true);
+  std::string rows = RunBatchSchedule(store);
+  return {rows, CollectedCounters(store)};
+}
+
+constexpr const char* kFaultPinRows =
+    "NotFound | Timeout NotFound | "
+    "RateLimited RateLimited RateLimited NotFound NotFound | "
+    "Conflict | NotFound Timeout | OK NotFound Conflict OK OK | "
+    "NotFound | Timeout Timeout | "
+    "NotFound Timeout NotFound Timeout NotFound | Conflict | "
+    "IOError NotFound | "
+    "Conflict Timeout Timeout NotFound Conflict | OK | "
+    "OK NotFound | OK NotFound Timeout Timeout OK | Conflict | "
+    "OK IOError | OK IOError Timeout OK Timeout | IOError | "
+    "Conflict OK | OK OK NotFound OK NotFound | Conflict | "
+    "NotFound OK | Conflict Timeout Timeout OK IOError | OK | "
+    "Conflict IOError | "
+    "RateLimited RateLimited RateLimited NotFound IOError | "
+    "Conflict | IOError OK | OK OK Timeout OK OK";
+constexpr const char* kFaultPinCounters =
+    "FAULT REQUESTS=80, FAULT ERRORS=8, FAULT TIMEOUTS=10, "
+    "FAULT THROTTLES=6, FAULT LATENCY SPIKES=0, "
+    "FAULT LOST REPLIES=5, FAULT CRASHES=0, FAULT HEDGES=0, "
+    "FAULT HEDGE FAULTS=0";
+
+TEST(FaultInjectingStoreTest, BatchSchedulePin) {
+  auto [rows, counters] = RunFaultBatchPin(nullptr);
+  EXPECT_EQ(rows, kFaultPinRows);
+  EXPECT_EQ(counters, kFaultPinCounters);
+}
+
+TEST(FaultInjectingStoreTest, BatchSchedulePinHoldsUnderFanOut) {
+  auto [rows, counters] = RunFaultBatchPin(std::make_shared<RpcExecutor>(4));
+  EXPECT_EQ(rows, kFaultPinRows);
+  EXPECT_EQ(counters, kFaultPinCounters);
 }
 
 }  // namespace

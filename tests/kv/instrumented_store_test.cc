@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/latency_model.h"
+#include "common/rpc_executor.h"
 #include "common/sync.h"
+#include "str_cat.h"
 
 namespace ycsbt {
 namespace kv {
@@ -133,6 +140,50 @@ TEST(InstrumentedStoreTest, ConditionalPutDefeatsTheSameInterleaving) {
   store->set_hook(nullptr);
   ASSERT_TRUE(store->Get("acct", &final_value).ok());
   EXPECT_EQ(final_value, "102");
+}
+
+// The base class's batch forms: one Get/op per item, fanned out on the
+// attached executor, a loop on the caller otherwise.  InstrumentedStore
+// keeps the defaults, and its hook sees which thread ran each item.
+std::set<std::thread::id> BatchThreads(std::shared_ptr<RpcExecutor> executor) {
+  auto store = MakeStore();
+  store->set_executor(std::move(executor));
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  store->set_hook([&](InstrumentedStore::Op, const std::string&, bool after) {
+    if (after) return;
+    SleepMicros(1000);  // long enough for the pool's helpers to join in
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
+  std::vector<std::string> keys;
+  std::vector<WriteOp> ops;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back(StrCat("k", i));
+    ops.push_back(WriteOp::Put(StrCat("k", i), "v"));
+  }
+  std::vector<WriteResult> written;
+  store->MultiWrite(ops, &written);
+  std::vector<MultiGetResult> read;
+  store->MultiGet(keys, &read);
+  EXPECT_EQ(written.size(), 8u);
+  EXPECT_EQ(read.size(), 8u);
+  for (size_t i = 0; i < read.size(); ++i) {
+    EXPECT_TRUE(written[i].status.ok()) << i;
+    EXPECT_TRUE(read[i].status.ok()) << i;
+    EXPECT_EQ(read[i].value, "v") << i;
+  }
+  return threads;
+}
+
+TEST(StoreDefaultBatchTest, LoopsOnTheCallerWithoutAnExecutor) {
+  std::set<std::thread::id> threads = BatchThreads(nullptr);
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+}
+
+TEST(StoreDefaultBatchTest, FansOutOnTheAttachedExecutor) {
+  EXPECT_GT(BatchThreads(std::make_shared<RpcExecutor>(4)).size(), 1u);
 }
 
 }  // namespace

@@ -18,7 +18,10 @@
 #include "common/latency_model.h"
 #include "common/op_context.h"
 #include "common/retry_policy.h"
+#include "common/rpc_executor.h"
+#include "kv/fault_injecting_store.h"
 #include "txn/client_txn_store.h"
+#include "batch_schedule.h"
 
 namespace ycsbt {
 namespace {
@@ -440,6 +443,69 @@ TEST(ResilientStoreTest, TransactionCommitPipelineIsNeverHedged) {
   EXPECT_EQ(slow->dels.load(), 1);
   EXPECT_EQ(slow->cdels.load(), 0);
   EXPECT_EQ(store.stats().commits, 1u);
+}
+
+// Characterization pin: a fixed batch schedule through a count-based breaker
+// over a fault store injecting errors and throttle bursts.  Admission and the
+// breaker's settlement run in item order, so the rows and the breaker's
+// lifecycle are fixed by the seed.  The expected strings were recorded before
+// the batch bodies moved onto the shared admission helper.
+std::pair<std::string, std::string> RunResilienceBatchPin(
+    std::shared_ptr<RpcExecutor> executor) {
+  auto engine = std::make_shared<kv::ShardedStore>();
+  engine->set_executor(std::move(executor));
+  kv::FaultOptions fo;
+  fo.seed = 91;
+  fo.error_rate = 0.3;
+  fo.throttle_rate = 0.1;
+  fo.throttle_burst = 3;
+  auto faults = std::make_shared<kv::FaultInjectingStore>(engine, fo);
+  faults->set_enabled(true);
+  kv::ResilientStore store(faults, BreakerOnlyOptions(), 2);
+  std::string rows = RunBatchSchedule(store);
+  return {rows, CollectedCounters(store) + "; " + CollectedCounters(*faults)};
+}
+
+constexpr const char* kResiliencePinRows =
+    "Timeout | OK RateLimited | "
+    "RateLimited RateLimited Unavailable NotFound Unavailable | "
+    "Unavailable | NotFound Unavailable | "
+    "OK RateLimited RateLimited Unavailable Unavailable | "
+    "RateLimited | Conflict Unavailable | "
+    "Unavailable Unavailable Unavailable OK NotFound | OK | "
+    "Timeout RateLimited | "
+    "Unavailable RateLimited Unavailable RateLimited Conflict | "
+    "Unavailable | Unavailable Unavailable | "
+    "Timeout Unavailable Unavailable Unavailable Timeout | "
+    "Unavailable | Unavailable Unavailable | "
+    "Unavailable NotFound Timeout Unavailable Unavailable | "
+    "Unavailable | RateLimited Unavailable | "
+    "RateLimited Unavailable RateLimited Unavailable Unavailable | "
+    "Unavailable | Unavailable Unavailable | "
+    "Conflict Unavailable Unavailable OK Unavailable | NotFound | "
+    "IOError Timeout | "
+    "NotFound Unavailable Unavailable NotFound NotFound | "
+    "Conflict | NotFound Unavailable | "
+    "OK Unavailable Conflict OK OK";
+constexpr const char* kResiliencePinCounters =
+    "BREAKER OPENS=14, BREAKER FAST-FAILS=39, BREAKER PROBES=14, "
+    "BREAKER RECLOSES=9, HEDGES SENT=0, HEDGES WON=0, "
+    "HEDGES WASTED=0, DEADLINE ABANDONS=0; FAULT REQUESTS=41, "
+    "FAULT ERRORS=1, FAULT TIMEOUTS=6, FAULT THROTTLES=12, "
+    "FAULT LATENCY SPIKES=0, FAULT LOST REPLIES=0, "
+    "FAULT CRASHES=0, FAULT HEDGES=0, FAULT HEDGE FAULTS=0";
+
+TEST(ResilientStoreTest, BatchSchedulePin) {
+  auto [rows, counters] = RunResilienceBatchPin(nullptr);
+  EXPECT_EQ(rows, kResiliencePinRows);
+  EXPECT_EQ(counters, kResiliencePinCounters);
+}
+
+TEST(ResilientStoreTest, BatchSchedulePinHoldsUnderFanOut) {
+  auto [rows, counters] =
+      RunResilienceBatchPin(std::make_shared<RpcExecutor>(4));
+  EXPECT_EQ(rows, kResiliencePinRows);
+  EXPECT_EQ(counters, kResiliencePinCounters);
 }
 
 }  // namespace

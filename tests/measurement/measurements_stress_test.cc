@@ -70,7 +70,7 @@ TEST(MeasurementsStressTest, SinkMergeIsLossless) {
   }
 }
 
-TEST(MeasurementsStressTest, SinksAndStringShimCompose) {
+TEST(MeasurementsStressTest, SinksAndSharedRecordsCompose) {
   Measurements m;
   OpId shared = m.RegisterOp("SHARED");
   std::vector<std::thread> pool;
@@ -84,10 +84,9 @@ TEST(MeasurementsStressTest, SinksAndStringShimCompose) {
         }
         sink->Flush();
       } else {
-        // Seed-style string shim (locked shared series).
+        // Shared-series path (one lock per sample).
         for (int i = 0; i < kOpsPerThread; ++i) {
-          m.Measure("SHARED", i % 100);
-          m.ReportStatus("SHARED", Status::OK());
+          m.Record(shared, i % 100, Status::Code::kOk);
         }
       }
     });

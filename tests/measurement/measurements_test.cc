@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace ycsbt {
 namespace {
+
+/// One OK sample of `latency_us` in the series named `op`.
+void RecordOk(Measurements& m, const std::string& op, int64_t latency_us) {
+  m.Record(m.RegisterOp(op), latency_us, Status::Code::kOk);
+}
 
 TEST(MeasurementsTest, EmptyRegistrySnapshots) {
   Measurements m;
@@ -18,9 +24,9 @@ TEST(MeasurementsTest, EmptyRegistrySnapshots) {
 
 TEST(MeasurementsTest, MeasureAccumulates) {
   Measurements m;
-  m.Measure("READ", 100);
-  m.Measure("READ", 200);
-  m.Measure("READ", 300);
+  RecordOk(m, "READ", 100);
+  RecordOk(m, "READ", 200);
+  RecordOk(m, "READ", 300);
   OpStats s = m.SnapshotOp("READ");
   EXPECT_EQ(s.operations, 3u);
   EXPECT_DOUBLE_EQ(s.average_latency_us, 200.0);
@@ -30,9 +36,10 @@ TEST(MeasurementsTest, MeasureAccumulates) {
 
 TEST(MeasurementsTest, ReturnCodesCounted) {
   Measurements m;
-  m.ReportStatus("UPDATE", Status::OK());
-  m.ReportStatus("UPDATE", Status::OK());
-  m.ReportStatus("UPDATE", Status::Conflict());
+  OpId update = m.RegisterOp("UPDATE");
+  m.Record(update, 1, Status::Code::kOk);
+  m.Record(update, 1, Status::Code::kOk);
+  m.Record(update, 1, Status::Code::kConflict);
   OpStats s = m.SnapshotOp("UPDATE");
   EXPECT_EQ(s.return_counts["OK"], 2u);
   EXPECT_EQ(s.return_counts["Conflict"], 1u);
@@ -40,17 +47,17 @@ TEST(MeasurementsTest, ReturnCodesCounted) {
 
 TEST(MeasurementsTest, SeriesAreIndependent) {
   Measurements m;
-  m.Measure("READ", 10);
-  m.Measure("COMMIT", 1000);
+  RecordOk(m, "READ", 10);
+  RecordOk(m, "COMMIT", 1000);
   EXPECT_EQ(m.SnapshotOp("READ").max_latency_us, 10);
   EXPECT_EQ(m.SnapshotOp("COMMIT").max_latency_us, 1000);
 }
 
 TEST(MeasurementsTest, SnapshotSortedByName) {
   Measurements m;
-  m.Measure("UPDATE", 1);
-  m.Measure("COMMIT", 1);
-  m.Measure("READ", 1);
+  RecordOk(m, "UPDATE", 1);
+  RecordOk(m, "COMMIT", 1);
+  RecordOk(m, "READ", 1);
   auto all = m.Snapshot();
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].name, "COMMIT");
@@ -60,16 +67,16 @@ TEST(MeasurementsTest, SnapshotSortedByName) {
 
 TEST(MeasurementsTest, TotalOperationsSumsNamedSeries) {
   Measurements m;
-  for (int i = 0; i < 5; ++i) m.Measure("READ", 1);
-  for (int i = 0; i < 3; ++i) m.Measure("UPDATE", 1);
-  m.Measure("COMMIT", 1);
+  for (int i = 0; i < 5; ++i) RecordOk(m, "READ", 1);
+  for (int i = 0; i < 3; ++i) RecordOk(m, "UPDATE", 1);
+  RecordOk(m, "COMMIT", 1);
   EXPECT_EQ(m.TotalOperations({"READ", "UPDATE"}), 8u);
   EXPECT_EQ(m.TotalOperations({"ABSENT"}), 0u);
 }
 
 TEST(MeasurementsTest, ResetDropsEverything) {
   Measurements m;
-  m.Measure("READ", 1);
+  RecordOk(m, "READ", 1);
   m.Reset();
   EXPECT_TRUE(m.Snapshot().empty());
 }
@@ -81,8 +88,7 @@ TEST(MeasurementsTest, ConcurrentMeasureIsLossless) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&] {
       for (int i = 0; i < kPer; ++i) {
-        m.Measure("READ", i % 100);
-        m.ReportStatus("READ", Status::OK());
+        RecordOk(m, "READ", i % 100);
       }
     });
   }
@@ -99,7 +105,7 @@ TEST(MeasurementsTest, ConcurrentDistinctSeriesCreation) {
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
-        m.Measure("OP" + std::to_string((t * 200 + i) % 37), 1);
+        RecordOk(m, "OP" + std::to_string((t * 200 + i) % 37), 1);
       }
     });
   }
@@ -126,18 +132,19 @@ TEST(MeasurementsTest, RegisteredButIdleOpsAreInvisible) {
   OpId read = m.RegisterOp("READ");
   m.RegisterOp("COMMIT");
   EXPECT_TRUE(m.Snapshot().empty());  // nothing recorded yet
-  m.Measure(read, 42);
+  m.Record(read, 42, Status::Code::kOk);
   auto all = m.Snapshot();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].name, "READ");
 }
 
-TEST(MeasurementsTest, InternedRecordMatchesStringShim) {
+TEST(MeasurementsTest, ReinternedNameRecordsIntoTheSameSeries) {
   Measurements m;
   OpId update = m.RegisterOp("UPDATE");
   m.Record(update, 100, Status::Code::kOk);
   m.Record(update, 300, Status::Code::kConflict);
-  m.Measure("UPDATE", 200);  // string shim lands in the same series
+  // Interning the name again lands in the same series.
+  m.Record(m.RegisterOp("UPDATE"), 200, Status::Code::kNotFound);
   OpStats s = m.SnapshotOp("UPDATE");
   EXPECT_EQ(s.operations, 3u);
   EXPECT_DOUBLE_EQ(s.average_latency_us, 200.0);
@@ -196,7 +203,7 @@ TEST(MeasurementsTest, IntervalSeriesRoundTrips) {
 
 TEST(MeasurementsTest, PercentilesOrdered) {
   Measurements m;
-  for (int i = 1; i <= 1000; ++i) m.Measure("SCAN", i);
+  for (int i = 1; i <= 1000; ++i) RecordOk(m, "SCAN", i);
   OpStats s = m.SnapshotOp("SCAN");
   EXPECT_LE(s.p50_latency_us, s.p95_latency_us);
   EXPECT_LE(s.p95_latency_us, s.p99_latency_us);

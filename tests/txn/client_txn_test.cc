@@ -314,6 +314,46 @@ TEST_F(ClientTxnTest, CorruptStoreValueSurfacesAsCorruption) {
   EXPECT_TRUE(store_->ScanCommitted("", 10, &rows).IsCorruption());
 }
 
+/// Fails every Get of a TSR key with `error`; all else passes through.
+class TsrGetFailingStore : public kv::InstrumentedStore {
+ public:
+  TsrGetFailingStore(std::shared_ptr<kv::Store> base, Status error)
+      : InstrumentedStore(std::move(base)), error_(std::move(error)) {}
+
+  Status Get(const std::string& key, std::string* value,
+             uint64_t* etag) override {
+    if (key.rfind(TxnOptions().tsr_prefix, 0) == 0) return error_;
+    return InstrumentedStore::Get(key, value, etag);
+  }
+
+ private:
+  Status error_;
+};
+
+TEST_F(ClientTxnTest, ReadCommittedSurfacesAFailedTsrRead) {
+  // A record under a live owner's lock whose TSR cannot be read: whether the
+  // pending write committed is unknown, so serving the last committed
+  // version would be a guess.  ReadCommitted fails with the TSR read's
+  // error, exactly as ScanCommitted does.
+  for (const Status& error :
+       {Status::Timeout("tsr read timed out"), Status::IOError("tsr read failed")}) {
+    ClientTxnStore store(std::make_shared<TsrGetFailingStore>(base_, error), ts_);
+    TxRecord locked;
+    locked.commit_ts = ts_->Next();
+    locked.value = "old";
+    locked.lock_owner = "owner";
+    locked.lock_ts = WallMicros();
+    locked.pending_value = "new";
+    ASSERT_TRUE(base_->Put("k", EncodeTxRecord(locked)).ok());
+
+    std::string value;
+    Status s = store.ReadCommitted("k", &value);
+    EXPECT_EQ(s.code(), error.code()) << s.ToString();
+    std::vector<TxScanEntry> rows;
+    EXPECT_EQ(store.ScanCommitted("", 10, &rows).code(), error.code());
+  }
+}
+
 TEST_F(ClientTxnTest, RecoveryBetweenLockAndCommitPointDeniesTheCommit) {
   // Deterministic version of the recovery/commit race: a fault-injection
   // hook freezes the owner right after it plants its lock (i.e. before its
