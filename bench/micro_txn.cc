@@ -199,6 +199,27 @@ void BM_OccTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_OccTransfer);
 
+// A read-only commit while the thread's retire list holds `range(0)`
+// versions that cannot be freed yet: they are all stamped in the current
+// epoch, which no test-driven ticker advances.  The reclamation check a
+// commit makes must cost the same at every backlog size.
+void BM_OccCommitWithRetireBacklog(benchmark::State& state) {
+  txn::OccOptions options;
+  options.epoch_ms = 0;
+  txn::OccEngine store(options);
+  store.LoadPut("r", std::string(100, 'x'));
+  for (int64_t i = 0; i <= state.range(0); ++i) {
+    store.LoadPut("w", std::string(100, 'y'));  // retires the previous "w"
+  }
+  std::string value;
+  for (auto _ : state) {
+    auto txn = store.Begin();
+    txn->Read("r", &value);
+    benchmark::DoNotOptimize(txn->Commit());
+  }
+}
+BENCHMARK(BM_OccCommitWithRetireBacklog)->Arg(0)->Arg(1000)->Arg(10000);
+
 void BM_SnapshotScan(benchmark::State& state) {
   auto store = MakeClientStore();
   for (int i = 0; i < 10000; ++i) {

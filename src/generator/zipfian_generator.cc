@@ -13,10 +13,12 @@ ZipfianGenerator::ZipfianGenerator(uint64_t min, uint64_t max, double theta,
       theta_(theta),
       zeta2theta_(Zeta(2, theta)),
       alpha_(1.0 / (1.0 - theta)),
+      half_pow_theta_(std::pow(0.5, theta)),
       count_(max - min + 1),
       last_(min),
       zeta_n_(max - min + 1),
-      zetan_(zetan) {}
+      zetan_(zetan),
+      eta_(Eta(max - min + 1, zetan)) {}
 
 double ZipfianGenerator::Zeta(uint64_t n, double theta) {
   return ZetaIncremental(0, n, 0.0, theta);
@@ -31,31 +33,39 @@ double ZipfianGenerator::ZetaIncremental(uint64_t prev_n, uint64_t n,
   return sum;
 }
 
-double ZipfianGenerator::ZetaForCount(uint64_t n) {
+double ZipfianGenerator::Eta(uint64_t n, double zetan) const {
+  return (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta_)) /
+         (1.0 - zeta2theta_ / zetan);
+}
+
+void ZipfianGenerator::ConstantsForCount(uint64_t n, double* zetan, double* eta) {
   std::lock_guard<std::mutex> lock(zeta_mu_);
   uint64_t cached_n = zeta_n_.load(std::memory_order_relaxed);
-  double cached = zetan_.load(std::memory_order_relaxed);
-  if (n == cached_n) return cached;
-  double zetan;
+  *zetan = zetan_.load(std::memory_order_relaxed);
+  *eta = eta_.load(std::memory_order_relaxed);
+  if (n == cached_n) return;
   if (n > cached_n) {
-    zetan = ZetaIncremental(cached_n, n, cached, theta_);
+    *zetan = ZetaIncremental(cached_n, n, *zetan, theta_);
   } else {
     // Shrinking item counts are rare (delete-heavy workloads); recompute.
-    zetan = Zeta(n, theta_);
+    *zetan = Zeta(n, theta_);
   }
-  zetan_.store(zetan, std::memory_order_relaxed);
-  zeta_n_.store(n, std::memory_order_release);  // publish zetan_ with the count
-  return zetan;
+  *eta = Eta(n, *zetan);
+  zetan_.store(*zetan, std::memory_order_relaxed);
+  eta_.store(*eta, std::memory_order_relaxed);
+  zeta_n_.store(n, std::memory_order_release);  // publish both with the count
 }
 
 uint64_t ZipfianGenerator::Next(Random64& rng, uint64_t item_count) {
   if (item_count == 0) return min_;
-  double zetan;
+  double zetan = 0.0;
+  double eta = 0.0;
   if (item_count == zeta_n_.load(std::memory_order_acquire)) {
-    // Fast path: cached zeta matches the requested count, no locking needed.
+    // Fast path: the cached constants match the requested count, no locking.
     zetan = zetan_.load(std::memory_order_relaxed);
+    eta = eta_.load(std::memory_order_relaxed);
   } else {
-    zetan = ZetaForCount(item_count);
+    ConstantsForCount(item_count, &zetan, &eta);
     count_.store(item_count, std::memory_order_relaxed);
   }
 
@@ -64,12 +74,9 @@ uint64_t ZipfianGenerator::Next(Random64& rng, uint64_t item_count) {
   uint64_t result;
   if (uz < 1.0) {
     result = min_;
-  } else if (uz < 1.0 + std::pow(0.5, theta_)) {
+  } else if (uz < 1.0 + half_pow_theta_) {
     result = min_ + 1;
   } else {
-    double eta =
-        (1.0 - std::pow(2.0 / static_cast<double>(item_count), 1.0 - theta_)) /
-        (1.0 - zeta2theta_ / zetan);
     result = min_ + static_cast<uint64_t>(
                         static_cast<double>(item_count) *
                         std::pow(eta * u - eta + 1.0, alpha_));

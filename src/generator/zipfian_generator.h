@@ -56,19 +56,26 @@ class ZipfianGenerator : public IntegerGenerator {
                                 double theta);
 
  private:
-  double ZetaForCount(uint64_t n);
+  /// Gray et al.'s eta for `n` items, given zeta(n, theta).
+  double Eta(uint64_t n, double zetan) const;
+
+  /// zeta(n, theta) and Eta(n) for a count other than the cached one;
+  /// caches them as the new count's.
+  void ConstantsForCount(uint64_t n, double* zetan, double* eta);
 
   const uint64_t min_;
   const double theta_;
   const double zeta2theta_;
   const double alpha_;
+  const double half_pow_theta_;  // 0.5^theta: draws below 1 + this are min_ + 1
 
   std::atomic<uint64_t> count_;
   std::atomic<uint64_t> last_;
 
   std::mutex zeta_mu_;               // serialises zeta extension
-  std::atomic<uint64_t> zeta_n_;     // item count zetan_ corresponds to
+  std::atomic<uint64_t> zeta_n_;     // item count zetan_ and eta_ correspond to
   std::atomic<double> zetan_;        // cached zeta(zeta_n_, theta_)
+  std::atomic<double> eta_;          // cached Eta(zeta_n_, zetan_)
 };
 
 }  // namespace ycsbt

@@ -28,8 +28,6 @@ inline void SpinPause(int spins) {
 #endif
 }
 
-std::atomic<uint64_t> g_next_engine_id{1};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -55,9 +53,7 @@ OccOptions OccOptions::FromProperties(const Properties& props) {
 }
 
 OccEngine::OccEngine(OccOptions options)
-    : options_(options),
-      engine_id_(g_next_engine_id.fetch_add(1, std::memory_order_relaxed)),
-      shards_(std::max<size_t>(1, options.index_shards)) {
+    : options_(options), shards_(std::max<size_t>(1, options.index_shards)) {
   if (options_.retire_batch == 0) options_.retire_batch = 1;
   if (options_.epoch_ms > 0) {
     ticker_ = std::thread([this] { TickerLoop(); });
@@ -71,9 +67,16 @@ OccEngine::~OccEngine() {
   }
   // Single-threaded teardown (all clients joined before the factory drops
   // the engine): every remaining version is unreachable-after-this, so the
-  // epoch machinery is bypassed.
-  for (const auto& st : thread_states_) {
-    for (const Retired& r : st->retired) delete r.version;
+  // epoch machinery is bypassed.  Threads that still hold a registration
+  // find the registry dead when they exit and leave it alone.
+  {
+    std::lock_guard<std::mutex> lock(registry_->mu);
+    registry_->engine_alive = false;
+    for (const auto& st : registry_->states) {
+      for (const Retired& r : st->retired) delete r.version;
+    }
+    registry_->released.clear();
+    registry_->states.clear();
   }
   for (Shard& shard : shards_) {
     for (const auto& rec : shard.records) {
@@ -116,31 +119,58 @@ OccEngine::Record* OccEngine::FindOrCreateRecord(std::string_view key) {
 }
 
 OccEngine::ThreadState* OccEngine::MyState() {
-  // Cached per (thread, engine); engine ids are process-unique, so stale
-  // entries of destroyed engines can never be matched again.
-  thread_local std::vector<std::pair<uint64_t, ThreadState*>> cache;
-  for (const auto& [id, st] : cache) {
-    if (id == engine_id_) return st;
+  // The calling thread's registrations, one per engine it has touched.  The
+  // destructor is the thread-exit hook: each registration goes back to its
+  // engine's free list, unless that engine is already gone.
+  struct Cache {
+    struct Entry {
+      std::shared_ptr<Registry> registry;
+      ThreadState* state;
+    };
+    std::vector<Entry> entries;
+    ~Cache() {
+      for (const Entry& e : entries) {
+        std::lock_guard<std::mutex> lock(e.registry->mu);
+        if (e.registry->engine_alive) e.registry->released.push_back(e.state);
+      }
+    }
+  };
+  thread_local Cache cache;
+  // Keyed by the registry's address: an entry's shared_ptr keeps a destroyed
+  // engine's registry allocated, so no later engine can reuse the address.
+  for (const auto& e : cache.entries) {
+    if (e.registry == registry_) return e.state;
   }
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  if (thread_states_.size() >= (uint64_t{1} << kThreadBits)) {
-    // The TID thread field is kThreadBits wide; a 257th registration would
-    // alias an existing id and could mint duplicate TIDs (same epoch, same
-    // per-thread seq), breaking the never-repeats invariant that both
-    // ReadRecord and commit-time read validation rely on.  Fail hard
-    // rather than silently corrupt validation.
-    std::fprintf(stderr,
-                 "occ: more than %llu threads registered with one engine; "
-                 "TID thread field (%d bits) would alias\n",
-                 static_cast<unsigned long long>(uint64_t{1} << kThreadBits),
-                 kThreadBits);
-    std::abort();
+  std::erase_if(cache.entries, [](const Cache::Entry& e) {
+    std::lock_guard<std::mutex> lock(e.registry->mu);
+    return !e.registry->engine_alive;
+  });
+
+  std::lock_guard<std::mutex> lock(registry_->mu);
+  ThreadState* st = nullptr;
+  if (!registry_->released.empty()) {
+    st = registry_->released.back();
+    registry_->released.pop_back();
+  } else {
+    if (registry_->states.size() >= (uint64_t{1} << kThreadBits)) {
+      // The TID thread field is kThreadBits wide; a 257th live registration
+      // would alias an existing id and could mint duplicate TIDs (same
+      // epoch, same per-thread seq), breaking the never-repeats invariant
+      // that both ReadRecord and commit-time read validation rely on.  Fail
+      // hard rather than silently corrupt validation.
+      std::fprintf(stderr,
+                   "occ: more than %llu live threads registered with one "
+                   "engine; TID thread field (%d bits) would alias\n",
+                   static_cast<unsigned long long>(uint64_t{1} << kThreadBits),
+                   kThreadBits);
+      std::abort();
+    }
+    auto owned = std::make_unique<ThreadState>();
+    owned->thread_id = registry_->states.size();
+    st = owned.get();
+    registry_->states.push_back(std::move(owned));
   }
-  auto owned = std::make_unique<ThreadState>();
-  owned->thread_id = thread_states_.size();
-  ThreadState* st = owned.get();
-  thread_states_.push_back(std::move(owned));
-  cache.emplace_back(engine_id_, st);
+  cache.entries.push_back({registry_, st});
   return st;
 }
 
@@ -213,29 +243,28 @@ void OccEngine::Retire(ThreadState* st, Version* version) {
 
 uint64_t OccEngine::SafeReclaimEpoch() const {
   uint64_t safe = epoch_.load(std::memory_order_seq_cst);
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  for (const auto& st : thread_states_) {
+  std::lock_guard<std::mutex> lock(registry_->mu);
+  for (const auto& st : registry_->states) {
     uint64_t e = st->active_epoch.load(std::memory_order_seq_cst);
     if (e < safe) safe = e;
   }
   return safe;
 }
 
-void OccEngine::FlushRetired(ThreadState* st, bool force) {
-  if (st->retired.empty()) return;
-  if (!force && st->retired.size() < options_.retire_batch) return;
-  uint64_t safe = SafeReclaimEpoch();
-  size_t kept = 0;
+void OccEngine::FlushRetired(ThreadState* st) {
+  std::deque<Retired>& retired = st->retired;
+  if (retired.size() < options_.retire_batch) return;
+  // Stamps are nondecreasing, so the versions stamped below the safe epoch
+  // are a prefix of the list.  The safe epoch never exceeds the global one:
+  // while the oldest stamp is still the current epoch, nothing is free.
+  if (retired.front().epoch >= epoch_.load(std::memory_order_seq_cst)) return;
+  const uint64_t safe = SafeReclaimEpoch();
   uint64_t freed = 0;
-  for (Retired& r : st->retired) {
-    if (r.epoch < safe) {
-      delete r.version;
-      ++freed;
-    } else {
-      st->retired[kept++] = r;
-    }
+  while (!retired.empty() && retired.front().epoch < safe) {
+    delete retired.front().version;
+    retired.pop_front();
+    ++freed;
   }
-  st->retired.resize(kept);
   if (freed > 0) st->versions_freed.fetch_add(freed, std::memory_order_relaxed);
 }
 
@@ -289,7 +318,7 @@ Status OccEngine::LoadPut(const std::string& key, std::string_view value) {
   rec->tid.store(tid, std::memory_order_seq_cst);  // also clears the lock
   Retire(st, old);
   Unpin(st);
-  FlushRetired(st, /*force=*/false);
+  FlushRetired(st);
   return Status::OK();
 }
 
@@ -326,8 +355,8 @@ Status OccEngine::ScanCommitted(const std::string& start_key, size_t limit,
 OccStats OccEngine::stats() const {
   OccStats s;
   s.epoch_advances = epoch_advances_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  for (const auto& st : thread_states_) {
+  std::lock_guard<std::mutex> lock(registry_->mu);
+  for (const auto& st : registry_->states) {
     s.commits += st->commits.load(std::memory_order_relaxed);
     s.aborts += st->aborts.load(std::memory_order_relaxed);
     s.validation_fails += st->validation_fails.load(std::memory_order_relaxed);
@@ -555,7 +584,7 @@ Status OccTxn::Commit() {
   }
   state_->commits.fetch_add(1, std::memory_order_relaxed);
   Finish();
-  engine_->FlushRetired(state_, /*force=*/false);
+  engine_->FlushRetired(state_);
   return Status::OK();
 }
 

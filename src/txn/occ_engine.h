@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -168,8 +169,10 @@ class OccEngine : public TransactionalKV, public StatsLayer {
   };
 
   /// Per-worker registration: epoch pin, TID sequence, retire list, local
-  /// stat counters.  Single-writer (the owning thread); `stats()` and the
-  /// reclaimer read only the atomics.
+  /// stat counters.  Single-writer (the thread that holds it); `stats()` and
+  /// the reclaimer read only the atomics.  A thread hands its registration
+  /// back when it exits and a later thread takes it over whole, so `seq`
+  /// keeps counting (TIDs never repeat) and the retire list is still swept.
   struct alignas(64) ThreadState {
     static constexpr uint64_t kIdle = ~uint64_t{0};
     std::atomic<uint64_t> active_epoch{kIdle};
@@ -178,7 +181,9 @@ class OccEngine : public TransactionalKV, public StatsLayer {
     uint32_t pin_depth = 0;
     uint64_t seq = 0;
     uint64_t thread_id = 0;
-    std::vector<Retired> retired;
+    /// Oldest first, stamps nondecreasing: each stamp is a seq_cst load of
+    /// the monotonic epoch, made by one holder at a time.
+    std::deque<Retired> retired;
     std::atomic<uint64_t> commits{0};
     std::atomic<uint64_t> aborts{0};
     std::atomic<uint64_t> validation_fails{0};
@@ -191,7 +196,17 @@ class OccEngine : public TransactionalKV, public StatsLayer {
   Record* FindRecord(std::string_view key) const;
   Record* FindOrCreateRecord(std::string_view key);
 
-  /// Calling thread's registration with this engine (lazily created).
+  /// Every registration of one engine.  Shared with the thread-exit hook of
+  /// each registered thread, which may run after the engine is gone.
+  struct Registry {
+    std::mutex mu;
+    bool engine_alive = true;
+    std::vector<std::unique_ptr<ThreadState>> states;  ///< ids 0..size-1
+    std::vector<ThreadState*> released;  ///< held by no live thread
+  };
+
+  /// Calling thread's registration with this engine: taken over from an
+  /// exited thread if one is free, else created.
   ThreadState* MyState();
 
   /// Pins the calling thread into the current epoch; reads/writes of record
@@ -216,9 +231,10 @@ class OccEngine : public TransactionalKV, public StatsLayer {
   /// still hold it pinned an epoch <= the stamp).
   void Retire(ThreadState* st, Version* version);
 
-  /// Frees retired versions no live reader can hold.  `force` sweeps
-  /// regardless of `retire_batch` (teardown path).
-  void FlushRetired(ThreadState* st, bool force);
+  /// Once the retire list holds `retire_batch` versions, frees its prefix
+  /// that no live reader can hold.  Returns without taking the registry lock
+  /// while even the oldest stamp is the current epoch.
+  void FlushRetired(ThreadState* st);
 
   /// Oldest epoch any thread is currently pinned in (global epoch when all
   /// are idle).  A version retired at epoch e is reclaimable once this
@@ -228,15 +244,13 @@ class OccEngine : public TransactionalKV, public StatsLayer {
   void TickerLoop();
 
   OccOptions options_;
-  const uint64_t engine_id_;
   std::vector<Shard> shards_;
 
   std::atomic<uint64_t> epoch_{1};
   std::atomic<uint64_t> epoch_advances_{0};
   OccStats collected_;  ///< `stats()` as of the previous Collect
 
-  mutable std::mutex threads_mu_;
-  std::vector<std::unique_ptr<ThreadState>> thread_states_;
+  const std::shared_ptr<Registry> registry_ = std::make_shared<Registry>();
 
   std::atomic<bool> stop_ticker_{false};
   std::thread ticker_;

@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/properties.h"
@@ -228,6 +231,124 @@ TEST_F(OccEngineTest, ReclamationWaitsForPinnedReader) {
   ASSERT_TRUE(writer->Write("k", "final").ok());
   ASSERT_TRUE(writer->Commit().ok());
   EXPECT_EQ(engine.stats().versions_freed, 2u);
+}
+
+// Reclamation exactness: one scripted single-thread history of writes,
+// read-only commits, epoch advances and a reader held open across several
+// of them, with (versions_retired, versions_freed) checked after every step.
+// The expected columns were recorded before the prefix sweep and the epoch
+// early-out went in, so they pin that neither changes which versions a
+// sweep frees, nor when.
+TEST(OccEngineReclaimTest, ScriptedEpochsFreeTheSameVersions) {
+  using Counts = std::pair<uint64_t, uint64_t>;  // (retired, freed)
+  const std::vector<std::pair<size_t, std::vector<Counts>>> cases = {
+      {1, {{1, 0}, {2, 0}, {2, 0}, {2, 2}, {2, 2}, {3, 2}, {4, 2}, {4, 2},
+           {5, 2}, {5, 2}, {5, 2}, {6, 2}, {7, 2}, {7, 2}, {8, 2}, {8, 2},
+           {8, 5}, {8, 5}, {8, 8}, {9, 8}, {10, 8}, {10, 8}, {11, 10}}},
+      {4, {{1, 0}, {2, 0}, {2, 0}, {2, 0}, {2, 0}, {3, 0}, {4, 2}, {4, 2},
+           {5, 2}, {5, 2}, {5, 2}, {6, 2}, {7, 2}, {7, 2}, {8, 2}, {8, 2},
+           {8, 5}, {8, 5}, {8, 5}, {9, 8}, {10, 8}, {10, 8}, {11, 8}}},
+  };
+  for (const auto& [batch, want] : cases) {
+    SCOPED_TRACE(StrCat("retire_batch=", batch));
+    OccOptions options = ManualEpochs();
+    options.retire_batch = batch;
+    OccEngine engine(options);
+    for (int k = 0; k < 4; ++k) ASSERT_TRUE(engine.LoadPut(StrCat("k", k), "v").ok());
+
+    int writes = 0;
+    auto write = [&](int k) {
+      auto txn = engine.Begin();
+      ASSERT_TRUE(txn->Write(StrCat("k", k), StrCat("w", writes++)).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    };
+    auto read_only = [&] {
+      auto txn = engine.Begin();
+      std::string value;
+      ASSERT_TRUE(txn->Read("k3", &value).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    };
+    std::unique_ptr<Transaction> reader;
+    const std::vector<std::function<void()>> steps = {
+        [&] { write(0); },
+        [&] { write(1); },
+        [&] { engine.AdvanceEpoch(); },
+        [&] { read_only(); },
+        [&] {
+          reader = engine.Begin();  // pinned until its commit below
+          std::string value;
+          ASSERT_TRUE(reader->Read("k2", &value).ok());
+        },
+        [&] { write(2); },
+        [&] { write(3); },
+        [&] { engine.AdvanceEpoch(); },
+        [&] { write(0); },
+        [&] { read_only(); },
+        [&] { engine.AdvanceEpoch(); },
+        [&] { write(1); },
+        [&] { ASSERT_TRUE(engine.LoadPut("k2", "loaded").ok()); },
+        [&] { read_only(); },
+        [&] { write(3); },
+        [&] { EXPECT_TRUE(reader->Commit().IsConflict()); },
+        [&] { read_only(); },
+        [&] { engine.AdvanceEpoch(); },
+        [&] { read_only(); },
+        [&] { write(0); },
+        [&] { write(1); },
+        [&] { engine.AdvanceEpoch(); },
+        [&] { write(2); },
+    };
+    std::vector<Counts> got;
+    for (const auto& step : steps) {
+      step();
+      OccStats stats = engine.stats();
+      got.push_back({stats.versions_retired, stats.versions_freed});
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+// 300 threads, one alive at a time, each commit a write on one engine.  An
+// exited thread hands its registration on, so the 256-registration limit
+// counts live threads only; the next thread keeps the TID sequence (no TID
+// repeats) and the retire list, and frees those versions once the epochs
+// move past them.
+TEST(OccEngineReclaimTest, ExitedThreadsHandTheirRegistrationOn) {
+  OccOptions options = ManualEpochs();
+  options.retire_batch = 1;
+  OccEngine engine(options);
+  constexpr int kThreads = 300;
+  std::set<uint64_t> tids;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread client([&engine, i] {
+      auto txn = engine.Begin();
+      ASSERT_TRUE(txn->Write("k", StrCat("v", i)).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    });
+    client.join();
+    uint64_t tid = 0;
+    ASSERT_TRUE(engine.DebugTidOf("k", &tid));
+    EXPECT_EQ(OccEngine::TidThread(tid), 0u);  // one registration, recycled
+    tids.insert(tid);
+  }
+  EXPECT_EQ(tids.size(), static_cast<size_t>(kThreads));
+  OccStats stats = engine.stats();
+  EXPECT_EQ(stats.commits, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.versions_retired, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.versions_freed, 0u);  // every stamp is in the current epoch
+
+  // Once the epoch moves on, the next thread to take the registration frees
+  // everything its predecessors retired.
+  engine.AdvanceEpoch();
+  std::thread next([&engine] {
+    auto txn = engine.Begin();
+    ASSERT_TRUE(txn->Write("k", "last").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  });
+  next.join();
+  stats = engine.stats();
+  EXPECT_EQ(stats.versions_retired, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(stats.versions_freed, static_cast<uint64_t>(kThreads - 1));
 }
 
 TEST(OccEngineTickerTest, TickerAdvancesEpochsAndStopsPromptly) {
