@@ -700,35 +700,30 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
   result->throughput_ops_sec =
       runtime_sec > 0.0 ? static_cast<double>(result->operations) / runtime_sec : 0.0;
   result->retries = SumProgress(progress, &ClientProgress::retries);
-  result->giveups = SumProgress(progress, &ClientProgress::giveups);
   result->backoff_time_us = SumProgress(progress, &ClientProgress::backoff_us);
-  result->stall_events = stall_events;
-  result->arrival_drops = SumProgress(progress, &ClientProgress::arrival_drops);
-  result->backlog_peak = MaxProgress(progress, &ClientProgress::backlog_peak);
-  result->sched_lag_max_us = MaxProgress(progress, &ClientProgress::sched_lag_max_us);
-  if (brownout != nullptr) {
-    result->shed_txns = brownout->sheds();
-    result->shed_reads = brownout->shed_reads();
-  }
 
   // The runner's own lines, for the features this run switched on.
   LayerCounters runner{"runner", {}, {}};
   if (options.wrap_in_transactions && options.retry.enabled()) {
     runner.counters.emplace_back("TX-RETRIES", result->retries);
     runner.counters.emplace_back("TIME IN BACKOFF(us)", result->backoff_time_us);
-    runner.counters.emplace_back("TX-GIVEUPS", result->giveups);
+    runner.counters.emplace_back("TX-GIVEUPS",
+                                 SumProgress(progress, &ClientProgress::giveups));
   }
   if (options.status_interval_seconds > 0.0 && options.stall_windows > 0) {
-    runner.counters.emplace_back("WATCHDOG STALLS", result->stall_events);
+    runner.counters.emplace_back("WATCHDOG STALLS", stall_events);
   }
   if (brownout != nullptr) {
-    runner.counters.emplace_back("SHED TXNS", result->shed_txns);
-    runner.counters.emplace_back("SHED READS", result->shed_reads);
+    runner.counters.emplace_back("SHED TXNS", brownout->sheds());
+    runner.counters.emplace_back("SHED READS", brownout->shed_reads());
   }
   if (open_loop) {
-    runner.counters.emplace_back("ARRIVAL DROPS", result->arrival_drops);
-    runner.counters.emplace_back("BACKLOG PEAK", result->backlog_peak);
-    runner.counters.emplace_back("SCHED-LAG MAX(us)", result->sched_lag_max_us);
+    runner.counters.emplace_back("ARRIVAL DROPS",
+                                 SumProgress(progress, &ClientProgress::arrival_drops));
+    runner.counters.emplace_back("BACKLOG PEAK",
+                                 MaxProgress(progress, &ClientProgress::backlog_peak));
+    runner.counters.emplace_back(
+        "SCHED-LAG MAX(us)", MaxProgress(progress, &ClientProgress::sched_lag_max_us));
   }
   result->layers.clear();
   if (!runner.counters.empty()) result->layers.push_back(std::move(runner));

@@ -135,20 +135,14 @@ struct RunResult {
   uint64_t operations = 0;  ///< workload transactions attempted (shed
                             ///< transactions and dropped arrivals consume
                             ///< quota but never start, so they are counted in
-                            ///< `shed_txns` / `arrival_drops` instead)
+                            ///< the `SHED TXNS` / `ARRIVAL DROPS` lines instead)
   uint64_t committed = 0;   ///< transactions whose commit succeeded
   uint64_t failed = 0;      ///< workload failures + failed commits
 
-  // The runner's own accounting (zero when the feature is off).
+  // Retry accounting (zero when retries are off), restating the `runner`
+  // layer's TX-RETRIES / TIME IN BACKOFF(us) lines for perfbench.
   uint64_t retries = 0;          ///< extra attempts made across all txns
-  uint64_t giveups = 0;          ///< txns that failed with retries available exhausted
   uint64_t backoff_time_us = 0;  ///< total wall time spent sleeping between attempts
-  uint64_t stall_events = 0;     ///< watchdog stall flags raised
-  uint64_t shed_txns = 0;        ///< transactions shed by the brownout controller
-  uint64_t shed_reads = 0;       ///< of those, read-only ones dropped first
-  uint64_t arrival_drops = 0;    ///< open-loop arrivals dropped over a full backlog
-  uint64_t backlog_peak = 0;     ///< deepest per-thread pending backlog seen
-  uint64_t sched_lag_max_us = 0; ///< worst intended-vs-actual start lag
 
   /// WAL records acknowledged during the run (the engine layer's
   /// `WAL APPENDS`; 0 without a WAL).

@@ -292,8 +292,8 @@ TEST_F(ArrivalRunnerTest, IntendedStartLatencyExposesCoordinatedOmission) {
   // coordinated-omission gap the closed-loop stopwatch cannot see.
   EXPECT_GT(intended.average_latency_us, actual.average_latency_us);
   EXPECT_GT(intended.p99_latency_us, actual.p99_latency_us);
-  EXPECT_GT(result.sched_lag_max_us, 0u);
-  EXPECT_GT(result.backlog_peak, 0u);
+  EXPECT_GT(result.Counter("SCHED-LAG MAX(us)"), 0u);
+  EXPECT_GT(result.Counter("BACKLOG PEAK"), 0u);
   // The scheduler-lag series recorded one sample per executed transaction.
   EXPECT_EQ(measurements_.SnapshotOp("SCHED-LAG").operations, 60u);
 }
@@ -308,7 +308,7 @@ TEST_F(ArrivalRunnerTest, KeepingUpMeansNoLagAndNoDrops) {
   RunResult result;
   ASSERT_TRUE(runner.Run(run, &result).ok());
   EXPECT_EQ(result.operations, 100u);
-  EXPECT_EQ(result.arrival_drops, 0u);
+  EXPECT_EQ(result.Counter("ARRIVAL DROPS"), 0u);
   // ~50 arrivals per thread at 1000/s each: the run should take ~50 ms.
   EXPECT_GT(result.runtime_ms, 25.0);
 }
@@ -327,16 +327,17 @@ TEST_F(ArrivalRunnerTest, BacklogOverflowDropsConsumeQuota) {
 
   // Every quota slot was either executed or dropped — overload cannot make
   // the run overshoot its budget or spin forever.
-  EXPECT_GT(result.arrival_drops, 0u);
-  EXPECT_EQ(result.operations + result.arrival_drops, 120u);
+  EXPECT_GT(result.Counter("ARRIVAL DROPS"), 0u);
+  EXPECT_EQ(result.operations + result.Counter("ARRIVAL DROPS").value(), 120u);
   EXPECT_EQ(w.transactions.load(), result.operations);
   EXPECT_EQ(measurements_.SnapshotOp("ARRIVAL-DROP").operations,
-            result.arrival_drops);
-  EXPECT_LE(result.backlog_peak, 4u);
+            result.Counter("ARRIVAL DROPS"));
+  EXPECT_LE(result.Counter("BACKLOG PEAK").value(), 4u);
   // The drops surface in the exported summary.
   RunSummary summary = result.MakeSummary();
   EXPECT_TRUE(summary.open_loop);
-  EXPECT_EQ(FindCounter(summary.counters, "ARRIVAL DROPS"), result.arrival_drops);
+  EXPECT_EQ(FindCounter(summary.counters, "ARRIVAL DROPS"),
+            result.Counter("ARRIVAL DROPS"));
 }
 
 TEST_F(ArrivalRunnerTest, FullBacklogFlipsTheBrownoutShedPath) {
@@ -356,7 +357,9 @@ TEST_F(ArrivalRunnerTest, FullBacklogFlipsTheBrownoutShedPath) {
   // Once the backlog fills, admission flips to the shed path: some quota
   // slots are shed instead of executed (plus the drops from overflow).
   ASSERT_TRUE(result.Counter("SHED TXNS").has_value());
-  EXPECT_GT(result.shed_txns + result.arrival_drops, 0u);
+  EXPECT_GT(result.Counter("SHED TXNS").value() +
+                result.Counter("ARRIVAL DROPS").value(),
+            0u);
   EXPECT_EQ(w.transactions.load(), result.operations);
 }
 
@@ -397,8 +400,8 @@ TEST_F(ArrivalRunnerTest, SameSeedRunsReplayTheDropAccounting) {
   // The arrival schedule is seeded, so the executed/dropped split of two
   // same-seed overload runs matches (service time is wall-clock, so exact
   // per-op timing may differ, but the quota accounting must hold in both).
-  EXPECT_EQ(first.operations + first.arrival_drops, 80u);
-  EXPECT_EQ(second.operations + second.arrival_drops, 80u);
+  EXPECT_EQ(first.operations + first.Counter("ARRIVAL DROPS").value(), 80u);
+  EXPECT_EQ(second.operations + second.Counter("ARRIVAL DROPS").value(), 80u);
 }
 
 // --- suite integration ---

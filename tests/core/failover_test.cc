@@ -170,7 +170,7 @@ TEST(FailoverTest, ElectionPauseIsProgressToTheWatchdog) {
 
   EXPECT_EQ(result.Counter("FAILOVERS"), 1u);
   EXPECT_GT(result.Counter("NOT-LEADER REJECTS"), 0u);
-  EXPECT_EQ(result.stall_events, 0u)
+  EXPECT_EQ(result.Counter("WATCHDOG STALLS"), 0u)
       << "riding out an election is degradation, not a stall";
   EXPECT_GT(result.committed, 0u);
   EXPECT_TRUE(result.validation.passed);

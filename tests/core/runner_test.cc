@@ -257,7 +257,7 @@ TEST_F(RunnerTest, ThrottledThreadIsNotMistakenForAStall) {
   RunResult result;
   ASSERT_TRUE(runner.Run(run, &result).ok());
   EXPECT_EQ(result.operations, 4u);
-  EXPECT_EQ(result.stall_events, 0u);
+  EXPECT_EQ(result.Counter("WATCHDOG STALLS"), 0u);
 }
 
 TEST_F(RunnerTest, PacingNeverOvershootsTheTarget) {

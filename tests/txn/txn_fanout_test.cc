@@ -353,6 +353,44 @@ TEST(TxnFanoutTest, ChaosCountersReplayUnderAFixedSeedWithFanout) {
   EXPECT_EQ(a.Counter("FANOUT ITEMS"), b.Counter("FANOUT ITEMS"));
 }
 
+// ---------------------------------------------------------------------------
+// The commit path the `txn_fanout` suite measures: a blind W-key commit
+// costs 3W+2 store requests (W write-set reads, W lock CASes, the TSR put,
+// W roll-forwards, the TSR delete) whether or not its phases fan out.
+// ---------------------------------------------------------------------------
+
+TEST(TxnFanoutTest, BlindBatchInsertPaysThreeWPlusTwoRequestsInEveryMode) {
+  struct Mode {
+    const char* lock_acquire_mode;
+    int fanout_threads;
+  };
+  for (Mode mode : {Mode{"ordered", 0}, Mode{"ordered", 4}, Mode{"nowait", 4}}) {
+    SCOPED_TRACE(std::string(mode.lock_acquire_mode) + " fan-out " +
+                 std::to_string(mode.fanout_threads));
+    Properties p;
+    p.Set("db", "txn+was");
+    p.Set("cloud.latency_scale", "0.01");
+    p.Set("cloud.rate_limit", "0");  // a cap would slow requests, not drop any
+    p.Set("workload", "core");
+    p.Set("threads", "1");
+    p.Set("recordcount", "10");
+    p.Set("operationcount", "30");
+    p.Set("readproportion", "0");
+    p.Set("updateproportion", "0");
+    p.Set("batchinsertproportion", "1");
+    p.Set("batch.size", "4");
+    p.Set("batch.size_distribution", "constant");
+    p.Set("txn.lock_acquire_mode", mode.lock_acquire_mode);
+    p.Set("txn.fanout_threads", std::to_string(mode.fanout_threads));
+
+    core::RunResult result;
+    ASSERT_TRUE(core::RunBenchmark(p, &result).ok());
+    EXPECT_EQ(result.committed, 30u);
+    EXPECT_EQ(result.Counter("CLOUD REQUESTS"), 14 * result.committed)
+        << "W=4: 3W+2 requests per commit";
+  }
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace ycsbt
