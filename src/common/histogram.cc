@@ -18,9 +18,8 @@ void Histogram::Reset() {
   count_ = 0;
   min_ = std::numeric_limits<int64_t>::max();
   max_ = 0;
-  sum_ = 0.0;
-  mean_ = 0.0;
-  m2_ = 0.0;
+  sum_ = 0;
+  sum_sq_ = 0;
 }
 
 int Histogram::BucketIndex(uint64_t value) {
@@ -56,27 +55,18 @@ void Histogram::Add(int64_t value) {
   ++count_;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
-  sum_ += static_cast<double>(value);
-  // Welford's online update: numerically stable second moment.
-  double delta = static_cast<double>(value) - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (static_cast<double>(value) - mean_);
+  sum_ += v;
+  sum_sq_ += static_cast<unsigned __int128>(v) * v;
 }
 
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) return;
   for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  // Chan's parallel variance combination: exact merge of the two centred
-  // second moments, stable even when the parts' means differ wildly.
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  double delta = other.mean_ - mean_;
-  mean_ = (na * mean_ + nb * other.mean_) / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   sum_ += other.sum_;
+  sum_sq_ += other.sum_sq_;
 }
 
 int64_t Histogram::Min() const { return count_ == 0 ? 0 : min_; }
@@ -84,13 +74,19 @@ int64_t Histogram::Min() const { return count_ == 0 ? 0 : min_; }
 int64_t Histogram::Max() const { return max_; }
 
 double Histogram::Mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+  return count_ == 0 ? 0.0
+                     : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
 double Histogram::StdDev() const {
   if (count_ < 2) return 0.0;
-  double var = m2_ / static_cast<double>(count_ - 1);
-  return var <= 0.0 ? 0.0 : std::sqrt(var);
+  // n * sum_sq - sum^2 = sum over pairs of (x_i - x_j)^2: non-negative and
+  // computed exactly in wrapping 128-bit arithmetic.
+  unsigned __int128 n = count_;
+  long double spread = static_cast<long double>(n * sum_sq_ - sum_ * sum_);
+  long double var = spread / (static_cast<long double>(count_) *
+                               static_cast<long double>(count_ - 1));
+  return static_cast<double>(std::sqrt(var));
 }
 
 int64_t Histogram::ValueAtQuantile(double q) const {

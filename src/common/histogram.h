@@ -56,15 +56,14 @@ class Histogram {
   uint64_t count_;
   int64_t min_;
   int64_t max_;
-  double sum_;
-  // Running mean and centred second moment (Welford / Chan): StdDev from the
-  // naive sum-of-squares formula cancels catastrophically when the values are
-  // large relative to their spread (e.g. microsecond timestamps-ish samples
-  // around 1e8 with spread 1), producing zero or NaN.  M2 accumulates
-  // squared deviations directly, so the variance keeps full precision and
-  // two histograms merge exactly.
-  double mean_;
-  double m2_;
+  // Exact integer moments: the sum and the sum of squares of the (clamped,
+  // non-negative) samples.  Add is two multiply-adds with no division, and
+  // two histograms merge by addition.  StdDev takes n*sum_sq - sum^2, which
+  // is exact modulo 2^128 and so exact whenever the true value fits, even
+  // after sum_sq itself wraps: no cancellation for large values with a
+  // small spread.
+  unsigned __int128 sum_;
+  unsigned __int128 sum_sq_;
 };
 
 }  // namespace ycsbt

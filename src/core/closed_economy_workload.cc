@@ -272,13 +272,11 @@ void ClosedEconomyWorkload::OnTransactionOutcome(ThreadState* state,
                                                  const TxnOpResult& /*result*/,
                                                  bool committed) {
   auto* cew = static_cast<CewThreadState*>(state);
-  if (committed) {
-    bank_.fetch_add(cew->pending_deposit, std::memory_order_relaxed);
-  } else {
-    // Refund: the transaction's database effects were rolled back, so the
-    // money it withdrew must return to the bank.
-    bank_.fetch_add(cew->pending_withdrawn, std::memory_order_relaxed);
-  }
+  // Refund on failure: the transaction's database effects were rolled back,
+  // so the money it withdrew must return to the bank.  Most transactions
+  // move no bank money, and then skip the shared read-modify-write.
+  int64_t amount = committed ? cew->pending_deposit : cew->pending_withdrawn;
+  if (amount != 0) bank_.fetch_add(amount, std::memory_order_relaxed);
   cew->pending_withdrawn = 0;
   cew->pending_deposit = 0;
 }

@@ -335,17 +335,18 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
         return;
       }
       MeasuredDB db(std::move(raw), measurements_);
-      // This thread's lock-free measurement sink: the wrapper's per-call
-      // series and the whole-transaction TX-<OP> series both record into
-      // it, and it merges into the shared registry only at the flush below.
-      ThreadSink* sink = measurements_->CreateSink();
-      db.BindSink(sink);
       if (!db.Init().ok()) {
         init_errors[static_cast<size_t>(t)] = Status::Internal("client init failed");
         progress[static_cast<size_t>(t)].done.store(true, std::memory_order_relaxed);
         finished.fetch_add(1, std::memory_order_relaxed);
         return;
       }
+      // This thread's lock-free measurement sink: the wrapper's per-call
+      // series and the whole-transaction TX-<OP> series both record into
+      // it, and it merges into the shared registry only when the thread
+      // hands it back below (a later Run's thread reuses it).
+      ThreadSink* sink = measurements_->CreateSink();
+      db.BindSink(sink);
       auto state = workload_->InitThread(t, threads);
       TxSeriesCache tx_series(measurements_);
       TxSeriesCache tx_intended_series(measurements_, "-INTENDED");
@@ -556,7 +557,8 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
         mine.giveups.store(giveups, std::memory_order_relaxed);
         mine.backoff_us.store(backoff_us, std::memory_order_relaxed);
       }
-      sink->Flush();
+      db.BindSink(nullptr);
+      measurements_->ReleaseSink(sink);
       db.Cleanup();
       mine.done.store(true, std::memory_order_relaxed);
       finished.fetch_add(1, std::memory_order_relaxed);

@@ -507,7 +507,7 @@ std::string SuiteOrchestrator::RollupJson(
         "\"repeat\": %d, \"db\": \"%s\", \"workload\": \"%s\", "
         "\"threads\": %llu, \"operations\": %llu, \"throughput_ops_sec\": %.3f, "
         "\"abort_rate\": %.6f, \"anomaly_score\": %.9g, \"runtime_ms\": %.1f, "
-        "\"ok\": %s, \"status\": \"%s\"}%s\n",
+        "\"ok\": %s, \"status\": \"%s\", \"series\": {",
         JsonEscape(o.run.name).c_str(), JsonEscape(o.run.config).c_str(),
         JsonEscape(o.run.mix).c_str(), o.run.repeat,
         JsonEscape(kDb.Get<std::string>(o.run.props)).c_str(),
@@ -517,9 +517,22 @@ std::string SuiteOrchestrator::RollupJson(
         o.result.throughput_ops_sec, o.result.abort_rate(),
         o.result.validation.anomaly_score, o.result.runtime_ms,
         o.status.ok() ? "true" : "false",
-        JsonEscape(o.status.ok() ? "ok" : o.status.ToString()).c_str(),
-        i + 1 < outcomes.size() ? "," : "");
+        JsonEscape(o.status.ok() ? "ok" : o.status.ToString()).c_str());
     out += buf;
+    // Each series' count and latency percentiles: the values a suite's
+    // `expect.` lines read from `[<SERIES>]` lines of summary.txt.
+    const std::vector<OpStats>& series = o.result.op_stats;
+    for (size_t k = 0; k < series.size(); ++k) {
+      std::snprintf(buf, sizeof(buf),
+                    "%s\"%s\": {\"operations\": %llu, \"p50_us\": %lld, "
+                    "\"p99_us\": %lld}",
+                    k == 0 ? "" : ", ", JsonEscape(series[k].name).c_str(),
+                    static_cast<unsigned long long>(series[k].operations),
+                    static_cast<long long>(series[k].p50_latency_us),
+                    static_cast<long long>(series[k].p99_latency_us));
+      out += buf;
+    }
+    out += i + 1 < outcomes.size() ? "}},\n" : "}}\n";
   }
   out += "],\n\"expectations\": [\n";
   for (size_t i = 0; i < verdicts.size(); ++i) {

@@ -1,6 +1,7 @@
 #ifndef YCSBT_GENERATOR_ACKNOWLEDGED_COUNTER_GENERATOR_H_
 #define YCSBT_GENERATOR_ACKNOWLEDGED_COUNTER_GENERATOR_H_
 
+#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -21,27 +22,31 @@ class AcknowledgedCounterGenerator : public CounterGenerator {
       : CounterGenerator(start), limit_(start - 1), window_(kWindowSize, false) {}
 
   /// Highest key number k such that every value <= k has been acknowledged.
+  /// One acquire load: every client calls this per key choice, so it must
+  /// not write a shared cache line.
   uint64_t Last() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return limit_;
+    return limit_.load(std::memory_order_acquire);
   }
 
   /// Marks `value` (previously returned by Next) as durably inserted.
   void Acknowledge(uint64_t value) {
     std::lock_guard<std::mutex> lock(mu_);
     window_[value % kWindowSize] = true;
-    // Advance the limit over the contiguous acknowledged prefix.
-    while (window_[(limit_ + 1) % kWindowSize]) {
-      ++limit_;
-      window_[limit_ % kWindowSize] = false;
+    // Advance the limit over the contiguous acknowledged prefix, then
+    // publish it once.
+    uint64_t limit = limit_.load(std::memory_order_relaxed);
+    while (window_[(limit + 1) % kWindowSize]) {
+      ++limit;
+      window_[limit % kWindowSize] = false;
     }
+    limit_.store(limit, std::memory_order_release);
   }
 
  private:
   static constexpr size_t kWindowSize = 1 << 16;
 
-  mutable std::mutex mu_;
-  uint64_t limit_;
+  std::mutex mu_;  ///< serialises Acknowledge; Last() reads `limit_` only
+  std::atomic<uint64_t> limit_;
   std::vector<bool> window_;
 };
 

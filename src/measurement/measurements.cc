@@ -19,8 +19,24 @@ void ThreadSink::Flush() {
 
 ThreadSink* Measurements::CreateSink() {
   std::lock_guard<std::mutex> lock(sinks_mu_);
+  if (!free_sinks_.empty()) {
+    ThreadSink* sink = free_sinks_.back();
+    free_sinks_.pop_back();
+    return sink;
+  }
   sinks_.emplace_back(new ThreadSink(this));
   return sinks_.back().get();
+}
+
+void Measurements::ReleaseSink(ThreadSink* sink) {
+  sink->Flush();
+  std::lock_guard<std::mutex> lock(sinks_mu_);
+  free_sinks_.push_back(sink);
+}
+
+size_t Measurements::sink_count() const {
+  std::lock_guard<std::mutex> lock(sinks_mu_);
+  return sinks_.size();
 }
 
 Measurements::Series* Measurements::SeriesFor(OpId op) {
@@ -148,6 +164,7 @@ void Measurements::Reset() {
   std::lock_guard<std::mutex> sinks_lock(sinks_mu_);
   std::unique_lock<std::shared_mutex> series_lock(series_mu_);
   std::lock_guard<std::mutex> intervals_lock(intervals_mu_);
+  free_sinks_.clear();
   sinks_.clear();
   series_.clear();
   intervals_.clear();

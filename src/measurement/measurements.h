@@ -59,7 +59,9 @@ class Measurements;
 /// Created via `Measurements::CreateSink()`, which registers the sink with
 /// (and transfers ownership to) the parent; the sink stays valid until the
 /// parent is reset or destroyed.  Only the owning thread may call the
-/// recording methods and `Flush()`.
+/// recording methods and `Flush()`.  An owner that is done hands the sink
+/// back with `Measurements::ReleaseSink()`, and a later `CreateSink()` reuses
+/// it, histograms and all.
 class ThreadSink {
  public:
   ThreadSink(const ThreadSink&) = delete;
@@ -143,9 +145,19 @@ class Measurements {
 
   // --- per-thread sinks (the lock-free hot path) ---
 
-  /// Creates a sink owned by this registry; the calling thread becomes its
-  /// owner.  The pointer stays valid until `Reset()` or destruction.
+  /// Hands out a sink owned by this registry, reusing a released one when
+  /// there is one; the calling thread becomes its owner.  The pointer stays
+  /// valid until `Reset()` or destruction.
   ThreadSink* CreateSink();
+
+  /// Flushes `sink` and returns it for reuse by a later `CreateSink()`.  The
+  /// owner must not touch it afterwards.  Without this, every `Run` of a
+  /// long-lived registry would add one sink (a histogram per op series) per
+  /// client thread.
+  void ReleaseSink(ThreadSink* sink);
+
+  /// Sinks created so far, in use or released (tests).
+  size_t sink_count() const;
 
   // --- the shared-series path (setup and one-off callers; locks) ---
 
@@ -211,8 +223,9 @@ class Measurements {
   mutable std::shared_mutex series_mu_;
   std::deque<Series> series_;  // dense by OpId; deque keeps elements stable
 
-  std::mutex sinks_mu_;
+  mutable std::mutex sinks_mu_;
   std::vector<std::unique_ptr<ThreadSink>> sinks_;
+  std::vector<ThreadSink*> free_sinks_;  ///< released, flushed, reusable
 
   mutable std::mutex intervals_mu_;
   std::vector<IntervalSample> intervals_;

@@ -14,6 +14,10 @@ namespace txn {
 
 namespace {
 
+/// Slots of the index's first table; it doubles whenever it would pass half
+/// full.
+constexpr size_t kInitialIndexCapacity = 1024;
+
 /// One spin-loop backoff step: a pause instruction while the owner is
 /// presumably mid-install, a yield every 64 spins in case it was preempted.
 inline void SpinPause(int spins) {
@@ -52,9 +56,10 @@ OccOptions OccOptions::FromProperties(const Properties& props) {
   return o;
 }
 
-OccEngine::OccEngine(OccOptions options)
-    : options_(options), shards_(std::max<size_t>(1, options.index_shards)) {
+OccEngine::OccEngine(OccOptions options) : options_(options) {
   if (options_.retire_batch == 0) options_.retire_batch = 1;
+  tables_.push_back(std::make_unique<Table>(kInitialIndexCapacity));
+  index_.store(tables_.back().get(), std::memory_order_seq_cst);
   if (options_.epoch_ms > 0) {
     ticker_ = std::thread([this] { TickerLoop(); });
   }
@@ -74,47 +79,68 @@ OccEngine::~OccEngine() {
     registry_->engine_alive = false;
     for (const auto& st : registry_->states) {
       for (const Retired& r : st->retired) delete r.version;
+      for (OccTxn* txn : st->free_txns) {
+        txn->~OccTxn();
+        ::operator delete(txn);
+      }
     }
     registry_->released.clear();
     registry_->states.clear();
   }
-  for (Shard& shard : shards_) {
-    for (const auto& rec : shard.records) {
-      delete rec->version.load(std::memory_order_relaxed);
-    }
+  for (const auto& rec : records_) {
+    delete rec->version.load(std::memory_order_relaxed);
   }
 }
 
-OccEngine::Shard& OccEngine::ShardFor(std::string_view key) {
-  return shards_[std::hash<std::string_view>{}(key) % shards_.size()];
-}
-
-const OccEngine::Shard& OccEngine::ShardFor(std::string_view key) const {
-  return shards_[std::hash<std::string_view>{}(key) % shards_.size()];
-}
-
+template <std::memory_order kOrder>
 OccEngine::Record* OccEngine::FindRecord(std::string_view key) const {
-  const Shard& shard = ShardFor(key);
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  return it == shard.map.end() ? nullptr : it->second;
+  const size_t hash = std::hash<std::string_view>{}(key);
+  // A table that is current at the load holds every record inserted before
+  // it was published; one superseded since still holds every record that
+  // existed then, so a miss there linearises before the concurrent insert.
+  const Table* table = index_.load(kOrder);
+  for (size_t i = hash & table->mask;; i = (i + 1) & table->mask) {
+    const Slot& slot = table->slots[i];
+    Record* rec = slot.record.load(kOrder);
+    if (rec == nullptr) return nullptr;  // tables are never full
+    if (slot.hash == hash && rec->key == key) return rec;
+  }
+}
+
+void OccEngine::Place(Table* table, size_t hash, Record* rec) {
+  size_t i = hash & table->mask;
+  while (table->slots[i].record.load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & table->mask;
+  }
+  table->slots[i].hash = hash;
+  table->slots[i].record.store(rec, std::memory_order_seq_cst);
 }
 
 OccEngine::Record* OccEngine::FindOrCreateRecord(std::string_view key) {
-  Shard& shard = ShardFor(key);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) return it->second;
+  if (Record* rec = FindRecord(key)) return rec;
+  std::lock_guard<std::mutex> lock(index_mu_);
+  if (Record* rec = FindRecord(key)) return rec;
   auto owned = std::make_unique<Record>();
   owned->key.assign(key.data(), key.size());
   Record* rec = owned.get();
-  shard.records.push_back(std::move(owned));
-  shard.map.emplace(std::string_view(rec->key), rec);
+  records_.push_back(std::move(owned));
+  const size_t hash = std::hash<std::string_view>{}(key);
+  Table* table = index_.load(std::memory_order_relaxed);
+  if (2 * records_.size() > table->capacity()) {
+    // Growth: fill a doubled table from the stored hashes, then publish it.
+    // Readers still probing the old one keep a valid, frozen table.
+    auto grown = std::make_unique<Table>(2 * table->capacity());
+    for (size_t i = 0; i < table->capacity(); ++i) {
+      const Slot& slot = table->slots[i];
+      Record* r = slot.record.load(std::memory_order_relaxed);
+      if (r != nullptr) Place(grown.get(), slot.hash, r);
+    }
+    Place(grown.get(), hash, rec);
+    tables_.push_back(std::move(grown));
+    index_.store(tables_.back().get(), std::memory_order_seq_cst);
+  } else {
+    Place(table, hash, rec);
+  }
   return rec;
 }
 
@@ -211,14 +237,13 @@ void OccEngine::CollectRange(const std::string& start_key, size_t limit,
                              std::vector<TxScanEntry>* out) const {
   out->clear();
   if (limit == 0) return;
-  // Records are never removed from the index, so the key views stay valid
-  // after the shard locks drop; only version access needs the epoch pin.
+  // Records are never removed from the index, so their keys stay valid; only
+  // version access needs the epoch pin.
   std::vector<const Record*> candidates;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, rec] : shard.map) {
-      if (key >= std::string_view(start_key)) candidates.push_back(rec);
-    }
+  const Table* table = index_.load(std::memory_order_acquire);
+  for (size_t i = 0; i < table->capacity(); ++i) {
+    const Record* rec = table->slots[i].record.load(std::memory_order_acquire);
+    if (rec != nullptr && rec->key >= start_key) candidates.push_back(rec);
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Record* a, const Record* b) { return a->key < b->key; });
@@ -293,7 +318,16 @@ void OccEngine::TickerLoop() {
 }
 
 std::unique_ptr<Transaction> OccEngine::Begin() {
-  return std::make_unique<OccTxn>(this, MyState());
+  ThreadState* st = MyState();
+  OccTxn* txn;
+  if (st->free_txns.empty()) {
+    txn = new OccTxn(this, st);
+  } else {
+    txn = st->free_txns.back();
+    st->free_txns.pop_back();
+  }
+  txn->Start();
+  return std::unique_ptr<Transaction>(txn);
 }
 
 Status OccEngine::LoadPut(const std::string& key, std::string_view value) {
@@ -388,17 +422,21 @@ bool OccEngine::DebugTidOf(const std::string& key, uint64_t* tid) const {
 
 // --------------------------------- OccTxn ----------------------------------
 
-OccTxn::OccTxn(OccEngine* engine, OccEngine::ThreadState* state)
-    : engine_(engine), state_(state) {
+void OccTxn::Start() {
+  reads_.clear();
+  absent_count_ = 0;
+  write_count_ = 0;
+  finished_ = false;
   engine_->Pin(state_);
   start_epoch_ = state_->active_epoch.load(std::memory_order_relaxed);
 }
 
-OccTxn::~OccTxn() {
-  if (!finished_) {
-    state_->aborts.fetch_add(1, std::memory_order_relaxed);
-    Finish();
+void OccTxn::operator delete(OccTxn* txn, std::destroying_delete_t) {
+  if (!txn->finished_) {
+    txn->state_->aborts.fetch_add(1, std::memory_order_relaxed);
+    txn->Finish();
   }
+  txn->state_->free_txns.push_back(txn);
 }
 
 void OccTxn::Finish() {
@@ -407,18 +445,34 @@ void OccTxn::Finish() {
   engine_->Unpin(state_);
 }
 
+OccTxn::WriteEntry* OccTxn::FindWrite(std::string_view key) {
+  for (size_t i = 0; i < write_count_; ++i) {
+    if (writes_[i].key == key) return &writes_[i];
+  }
+  return nullptr;
+}
+
+bool OccTxn::WritesRecord(const OccEngine::Record* rec) const {
+  for (size_t i = 0; i < write_count_; ++i) {
+    if (writes_[i].record == rec) return true;
+  }
+  return false;
+}
+
 Status OccTxn::Read(const std::string& key, std::string* value) {
   if (finished_) return Status::InvalidArgument("transaction already finished");
-  auto it = writes_.find(key);
-  if (it != writes_.end()) {
-    if (it->second.is_delete) return Status::NotFound();
-    if (value != nullptr) *value = it->second.value;
+  if (const WriteEntry* w = FindWrite(key)) {
+    if (w->is_delete) return Status::NotFound();
+    if (value != nullptr) *value = w->value;
     return Status::OK();
   }
   OccEngine::Record* rec = engine_->FindRecord(key);
   const bool validate = engine_->options_.read_validation;
   if (rec == nullptr) {
-    if (validate) absent_reads_.push_back(key);
+    if (validate) {
+      if (absent_count_ == absent_reads_.size()) absent_reads_.emplace_back();
+      absent_reads_[absent_count_++].assign(key);
+    }
     return Status::NotFound();
   }
   OccEngine::Version* v = nullptr;
@@ -433,9 +487,14 @@ Status OccTxn::Read(const std::string& key, std::string* value) {
 Status OccTxn::Buffer(const std::string& key, std::string_view value,
                       bool is_delete) {
   if (finished_) return Status::InvalidArgument("transaction already finished");
-  BufferedWrite& w = writes_[key];
-  w.value.assign(value.data(), value.size());
-  w.is_delete = is_delete;
+  WriteEntry* w = FindWrite(key);
+  if (w == nullptr) {
+    if (write_count_ == writes_.size()) writes_.emplace_back();
+    w = &writes_[write_count_++];
+    w->key.assign(key);
+  }
+  w->value.assign(value.data(), value.size());
+  w->is_delete = is_delete;
   return Status::OK();
 }
 
@@ -467,35 +526,25 @@ Status OccTxn::Commit() {
   if (finished_) return Status::InvalidArgument("transaction already finished");
   const bool validate = engine_->options_.read_validation;
 
-  // Silo commit phase 1: materialise the (deduplicated) write set in global
-  // key order and spin-lock each record.  Identical acquisition order on
-  // every committer makes the locking deadlock-free.
-  struct WriteOp {
-    const std::string* key;
-    BufferedWrite* write;
-    OccEngine::Record* rec;
-    uint64_t unlocked_tid;
-  };
-  std::vector<WriteOp> ops;
-  ops.reserve(writes_.size());
-  for (auto& [key, write] : writes_) {
-    ops.push_back({&key, &write, nullptr, 0});
-  }
-  std::sort(ops.begin(), ops.end(),
-            [](const WriteOp& a, const WriteOp& b) { return *a.key < *b.key; });
-  for (WriteOp& op : ops) {
-    op.rec = engine_->FindOrCreateRecord(*op.key);
-    uint64_t cur = op.rec->tid.load(std::memory_order_relaxed);
+  // Silo commit phase 1: sort the (deduplicated) write set into global key
+  // order and spin-lock each record.  Identical acquisition order on every
+  // committer makes the locking deadlock-free.
+  const auto writes_end = writes_.begin() + static_cast<ptrdiff_t>(write_count_);
+  std::sort(writes_.begin(), writes_end,
+            [](const WriteEntry& a, const WriteEntry& b) { return a.key < b.key; });
+  for (auto w = writes_.begin(); w != writes_end; ++w) {
+    w->record = engine_->FindOrCreateRecord(w->key);
+    uint64_t cur = w->record->tid.load(std::memory_order_relaxed);
     for (int spins = 0;; ++spins) {
       if ((cur & OccEngine::kLockBit) == 0 &&
-          op.rec->tid.compare_exchange_weak(cur, cur | OccEngine::kLockBit,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_relaxed)) {
-        op.unlocked_tid = cur;
+          w->record->tid.compare_exchange_weak(cur, cur | OccEngine::kLockBit,
+                                               std::memory_order_seq_cst,
+                                               std::memory_order_relaxed)) {
+        w->unlocked_tid = cur;
         break;
       }
       SpinPause(spins);
-      cur = op.rec->tid.load(std::memory_order_relaxed);
+      cur = w->record->tid.load(std::memory_order_relaxed);
     }
   }
 
@@ -508,7 +557,7 @@ Status OccTxn::Commit() {
     for (const ReadEntry& entry : reads_) {
       uint64_t cur = entry.record->tid.load(std::memory_order_seq_cst);
       if ((cur & OccEngine::kLockBit) != 0) {
-        if (writes_.find(entry.record->key) == writes_.end()) {
+        if (!WritesRecord(entry.record)) {
           verdict = Status::Conflict("occ: read record locked by another txn");
           break;
         }
@@ -519,47 +568,48 @@ Status OccTxn::Commit() {
         break;
       }
     }
-    if (verdict.ok()) {
-      for (const std::string& key : absent_reads_) {
-        OccEngine::Record* rec = engine_->FindRecord(key);
-        if (rec == nullptr) continue;
-        OccEngine::Version* v = nullptr;
-        if (writes_.find(key) != writes_.end()) {
-          // We hold this record's lock (we may even have just created it),
-          // so its fields are stable: no consistent-read loop needed.
-          v = rec->version.load(std::memory_order_seq_cst);
-        } else {
-          // We hold our own write-set locks here, so we must not wait on
-          // another committer (ReadRecord spins on the lock bit; two
-          // committers waiting on each other's locked records would
-          // deadlock, and this path is outside the ordered-acquisition
-          // argument).  One-shot tid/version/tid snapshot instead: a
-          // locked or unstable record is being rewritten right now, which
-          // is a conflict for an absent read anyway.
-          uint64_t t1 = rec->tid.load(std::memory_order_seq_cst);
-          if ((t1 & OccEngine::kLockBit) != 0) {
-            verdict =
-                Status::Conflict("occ: absent-read record locked by another txn");
-            break;
-          }
-          v = rec->version.load(std::memory_order_seq_cst);
-          uint64_t t2 = rec->tid.load(std::memory_order_seq_cst);
-          if (t1 != t2) {
-            verdict = Status::Conflict(
-                "occ: absent-read record rewritten during validation");
-            break;
-          }
-        }
-        if (v != nullptr && !v->tombstone) {
-          verdict = Status::Conflict("occ: key created since absent read");
+    for (size_t i = 0; verdict.ok() && i < absent_count_; ++i) {
+      // seq_cst re-probe: a key created by a committer we serialise after
+      // is in the table this load returns (DESIGN.md §15).
+      OccEngine::Record* rec =
+          engine_->FindRecord<std::memory_order_seq_cst>(absent_reads_[i]);
+      if (rec == nullptr) continue;
+      OccEngine::Version* v = nullptr;
+      if (WritesRecord(rec)) {
+        // We hold this record's lock (we may even have just created it),
+        // so its fields are stable: no consistent-read loop needed.
+        v = rec->version.load(std::memory_order_seq_cst);
+      } else {
+        // We hold our own write-set locks here, so we must not wait on
+        // another committer (ReadRecord spins on the lock bit; two
+        // committers waiting on each other's locked records would
+        // deadlock, and this path is outside the ordered-acquisition
+        // argument).  One-shot tid/version/tid snapshot instead: a
+        // locked or unstable record is being rewritten right now, which
+        // is a conflict for an absent read anyway.
+        uint64_t t1 = rec->tid.load(std::memory_order_seq_cst);
+        if ((t1 & OccEngine::kLockBit) != 0) {
+          verdict =
+              Status::Conflict("occ: absent-read record locked by another txn");
           break;
         }
+        v = rec->version.load(std::memory_order_seq_cst);
+        uint64_t t2 = rec->tid.load(std::memory_order_seq_cst);
+        if (t1 != t2) {
+          verdict = Status::Conflict(
+              "occ: absent-read record rewritten during validation");
+          break;
+        }
+      }
+      if (v != nullptr && !v->tombstone) {
+        verdict = Status::Conflict("occ: key created since absent read");
+        break;
       }
     }
   }
   if (!verdict.ok()) {
-    for (WriteOp& op : ops) {
-      op.rec->tid.store(op.unlocked_tid, std::memory_order_seq_cst);
+    for (auto w = writes_.begin(); w != writes_end; ++w) {
+      w->record->tid.store(w->unlocked_tid, std::memory_order_seq_cst);
     }
     state_->validation_fails.fetch_add(1, std::memory_order_relaxed);
     state_->aborts.fetch_add(1, std::memory_order_relaxed);
@@ -570,15 +620,14 @@ Status OccTxn::Commit() {
   // Phase 3: install under one fresh commit TID.  The serialization epoch
   // is read while every write-set lock is held, so epoch boundaries are
   // consistent with the serial order (Silo's group-commit invariant).
-  if (!ops.empty()) {
+  if (write_count_ > 0) {
     uint64_t epoch = engine_->epoch_.load(std::memory_order_seq_cst);
     uint64_t tid = OccEngine::MakeTid(epoch, ++state_->seq, state_->thread_id);
-    for (WriteOp& op : ops) {
-      auto* nv = new OccEngine::Version{std::move(op.write->value),
-                                        op.write->is_delete};
+    for (auto w = writes_.begin(); w != writes_end; ++w) {
+      auto* nv = new OccEngine::Version{std::move(w->value), w->is_delete};
       OccEngine::Version* old =
-          op.rec->version.exchange(nv, std::memory_order_seq_cst);
-      op.rec->tid.store(tid, std::memory_order_seq_cst);  // clears the lock
+          w->record->version.exchange(nv, std::memory_order_seq_cst);
+      w->record->tid.store(tid, std::memory_order_seq_cst);  // clears the lock
       engine_->Retire(state_, old);
     }
   }

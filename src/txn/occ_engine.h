@@ -6,11 +6,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
+#include <new>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/properties.h"
@@ -21,6 +20,8 @@
 
 namespace ycsbt {
 namespace txn {
+
+class OccTxn;
 
 inline constexpr PropertyDecl kOccEpochMs = UintProperty(
     "occ.epoch_ms", 10,
@@ -52,10 +53,6 @@ struct OccOptions {
   /// Per-thread retire lists are swept for reclaimable versions once they
   /// grow past this many entries (and always at engine teardown).
   size_t retire_batch = kOccRetireBatch.Default<size_t>();
-
-  /// Hash-index shard count (structure locking only; record access past the
-  /// index lookup is lock-free).  Not exposed as a property.
-  size_t index_shards = 64;
 
   static OccOptions FromProperties(const Properties& props);
 };
@@ -157,10 +154,23 @@ class OccEngine : public TransactionalKV, public StatsLayer {
     std::atomic<Version*> version{nullptr};
   };
 
-  struct Shard {
-    mutable std::shared_mutex mu;  ///< index structure only, never held for reads
-    std::unordered_map<std::string_view, Record*> map;
-    std::vector<std::unique_ptr<Record>> records;
+  /// One open-addressing slot.  Filled once under `index_mu_` (hash first,
+  /// then a seq_cst store of `record`) and never changed again, so a reader
+  /// that loads a non-null `record` also sees its `hash`.  The hash beside
+  /// the pointer keeps a probe off foreign records.
+  struct Slot {
+    size_t hash = 0;
+    std::atomic<Record*> record{nullptr};
+  };
+
+  /// A power-of-two slot array, at most half full.  Growth fills a doubled
+  /// table and publishes it; a superseded table is never modified again.
+  struct Table {
+    explicit Table(size_t capacity)
+        : mask(capacity - 1), slots(new Slot[capacity]) {}
+    size_t capacity() const { return mask + 1; }
+    const size_t mask;
+    const std::unique_ptr<Slot[]> slots;
   };
 
   struct Retired {
@@ -189,12 +199,20 @@ class OccEngine : public TransactionalKV, public StatsLayer {
     std::atomic<uint64_t> validation_fails{0};
     std::atomic<uint64_t> versions_retired{0};
     std::atomic<uint64_t> versions_freed{0};
+    /// Finished transactions, kept with their buffers for the next
+    /// `Begin()` on this registration; freed at engine teardown.
+    std::vector<OccTxn*> free_txns;
   };
 
-  Shard& ShardFor(std::string_view key);
-  const Shard& ShardFor(std::string_view key) const;
+  /// Lock-free index lookup: `kOrder` loads of the table and slot pointers,
+  /// no lock and no read-modify-write.  Transaction reads use acquire; the
+  /// commit-time re-probe of absent reads uses seq_cst (DESIGN.md §15).
+  template <std::memory_order kOrder = std::memory_order_acquire>
   Record* FindRecord(std::string_view key) const;
   Record* FindOrCreateRecord(std::string_view key);
+  /// Fills the first free slot of `hash`'s probe sequence in `table`.
+  /// Caller holds `index_mu_`.
+  static void Place(Table* table, size_t hash, Record* rec);
 
   /// Every registration of one engine.  Shared with the thread-exit hook of
   /// each registered thread, which may run after the engine is gone.
@@ -244,7 +262,16 @@ class OccEngine : public TransactionalKV, public StatsLayer {
   void TickerLoop();
 
   OccOptions options_;
-  std::vector<Shard> shards_;
+
+  /// The record index.  Readers probe `index_` lock-free; inserts and
+  /// growth serialise on `index_mu_`.  `tables_` owns every table ever
+  /// published (the current one last), because a reader may still probe a
+  /// superseded one; `records_` owns every record.  Both are freed at
+  /// teardown.
+  std::atomic<Table*> index_{nullptr};
+  std::mutex index_mu_;
+  std::vector<std::unique_ptr<Table>> tables_;
+  std::vector<std::unique_ptr<Record>> records_;
 
   std::atomic<uint64_t> epoch_{1};
   std::atomic<uint64_t> epoch_advances_{0};
@@ -257,13 +284,12 @@ class OccEngine : public TransactionalKV, public StatsLayer {
 };
 
 /// One OCC transaction: lock-free reads recorded as `(record, tid)` pairs,
-/// writes buffered until the Silo-style commit.  Created by
-/// `OccEngine::Begin()`; used by one thread.
+/// writes buffered until the Silo-style commit.  Handed out by
+/// `OccEngine::Begin()` and used by one thread.  Deleting it returns it,
+/// buffers and all, to its registration's free list (a destroying
+/// `operator delete`), so a warmed transaction allocates nothing of its own.
 class OccTxn : public Transaction {
  public:
-  OccTxn(OccEngine* engine, OccEngine::ThreadState* state);
-  ~OccTxn() override;
-
   uint64_t start_ts() const override { return start_epoch_; }
   Status Read(const std::string& key, std::string* value) override;
   Status Write(const std::string& key, std::string_view value) override;
@@ -273,29 +299,54 @@ class OccTxn : public Transaction {
   Status Commit() override;
   Status Abort() override;
 
+  /// Recycles instead of destroying: an unfinished transaction is aborted,
+  /// then parked on its registration's free list.
+  static void operator delete(OccTxn* txn, std::destroying_delete_t);
+
  private:
+  friend class OccEngine;
+
   struct ReadEntry {
     const OccEngine::Record* record;
     uint64_t tid;
   };
-  struct BufferedWrite {
+  /// One buffered write.  `record` and `unlocked_tid` are set while Commit
+  /// holds the record's lock.
+  struct WriteEntry {
+    std::string key;
     std::string value;
     bool is_delete = false;
+    OccEngine::Record* record = nullptr;
+    uint64_t unlocked_tid = 0;
   };
 
+  OccTxn(OccEngine* engine, OccEngine::ThreadState* state)
+      : engine_(engine), state_(state) {}
+  ~OccTxn() override = default;
+
+  /// Opens the transaction: empties the sets (keeping their buffers) and
+  /// pins the thread into the current epoch.
+  void Start();
   Status Buffer(const std::string& key, std::string_view value, bool is_delete);
+  WriteEntry* FindWrite(std::string_view key);
+  bool WritesRecord(const OccEngine::Record* rec) const;
   void Finish();  ///< unpin + mark finished (idempotent)
 
-  OccEngine* engine_;
-  OccEngine::ThreadState* state_;
-  uint64_t start_epoch_;
-  bool finished_ = false;
+  OccEngine* const engine_;
+  OccEngine::ThreadState* const state_;
+  uint64_t start_epoch_ = 0;
+  bool finished_ = true;
 
   std::vector<ReadEntry> reads_;
   /// Keys read as absent (no record in the index yet): validated at commit
-  /// by re-lookup, since there is no record TID to pin them with.
+  /// by re-lookup, since there is no record TID to pin them with.  The first
+  /// `absent_count_` entries are live; the rest keep their buffers.
   std::vector<std::string> absent_reads_;
-  std::unordered_map<std::string, BufferedWrite> writes_;
+  size_t absent_count_ = 0;
+  /// The write set, searched linearly and sorted by key only at commit.  The
+  /// first `write_count_` entries are live; the rest keep their buffers.
+  std::vector<WriteEntry> writes_;
+  size_t write_count_ = 0;
 };
 
 }  // namespace txn

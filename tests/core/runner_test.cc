@@ -150,6 +150,23 @@ TEST_F(RunnerTest, WrappingEmitsStartAndCommitSeries) {
   EXPECT_EQ(measurements_.SnapshotOp("TX-READ").operations, 20u);
 }
 
+// A client thread hands its measurement sink back at exit and a later
+// thread reuses it: repeated runs on one registry never hold more sinks than
+// one run's threads, and the series still count every round.
+TEST_F(RunnerTest, RepeatedRunsReuseTheirSinks) {
+  CountingWorkload w;
+  WorkloadRunner runner(factory_.get(), &w, &measurements_);
+  RunOptions run;
+  run.threads = 3;
+  run.operation_count = 300;
+  for (uint64_t round = 1; round <= 5; ++round) {
+    RunResult result;
+    ASSERT_TRUE(runner.Run(run, &result).ok());
+    EXPECT_LE(measurements_.sink_count(), 3u) << "round " << round;
+    EXPECT_EQ(measurements_.SnapshotOp("TX-READ").operations, 300 * round);
+  }
+}
+
 TEST_F(RunnerTest, UnwrappedRunEmitsNoTransactionSeries) {
   CountingWorkload w;
   WorkloadRunner runner(factory_.get(), &w, &measurements_);

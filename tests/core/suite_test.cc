@@ -275,6 +275,42 @@ TEST(SuiteOrchestratorTest, ExpectationVerdictsFailTheSuiteAndLandInBothRollups)
             0);
 }
 
+// Each run in rollup.json carries every series' count and p50/p99, the
+// values `expect.` lines read from `[<SERIES>]` lines, so latency tables
+// can be rendered from the rollup alone.
+TEST(SuiteOrchestratorTest, RollupJsonCarriesEachSeriesLatency) {
+  std::string out = ::testing::TempDir() + "/suite_series";
+  SuiteSpec spec;
+  ASSERT_TRUE(SuiteSpec::Parse(MiniatureWithExpectations(out, {}), &spec).ok());
+  SuiteOrchestrator orchestrator(std::move(spec));
+  std::vector<SuiteRunOutcome> outcomes;
+  ASSERT_TRUE(orchestrator.Execute(&outcomes).ok());
+  ASSERT_EQ(outcomes.size(), 2u);
+  std::string json = ReadFile(out + "/rollup.json");
+  for (const auto& outcome : outcomes) {
+    const OpStats* read = nullptr;
+    for (const OpStats& s : outcome.result.op_stats) {
+      if (s.name == "READ") read = &s;
+    }
+    ASSERT_NE(read, nullptr) << outcome.run.name;
+    EXPECT_EQ(read->operations, 100u);
+    std::string cell = "\"READ\": {\"operations\": 100, \"p50_us\": " +
+                       std::to_string(read->p50_latency_us) +
+                       ", \"p99_us\": " + std::to_string(read->p99_latency_us) + "}";
+    EXPECT_NE(json.find(cell), std::string::npos) << cell << "\n" << json;
+  }
+  EXPECT_EQ(std::system(("python3 -m json.tool " + out + "/rollup.json > /dev/null")
+                            .c_str()),
+            0);
+  // Every run has a series object whose cells hold the three numbers.
+  EXPECT_EQ(std::system(("python3 -c \"import json, sys; runs = json.load(open('" +
+                         out + "/rollup.json'))['runs']; sys.exit(0 if runs and all("
+                         "c['operations'] >= 0 and c['p50_us'] <= c['p99_us'] "
+                         "for r in runs for c in r['series'].values()) else 1)\"")
+                            .c_str()),
+            0);
+}
+
 TEST(SuiteOrchestratorTest, AMetricLineTheRunNeverPrintedFailsByName) {
   std::string out = ::testing::TempDir() + "/suite_missing_line";
   SuiteSpec spec;

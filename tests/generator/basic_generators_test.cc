@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
@@ -75,6 +76,48 @@ TEST(AcknowledgedCounterTest, ManyInterleavedAcks) {
   EXPECT_EQ(gen.Last(), static_cast<uint64_t>(-1));
   gen.Acknowledge(values[0]);
   EXPECT_EQ(gen.Last(), 99u);
+}
+
+// Last() is a lock-free load while Acknowledge serialises: readers racing
+// the ackers must see a nondecreasing limit, and every key at or below a
+// limit they saw must already be acknowledged.
+TEST(AcknowledgedCounterTest, ConcurrentLastIsMonotonicAndAcknowledged) {
+  constexpr int kAckers = 4;
+  constexpr int kReaders = 2;
+  constexpr uint64_t kPerAcker = 20000;
+  constexpr uint64_t kTotal = kAckers * kPerAcker;
+  AcknowledgedCounterGenerator gen(1);  // limit starts at 0
+  std::vector<std::atomic<bool>> acked(kTotal + 1);
+  std::atomic<int> ackers_left{kAckers};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kAckers; ++t) {
+    pool.emplace_back([&, t] {
+      Random64 rng(static_cast<uint64_t>(t));
+      for (uint64_t i = 0; i < kPerAcker; ++i) {
+        uint64_t v = gen.Next(rng);
+        acked[v].store(true, std::memory_order_relaxed);
+        gen.Acknowledge(v);
+      }
+      ackers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    pool.emplace_back([&] {
+      uint64_t prev = 0;
+      while (ackers_left.load() > 0) {
+        uint64_t last = gen.Last();
+        if (last < prev || last > kTotal) failed = true;
+        if (last > 0 && !acked[last].load(std::memory_order_relaxed)) {
+          failed = true;
+        }
+        prev = last;
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(gen.Last(), kTotal);
 }
 
 TEST(DiscreteGeneratorTest, RespectsWeights) {

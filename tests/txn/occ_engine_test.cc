@@ -427,6 +427,66 @@ TEST(OccEngineStressTest, ReclamationNeverFreesHeldVersions) {
   EXPECT_GT(stats.versions_freed, 0u);
 }
 
+// The index grows by publishing a doubled table while readers probe without
+// a lock.  Creators commit fresh keys across several doublings; readers must
+// find every key whose commit they have seen, whichever table they probe.
+TEST(OccEngineStressTest, IndexGrowthUnderConcurrentReaders) {
+  OccEngine engine(ManualEpochs());
+  constexpr int kCreators = 2;
+  constexpr int kReaders = 2;
+  constexpr int kKeysPerCreator = 12000;  // 24k keys: six doublings of 1024
+  auto key_of = [](int creator, int i) { return StrCat("c", creator, "/", i); };
+  std::vector<std::atomic<int>> committed(kCreators);  // keys [0, n) are in
+  std::atomic<int> creators_left{kCreators};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kCreators; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kKeysPerCreator; ++i) {
+        auto txn = engine.Begin();
+        if (!txn->Write(key_of(c, i), StrCat("v", i)).ok() ||
+            !txn->Commit().ok()) {
+          failed = true;
+        }
+        committed[c].store(i + 1, std::memory_order_release);
+      }
+      creators_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      uint64_t probe = static_cast<uint64_t>(r);
+      while (creators_left.load() > 0) {
+        for (int c = 0; c < kCreators; ++c) {
+          int n = committed[c].load(std::memory_order_acquire);
+          if (n == 0) continue;
+          // The newest key and a spread of older ones.
+          probe = probe * 6364136223846793005ull + 1442695040888963407ull;
+          for (int i : {n - 1, static_cast<int>((probe >> 33) % static_cast<uint64_t>(n))}) {
+            auto txn = engine.Begin();
+            std::string value;
+            if (!txn->Read(key_of(c, i), &value).ok() || value != StrCat("v", i)) {
+              failed = true;
+            }
+            txn->Commit();
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  for (int c = 0; c < kCreators; ++c) {
+    for (int i = 0; i < kKeysPerCreator; ++i) {
+      std::string value;
+      ASSERT_TRUE(engine.ReadCommitted(key_of(c, i), &value).ok()) << key_of(c, i);
+    }
+  }
+  std::vector<TxScanEntry> rows;
+  ASSERT_TRUE(engine.ScanCommitted("", kCreators * kKeysPerCreator + 1, &rows).ok());
+  EXPECT_EQ(rows.size(), static_cast<size_t>(kCreators * kKeysPerCreator));
+}
+
 // Serializability acceptance: concurrent transfers keep a two-account sum
 // invariant; any reader whose commit validates must have seen a consistent
 // (un-torn, un-skewed) snapshot of the pair.
