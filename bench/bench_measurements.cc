@@ -11,11 +11,15 @@
 // The interesting column is per-sample time at 8+ threads: the shared path
 // serialises every client through one mutex per series, the sink path is
 // contention-free by construction.
+//
+// BM_LatencyTimer and BM_Stopwatch time the other half of a sample: the two
+// clock reads around the call it measures.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "common/clock.h"
 #include "measurement/measurements.h"
 
 namespace {
@@ -94,6 +98,27 @@ void BM_SinkFlush(benchmark::State& state) {
 BENCHMARK(BM_SinkFlush)
     ->Setup(SetupMeasurements)
     ->Teardown(TeardownMeasurements);
+
+/// One latency sample's timing, as `MeasuredDB` and the runner take it:
+/// start a timer, read its elapsed microseconds.  The TSC-backed timer
+/// (when the CPU has an invariant TSC) against the steady-clock stopwatch
+/// that run-level intervals keep.
+void BM_LatencyTimer(benchmark::State& state) {
+  for (auto _ : state) {
+    ycsbt::LatencyTimer timer;
+    benchmark::DoNotOptimize(timer.ElapsedMicros());
+  }
+  state.SetLabel(ycsbt::LatencyTimer::Source());
+}
+BENCHMARK(BM_LatencyTimer);
+
+void BM_Stopwatch(benchmark::State& state) {
+  for (auto _ : state) {
+    ycsbt::Stopwatch watch;
+    benchmark::DoNotOptimize(watch.ElapsedMicros());
+  }
+}
+BENCHMARK(BM_Stopwatch);
 
 }  // namespace
 

@@ -5,10 +5,15 @@
 #include <chrono>
 #include <cstdint>
 
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
+
 namespace ycsbt {
 
-/// Nanoseconds from the monotonic clock; the time base for every latency
-/// measurement in the framework.
+/// Nanoseconds from the monotonic clock: the time base for run-level
+/// intervals, deadlines and schedules.  Per-sample latencies are timed by
+/// `LatencyTimer`.
 inline uint64_t SteadyNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -105,6 +110,54 @@ class Stopwatch {
   }
 
  private:
+  uint64_t start_;
+};
+
+namespace clock_internal {
+/// The tick source `LatencyTimer` reads, fixed once during static
+/// initialisation (clock.cc) and read-only afterwards.
+extern bool latency_tsc;
+/// Nanoseconds per TSC tick in 32.32 fixed point.
+extern uint64_t latency_ns_per_tick_q32;
+}  // namespace clock_internal
+
+/// Times one latency sample: every interval that ends as one histogram
+/// sample (`MeasuredDB`'s calls, the runner's whole-transaction latency,
+/// `ResilientStore`'s read samples, the WAL's fdatasync).  On x86-64 with an
+/// invariant TSC it reads `rdtsc` and converts ticks with a scale calibrated
+/// against `SteadyNanos()` at startup; elsewhere it reads `SteadyNanos()`.
+/// Run-level intervals keep `Stopwatch` (DESIGN.md §6).
+class LatencyTimer {
+ public:
+  LatencyTimer() : start_(Now()) {}
+
+  /// Nanoseconds since construction; 0 when the ticks went
+  /// backwards (TSC skew between the cores the thread ran on).
+  uint64_t ElapsedNanos() const {
+    uint64_t now = Now();
+    return now > start_ ? ToNanos(now - start_) : 0;
+  }
+  uint64_t ElapsedMicros() const { return ElapsedNanos() / 1000; }
+
+  /// "tsc" or "steady_clock": the source chosen at startup.
+  static const char* Source();
+
+ private:
+  static uint64_t Now() {
+#if defined(__x86_64__)
+    if (clock_internal::latency_tsc) return __rdtsc();
+#endif
+    return SteadyNanos();
+  }
+
+  static uint64_t ToNanos(uint64_t ticks) {
+    if (!clock_internal::latency_tsc) return ticks;
+    return static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(ticks) *
+         clock_internal::latency_ns_per_tick_q32) >>
+        32);
+  }
+
   uint64_t start_;
 };
 

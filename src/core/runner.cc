@@ -473,7 +473,7 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
 
         // Whole-transaction latency spans every attempt and backoff, so the
         // TX-<OP> series reports what the end user experienced.
-        Stopwatch txn_watch;
+        LatencyTimer txn_watch;
         bool commit_ok;
         TxnOpResult op;
         if (options.wrap_in_transactions) {

@@ -40,7 +40,7 @@ Status MeasuredDB::Record(OpId op, Status status, int64_t latency_us) {
 
 Status MeasuredDB::Read(const std::string& table, const std::string& key,
                         const std::vector<std::string>* fields, FieldMap* result) {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Read(table, key, fields, result);
   return Record(ops_.read, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
@@ -49,7 +49,7 @@ void MeasuredDB::MultiRead(const std::string& table,
                            const std::vector<std::string>& keys,
                            const std::vector<std::string>* fields,
                            std::vector<MultiReadRow>* rows) {
-  Stopwatch watch;
+  LatencyTimer watch;
   inner_->MultiRead(table, keys, fields, rows);
   // One MULTIREAD sample per batch; its status is the first per-row failure
   // (individual rows keep their own statuses for the caller).
@@ -67,21 +67,21 @@ void MeasuredDB::MultiRead(const std::string& table,
 Status MeasuredDB::Scan(const std::string& table, const std::string& start_key,
                         size_t record_count, const std::vector<std::string>* fields,
                         std::vector<ScanRow>* result) {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Scan(table, start_key, record_count, fields, result);
   return Record(ops_.scan, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
 
 Status MeasuredDB::Update(const std::string& table, const std::string& key,
                           const FieldMap& values) {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Update(table, key, values);
   return Record(ops_.update, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
 
 Status MeasuredDB::Insert(const std::string& table, const std::string& key,
                           const FieldMap& values) {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Insert(table, key, values);
   return Record(ops_.insert, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
@@ -90,7 +90,7 @@ void MeasuredDB::BatchInsert(const std::string& table,
                              const std::vector<std::string>& keys,
                              const std::vector<FieldMap>& values,
                              std::vector<Status>* statuses) {
-  Stopwatch watch;
+  LatencyTimer watch;
   inner_->BatchInsert(table, keys, values, statuses);
   // One BATCHINSERT sample per batch; its status is the first per-key
   // failure, mirroring the MULTIREAD convention.
@@ -106,25 +106,25 @@ void MeasuredDB::BatchInsert(const std::string& table,
 }
 
 Status MeasuredDB::Delete(const std::string& table, const std::string& key) {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Delete(table, key);
   return Record(ops_.del, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
 
 Status MeasuredDB::Start() {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Start();
   return Record(ops_.start, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
 
 Status MeasuredDB::Commit() {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Commit();
   return Record(ops_.commit, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }
 
 Status MeasuredDB::Abort() {
-  Stopwatch watch;
+  LatencyTimer watch;
   Status s = inner_->Abort();
   return Record(ops_.abort, std::move(s), static_cast<int64_t>(watch.ElapsedMicros()));
 }

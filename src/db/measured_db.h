@@ -32,10 +32,11 @@ inline constexpr const char kAbort[] = "ABORT";
 ///
 /// All eight op handles are interned to dense `OpId`s once at construction
 /// (and re-resolved in `Init()`, which is a no-op re-intern), so the
-/// per-call cost is a stopwatch read plus one histogram/counter update —
-/// no string construction and no map lookup.  Bind a `ThreadSink` to make
-/// that update lock-free thread-local state (the runner does this for every
-/// client thread); unbound, samples go to the shared series under its lock.
+/// per-call cost is two `LatencyTimer` reads plus one histogram/counter
+/// update — no string construction and no map lookup.  Bind a `ThreadSink`
+/// to make that update lock-free thread-local state (the runner does this
+/// for every client thread); unbound, samples go to the shared series under
+/// its lock.
 class MeasuredDB : public DB {
  public:
   MeasuredDB(std::unique_ptr<DB> inner, Measurements* measurements);

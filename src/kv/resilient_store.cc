@@ -107,7 +107,7 @@ Status ResilientStore::HedgedRead(const std::string& key, const ReadFn& op,
   // caller can adopt the hedge's answer and return while the stalled
   // primary is still in flight.
   hedge_pool_->Submit([this, cell, op, admission] {
-    Stopwatch watch;
+    LatencyTimer watch;
     ReadResult result;
     result.status = op(*base_, &result);
     admission.Settle(result.status);
@@ -168,7 +168,7 @@ Status ResilientStore::RunRead(const std::string& key, const ReadFn& op,
   if (options_.hedge_enabled && !OpExempt()) {
     return HedgedRead(key, op, admission, out);
   }
-  Stopwatch watch;
+  LatencyTimer watch;
   out->status = op(*base_, out);
   admission.Settle(out->status);
   if (options_.hedge_enabled) RecordReadSampleUs(watch.ElapsedMicros());

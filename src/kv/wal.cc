@@ -168,7 +168,7 @@ Status WriteAheadLog::WriteAndMaybeSync(const std::string& buffer, bool sync,
       *why = "crashed before fdatasync";
       return s;
     }
-    Stopwatch sync_watch;
+    LatencyTimer sync_watch;
     s = file_->Sync();
     if (!s.ok()) {
       // fsyncgate: the kernel may already have dropped the dirty pages; a

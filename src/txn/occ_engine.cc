@@ -79,6 +79,7 @@ OccEngine::~OccEngine() {
     registry_->engine_alive = false;
     for (const auto& st : registry_->states) {
       for (const Retired& r : st->retired) delete r.version;
+      for (Version* v : st->free_versions) delete v;
       for (OccTxn* txn : st->free_txns) {
         txn->~OccTxn();
         ::operator delete(txn);
@@ -277,20 +278,28 @@ uint64_t OccEngine::SafeReclaimEpoch() const {
 }
 
 void OccEngine::FlushRetired(ThreadState* st) {
-  std::deque<Retired>& retired = st->retired;
+  std::vector<Retired>& retired = st->retired;
   if (retired.size() < options_.retire_batch) return;
   // Stamps are nondecreasing, so the versions stamped below the safe epoch
   // are a prefix of the list.  The safe epoch never exceeds the global one:
   // while the oldest stamp is still the current epoch, nothing is free.
   if (retired.front().epoch >= epoch_.load(std::memory_order_seq_cst)) return;
   const uint64_t safe = SafeReclaimEpoch();
-  uint64_t freed = 0;
-  while (!retired.empty() && retired.front().epoch < safe) {
-    delete retired.front().version;
-    retired.pop_front();
+  size_t freed = 0;
+  while (freed < retired.size() && retired[freed].epoch < safe) {
+    st->free_versions.push_back(retired[freed].version);
     ++freed;
   }
-  if (freed > 0) st->versions_freed.fetch_add(freed, std::memory_order_relaxed);
+  if (freed == 0) return;
+  retired.erase(retired.begin(), retired.begin() + static_cast<ptrdiff_t>(freed));
+  st->versions_freed.fetch_add(freed, std::memory_order_relaxed);
+}
+
+OccEngine::Version* OccEngine::NewVersion(ThreadState* st) {
+  if (st->free_versions.empty()) return new Version;
+  Version* v = st->free_versions.back();
+  st->free_versions.pop_back();
+  return v;
 }
 
 void OccEngine::AdvanceEpoch() {
@@ -345,7 +354,9 @@ Status OccEngine::LoadPut(const std::string& key, std::string_view value) {
     SpinPause(spins);
     cur = rec->tid.load(std::memory_order_relaxed);
   }
-  auto* nv = new Version{std::string(value), /*tombstone=*/false};
+  Version* nv = NewVersion(st);
+  nv->value.assign(value.data(), value.size());
+  nv->tombstone = false;
   Version* old = rec->version.exchange(nv, std::memory_order_seq_cst);
   uint64_t tid = MakeTid(epoch_.load(std::memory_order_seq_cst), ++st->seq,
                          st->thread_id);
@@ -624,7 +635,11 @@ Status OccTxn::Commit() {
     uint64_t epoch = engine_->epoch_.load(std::memory_order_seq_cst);
     uint64_t tid = OccEngine::MakeTid(epoch, ++state_->seq, state_->thread_id);
     for (auto w = writes_.begin(); w != writes_end; ++w) {
-      auto* nv = new OccEngine::Version{std::move(w->value), w->is_delete};
+      // The write entry takes the recycled version's buffer in exchange,
+      // so the next write to this slot reuses its capacity.
+      OccEngine::Version* nv = OccEngine::NewVersion(state_);
+      nv->value.swap(w->value);
+      nv->tombstone = w->is_delete;
       OccEngine::Version* old =
           w->record->version.exchange(nv, std::memory_order_seq_cst);
       w->record->tid.store(tid, std::memory_order_seq_cst);  // clears the lock

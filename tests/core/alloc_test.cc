@@ -22,13 +22,16 @@ namespace {
 thread_local uint64_t t_allocations = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The counting operators stay out of line: where GCC -O3 inlines them, it
+// pairs the malloc inside one with the free inside another and reports a
+// false -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++t_allocations;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
   ++t_allocations;
   size_t a = static_cast<size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
@@ -37,14 +40,20 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace ycsbt {
 namespace core {
@@ -163,6 +172,56 @@ TEST(AllocTest, OccClosedEconomyTransaction) {
   // remains is the committed versions of the 10% that write.
   EXPECT_LE(allocs, 1.0);
   std::printf("occ+memkv CEW transaction: %.2f allocations\n", allocs);
+}
+
+// With manual epochs, versions retired before an epoch advance are
+// reclaimed by the next commit's sweep into the committing thread's version
+// pool, and the transfers after it install pooled versions, swapping value
+// buffers that already have capacity with the write set.  Without the pool a
+// transfer allocates four times: two versions and two value buffers.
+TEST(AllocTest, OccWriteReusesReclaimedVersions) {
+  Properties props = Props({{"db", "occ+memkv"},
+                            {"recordcount", "1000"},
+                            {"occ.epoch_ms", "0"},
+                            {"occ.retire_batch", "1"},
+                            {"readproportion", "0"},
+                            {"readmodifywriteproportion", "1"}});
+  ClosedEconomyWorkload w;
+  ASSERT_TRUE(w.Init(props).ok());
+  DBFactory factory(props);
+  ASSERT_TRUE(factory.Init().ok());
+  txn::OccEngine* engine = factory.occ_engine();
+  ASSERT_NE(engine, nullptr);
+  auto db = factory.CreateClient();
+  auto state = w.InitThread(0, 1);
+  for (uint64_t i = 0; i < w.record_count(); ++i) {
+    ASSERT_TRUE(w.DoInsert(*db, state.get()));
+  }
+  auto transfer = [&] {
+    db->Start();
+    TxnOpResult op = w.DoTransaction(*db, state.get());
+    bool committed = op.ok ? db->Commit().ok() : (db->Abort(), false);
+    w.OnTransactionOutcome(state.get(), op, committed);
+  };
+  // Every warm-up transfer retires its overwritten versions into one epoch,
+  // so none is reclaimed yet; the advance then frees all of them at once.
+  for (int i = 0; i < kWarmup; ++i) transfer();
+  EXPECT_EQ(engine->stats().versions_freed, 0u);
+  engine->AdvanceEpoch();
+  transfer();
+  txn::OccStats stats = engine->stats();
+  ASSERT_GE(stats.versions_freed, 2u * kMeasured)
+      << "retired " << stats.versions_retired;
+
+  uint64_t before = t_allocations;
+  for (int i = 0; i < kMeasured; ++i) transfer();
+  double allocs = static_cast<double>(t_allocations - before) / kMeasured;
+  EXPECT_GT(engine->stats().versions_retired, stats.versions_retired);
+  // What is left is a recycled buffer growing for a row one byte longer than
+  // any it held (a balance that gained a digit): 2 in 2,000 transfers here.
+  EXPECT_LE(allocs, 0.01);
+  std::printf("occ+memkv CEW transfer over pooled versions: %.4f allocations\n",
+              allocs);
 }
 
 }  // namespace
