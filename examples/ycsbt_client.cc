@@ -11,10 +11,15 @@
 //   -t                run the transaction phase (default)
 //   -load             run only the load phase
 //   -s                print the properties in effect before running
+//
+// Every -P file is applied first, in order; then -db, -p, -threads and
+// -target in argv order, so a flag wins over any file wherever it appears
+// (YCSB's rule).
 
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/benchmark.h"
@@ -37,6 +42,8 @@ int main(int argc, char** argv) {
   bool transaction_phase = true;
   bool show_props = false;
   std::vector<std::string> property_files;
+  // -db/-p/-threads/-target as (key, value), applied after the -P files.
+  std::vector<std::pair<std::string, std::string>> overrides;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -48,16 +55,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "-db") {
-      props.Set("db", next());
+      overrides.emplace_back("db", next());
     } else if (arg == "-P") {
-      std::string path = next();
-      ycsbt::Status s = props.LoadFromFile(path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "error loading property file %s: %s\n",
-                     path.c_str(), s.ToString().c_str());
-        return 1;
-      }
-      property_files.push_back(std::move(path));
+      property_files.push_back(next());
     } else if (arg == "-p") {
       std::string kv = next();
       size_t eq = kv.find('=');
@@ -65,11 +65,11 @@ int main(int argc, char** argv) {
         Usage(argv[0]);
         return 2;
       }
-      props.Set(kv.substr(0, eq), kv.substr(eq + 1));
+      overrides.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
     } else if (arg == "-threads") {
-      props.Set("threads", next());
+      overrides.emplace_back("threads", next());
     } else if (arg == "-target") {
-      props.Set("target", next());
+      overrides.emplace_back("target", next());
     } else if (arg == "-t") {
       transaction_phase = true;
     } else if (arg == "-load") {
@@ -81,6 +81,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  for (const std::string& path : property_files) {
+    ycsbt::Status s = props.LoadFromFile(path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "error loading property file %s: %s\n",
+                   path.c_str(), s.ToString().c_str());
+      return 1;
+    }
+  }
+  for (const auto& [key, value] : overrides) props.Set(key, value);
 
   std::printf("YCSB+T Client 0.1 (C++)\n");
   if (show_props) std::printf("%s", props.ToString().c_str());

@@ -21,12 +21,6 @@ inline uint64_t SteadyNanos() {
           .count());
 }
 
-/// Microseconds from the monotonic clock.
-inline uint64_t SteadyMicros() { return SteadyNanos() / 1000; }
-
-/// Milliseconds from the monotonic clock.
-inline uint64_t SteadyMillis() { return SteadyNanos() / 1000000; }
-
 /// Wall-clock microseconds since the Unix epoch (lock lease timestamps).
 inline uint64_t WallMicros() {
   return static_cast<uint64_t>(

@@ -8,16 +8,16 @@ namespace ycsbt {
 
 /// Token-bucket rate limiter.
 ///
-/// Two users in this codebase:
-///  - the simulated cloud stores cap each storage container's request rate
-///    (the mechanism behind the Fig 2 throughput plateau at 32 threads), and
-///  - the client threads throttle to a target ops/sec when the
-///    `target` property is set, as in YCSB.
+/// Its one user in this codebase is the simulated cloud store, which caps
+/// each storage container's request rate (the mechanism behind the Fig 2
+/// throughput plateau at 32 threads).  Client-side `target` throttling does
+/// not go through it: the runner paces each thread on a fixed `interval_ns`
+/// schedule instead.
 ///
-/// `TryAcquire` is non-blocking (used by the cloud simulator, which turns a
-/// refusal into an HTTP-503-style `RateLimited` status); `AcquireDelayNanos`
-/// returns how long the caller must wait for the token instead, which the
-/// client throttler sleeps on.
+/// `TryAcquire` is non-blocking (it answers "is there a token now?");
+/// `AcquireDelayNanos` consumes a token unconditionally and returns how long
+/// the caller must wait for it, which the cloud simulator turns into either
+/// a queueing delay or an HTTP-503-style `RateLimited` refusal.
 class TokenBucket {
  public:
   /// @param rate tokens per second; <= 0 means unlimited.

@@ -98,11 +98,6 @@ class RetryState {
   /// Backoff before retrying after `failure`.
   uint64_t NextBackoffUs(Random64& rng, const Status& failure);
 
-  /// Transient-error schedule only (legacy call sites and tests).
-  uint64_t NextBackoffUs(Random64& rng) {
-    return NextBackoffUs(rng, Status::Aborted());
-  }
-
   /// True when `attempt` (1-based count of attempts already made) has
   /// exhausted the policy or `elapsed_us` blew the deadline.
   bool Exhausted(int attempts_made, uint64_t elapsed_us) const {

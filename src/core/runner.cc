@@ -577,8 +577,14 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
   uint64_t last_lag_sum = 0;
   uint64_t last_drops = 0;
   uint64_t stall_events = 0;
+  // Per client: its progress sum when last judged, and the elapsed time at
+  // which that sum last changed.  A stall is judged by wall time since the
+  // change, so a status thread that wakes late and judges several missed
+  // windows back to back cannot count them as separate silent windows.
   std::vector<uint64_t> stall_last_ops(static_cast<size_t>(threads), 0);
-  std::vector<int> stall_windows(static_cast<size_t>(threads), 0);
+  std::vector<double> stall_since(static_cast<size_t>(threads), 0.0);
+  const double stall_after_seconds =
+      options.stall_windows * options.status_interval_seconds;
   // Shared by the in-run status ticks and the post-join closing window:
   // turns the progress delta since the previous window into one
   // IntervalSample, records it, and feeds the brownout controller's
@@ -636,9 +642,10 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
       if (options.status_interval_seconds > 0.0 && elapsed >= next_status) {
         if (options.stall_windows > 0) {
           for (int c = 0; c < threads; ++c) {
-            const ClientProgress& p = progress[static_cast<size_t>(c)];
+            const size_t i = static_cast<size_t>(c);
+            const ClientProgress& p = progress[i];
             if (p.done.load(std::memory_order_relaxed)) {
-              stall_windows[static_cast<size_t>(c)] = 0;
+              stall_since[i] = elapsed;
               continue;
             }
             // Shed transactions, dropped arrivals, in-flight retry attempts
@@ -651,20 +658,17 @@ Status WorkloadRunner::Run(const RunOptions& options, RunResult* result) {
                                p.arrival_drops.load(std::memory_order_relaxed) +
                                p.retries.load(std::memory_order_relaxed) +
                                p.wait_ticks.load(std::memory_order_relaxed);
-            if (now_ops == stall_last_ops[static_cast<size_t>(c)]) {
-              if (++stall_windows[static_cast<size_t>(c)] >=
-                  options.stall_windows) {
-                YCSBT_WARN("[WATCHDOG] client thread "
-                           << c << " made no progress for "
-                           << options.stall_windows << " status windows (stuck at "
-                           << now_ops << " ops)");
-                ++stall_events;
-                stall_windows[static_cast<size_t>(c)] = 0;
-              }
-            } else {
-              stall_windows[static_cast<size_t>(c)] = 0;
+            if (now_ops != stall_last_ops[i]) {
+              stall_last_ops[i] = now_ops;
+              stall_since[i] = elapsed;
+            } else if (elapsed - stall_since[i] >= stall_after_seconds) {
+              YCSBT_WARN("[WATCHDOG] client thread "
+                         << c << " made no progress for "
+                         << options.stall_windows << " status windows (stuck at "
+                         << now_ops << " ops)");
+              ++stall_events;
+              stall_since[i] = elapsed;
             }
-            stall_last_ops[static_cast<size_t>(c)] = now_ops;
           }
         }
         auto [ops, interval_rate] = emit_window(elapsed);

@@ -115,6 +115,15 @@ Status DBFactory::Init() {
   }
 
   if (name_.rfind("txn+", 0) == 0) {
+    // The no-wait lock round is a fan-out of parallel CASes; without an
+    // executor the library would quietly run ordered locking instead.
+    if (txn::kTxnLockAcquireMode.GetEnum<txn::TxnOptions::LockAcquireMode>(props_) ==
+            txn::TxnOptions::LockAcquireMode::kNoWait &&
+        kTxnFanoutThreads.Get<int>(props_) == 0) {
+      return Status::InvalidArgument(
+          std::string(txn::kTxnLockAcquireMode.name) + "=nowait needs " +
+          std::string(kTxnFanoutThreads.name) + " > 0");
+    }
     Status s = BuildBase(name_.substr(4));
     if (!s.ok()) return s;
     MaybeInjectFaults();

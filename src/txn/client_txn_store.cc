@@ -41,6 +41,30 @@ bool LeaseExpired(const TxRecord& record, uint64_t lease_us) {
   return WallMicros() > record.lock_ts + lease_us;
 }
 
+/// The write that applies a committed lock holder's pending write to `key`,
+/// CASed against `etag`, the etag of `locked` as stored: a pending delete
+/// removes the record, a pending value becomes the committed version.
+kv::WriteOp RollForwardOp(const std::string& key, const TxRecord& locked,
+                          uint64_t etag, uint64_t commit_ts) {
+  if (locked.pending_delete) return kv::WriteOp::CondDelete(key, etag);
+  TxRecord rolled = locked;
+  rolled.RollForward(commit_ts);
+  return kv::WriteOp::CondPut(key, EncodeTxRecord(rolled), etag);
+}
+
+/// The write that undoes an uncommitted lock on `key`, CASed against
+/// `etag`: the record goes back to its committed versions, or is deleted
+/// when it was created solely to carry the lock.
+kv::WriteOp RollBackOp(const std::string& key, const TxRecord& locked,
+                       uint64_t etag) {
+  if (locked.commit_ts == 0 && !locked.has_prev) {
+    return kv::WriteOp::CondDelete(key, etag);
+  }
+  TxRecord restored = locked;
+  restored.ClearLock();
+  return kv::WriteOp::CondPut(key, EncodeTxRecord(restored), etag);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -153,16 +177,14 @@ class ClientTxn : public Transaction {
     if (state_ != State::kActive) return Status::InvalidArgument("txn finished");
     if (writes_.empty()) {
       // Read-only SI transaction: the snapshot is already consistent.
-      state_ = State::kCommitted;
-      store_->commits_.fetch_add(1, std::memory_order_relaxed);
+      Finish(State::kCommitted);
       return Status::OK();
     }
 
     Status s = AcquireLocks();
     if (!s.ok()) {
       ReleaseLocks();
-      state_ = State::kAborted;
-      store_->aborts_.fetch_add(1, std::memory_order_relaxed);
+      Finish(State::kAborted);
       return s;
     }
 
@@ -177,8 +199,7 @@ class ClientTxn : public Transaction {
       if (!s.ok()) {
         store_->validation_fails_.fetch_add(1, std::memory_order_relaxed);
         ReleaseLocks();
-        state_ = State::kAborted;
-        store_->aborts_.fetch_add(1, std::memory_order_relaxed);
+        Finish(State::kAborted);
         return s;
       }
     }
@@ -204,7 +225,7 @@ class ClientTxn : public Transaction {
         // request before it can touch the store — the TSR definitively
         // never landed and the transaction may abort cleanly.)
         OpExemptScope settle_exempt;
-        Status rs = SettleAmbiguousCommit(tsr_key, &committed_after_all);
+        Status rs = SettleAmbiguousCommit(&committed_after_all);
         if (!rs.ok()) return rs;  // abandoned as crashed; recovery settles it
         store_->ambiguous_commits_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -217,8 +238,7 @@ class ClientTxn : public Transaction {
         if (store_->options_.cleanup_tsr) {
           store_->base_->Delete(tsr_key);
         }
-        state_ = State::kAborted;
-        store_->aborts_.fetch_add(1, std::memory_order_relaxed);
+        Finish(State::kAborted);
         if (s.IsLeadershipChange()) {
           // Surface NotLeader itself: the retry loop classifies it as a
           // leadership change and waits out the election's redirect hint
@@ -247,14 +267,13 @@ class ClientTxn : public Transaction {
       return CrashAbandonedCommitted(commit_ts, acquired_.size() / 2);
     }
 
-    bool all_applied = RollForward(commit_ts);
+    bool all_applied = RollForward(commit_ts, acquired_.size());
 
     if (Crash(CrashPoint::kBeforeTsrDelete)) {
       // Everything applied but the TSR lingers; readers tolerate (and
       // eventually garbage-collect around) a committed TSR with no locks.
       store_->injected_crashes_.fetch_add(1, std::memory_order_relaxed);
-      state_ = State::kCommitted;
-      store_->commits_.fetch_add(1, std::memory_order_relaxed);
+      Finish(State::kCommitted);
       return Status::OK();
     }
 
@@ -265,21 +284,28 @@ class ClientTxn : public Transaction {
       // recovery would roll the committed write BACK.
       store_->base_->Delete(tsr_key);
     }
-    state_ = State::kCommitted;
-    store_->commits_.fetch_add(1, std::memory_order_relaxed);
+    Finish(State::kCommitted);
     return Status::OK();
   }
 
   Status Abort() override {
     if (state_ != State::kActive) return Status::InvalidArgument("txn finished");
     ReleaseLocks();
-    state_ = State::kAborted;
-    store_->aborts_.fetch_add(1, std::memory_order_relaxed);
+    Finish(State::kAborted);
     return Status::OK();
   }
 
  private:
+  friend class ClientTxnStore;  // its reader resolution waits via LockWaitSleep
+
   enum class State { kActive, kCommitted, kAborted };
+
+  /// Ends the transaction in `end` and counts it as a commit or an abort.
+  void Finish(State end) {
+    state_ = end;
+    (end == State::kCommitted ? store_->commits_ : store_->aborts_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
 
   bool Crash(CrashPoint point) {
     CrashInjector* injector = store_->options_.crash_injector;
@@ -322,7 +348,7 @@ class ClientTxn : public Transaction {
     // it is no longer the stored state: such keys get no lock hint.
     const bool resolved = record.Locked();
     if (resolved) {
-      s = ResolveForRead(key, &record, &etag);
+      s = store_->ResolveForRead(key, &record, &etag, this);
       if (s.IsNotFound()) {
         reads_[key] = ReadEntry{};
         return s;
@@ -372,99 +398,6 @@ class ClientTxn : public Transaction {
                                       &lock_wait_prev_us_);
     }
     if (delay_us != 0) SleepMicros(delay_us);
-  }
-
-  /// Resolves a foreign lock encountered by a read: consults the owner's TSR
-  /// and recovers expired locks.  Afterwards `record`/`etag` reflect a state
-  /// whose committed versions are safe to read at start_ts_.
-  ///
-  /// Subtlety: the record read and the TSR read are two operations, so an
-  /// absent TSR is ambiguous — the owner may not have committed *yet*, or it
-  /// may have committed, rolled forward and already cleaned its TSR up.  Two
-  /// defences close the race: (1) on TSR-absent the record is re-read, which
-  /// catches the committed-and-cleaned case (the lock is gone); (2) if the
-  /// lock persists past the bounded wait, the reader *decides* the race by
-  /// planting an ABORTED status record — the TSR key's must-not-exist write
-  /// is the atomic arbiter, so either the owner already committed (our plant
-  /// loses and we re-read the TSR) or the owner can never commit (its own
-  /// TSR write will lose) and the old version is definitively correct.
-  Status ResolveForRead(const std::string& key, TxRecord* record, uint64_t* etag) {
-    const int max_attempts = store_->options_.lock_wait_retries;
-    for (int attempt = 0; /* exits below */; ++attempt) {
-      if (!record->Locked()) return Status::OK();
-
-      // Has the owner already committed?  Then its pending write is live.
-      std::string tsr_key = store_->TsrKey(record->lock_owner);
-      std::string tsr_data;
-      Status ts = store_->base_->Get(tsr_key, &tsr_data);
-      if (ts.ok()) {
-        TsrRecord tsr;
-        Status ds = DecodeTsr(tsr_data, &tsr);
-        if (!ds.ok()) return ds;
-        if (tsr.state == TsrRecord::State::kCommitted) {
-          if (LeaseExpired(*record, store_->options_.lock_lease_us)) {
-            // The owner died after its commit point: repair the record in
-            // the store on its behalf, then serve from the repaired state.
-            Status rs = store_->RecoverLock(key, record, etag);
-            if (rs.IsNotFound() || (!rs.ok() && !rs.IsBusy())) return rs;
-            continue;
-          }
-          // Owner is alive and mid-roll-forward: apply the pending write to
-          // our local view only.
-          if (record->pending_delete) {
-            return Status::NotFound(key);
-          }
-          record->RollForward(tsr.commit_ts);
-          return Status::OK();
-        }
-        // Aborted TSR: the pending write never happened; committed versions
-        // in the record are authoritative.
-        return Status::OK();
-      }
-      if (!ts.IsNotFound()) return ts;
-
-      // TSR absent.  An abandoned lock is repaired outright.
-      if (LeaseExpired(*record, store_->options_.lock_lease_us)) {
-        Status rs = store_->RecoverLock(key, record, etag);
-        if (rs.IsNotFound()) return rs;
-        if (!rs.ok() && !rs.IsBusy()) return rs;
-        continue;
-      }
-
-      // Fresh lock, undecided owner: re-read the record.  If the lock moved
-      // (owner finished or someone recovered it) re-evaluate from the fresh
-      // state instead of trusting our possibly-stale copy.
-      TxRecord fresh;
-      uint64_t fresh_etag;
-      Status rl = store_->LoadRecord(key, &fresh, &fresh_etag);
-      if (rl.IsNotFound()) return rl;
-      if (!rl.ok()) return rl;
-      if (fresh_etag != *etag) {
-        *record = std::move(fresh);
-        *etag = fresh_etag;
-        continue;
-      }
-
-      if (attempt < max_attempts) {
-        LockWaitSleep();
-        continue;
-      }
-
-      // Bounded politeness exhausted: settle the outcome.  If our ABORTED
-      // plant wins, the owner's commit point can never succeed and the
-      // committed versions are final; if it loses, the owner committed and
-      // the next loop iteration reads its TSR.
-      TsrRecord aborted;
-      aborted.state = TsrRecord::State::kAborted;
-      Status plant = store_->base_->ConditionalPut(tsr_key, EncodeTsr(aborted),
-                                                   kv::kEtagAbsent);
-      if (plant.ok()) {
-        store_->reader_aborts_.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
-      }
-      if (!plant.IsConflict()) return plant;
-      // Owner beat us to the TSR; loop re-reads it.
-    }
   }
 
   /// Lock acquisition (DESIGN.md §10).  Each key's first lock attempt starts
@@ -688,61 +621,48 @@ class ClientTxn : public Transaction {
     return Status::OK();
   }
 
-  bool RollForwardOne(const AcquiredLock& lock, uint64_t commit_ts) {
-    Status s;
-    if (lock.record.pending_delete) {
-      s = store_->base_->ConditionalDelete(lock.key, lock.etag);
-    } else {
-      TxRecord rolled = lock.record;
-      rolled.RollForward(commit_ts);
-      s = store_->base_->ConditionalPut(lock.key, EncodeTxRecord(rolled),
-                                        lock.etag);
+  /// Applies `ops` in order and fills one result per op.  `batch` sends
+  /// them as one `MultiWrite` (fanned out by the store); otherwise each op is
+  /// its own single-key call, in order — the sequential protocol's calls.
+  void ApplyWrites(const std::vector<kv::WriteOp>& ops, bool batch,
+                   std::vector<kv::WriteResult>* results) {
+    if (batch) {
+      store_->base_->MultiWrite(ops, results);
+      return;
     }
-    // A Conflict here means a reader recovered the lock for us after the
-    // TSR became visible — the record already carries the committed state.
-    if (!s.ok() && !s.IsConflict()) {
-      YCSBT_WARN("roll-forward of " << lock.key << " failed: " << s.ToString());
-      return false;
+    results->clear();
+    results->resize(ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      (*results)[i].status =
+          kv::ApplyWriteOp(*store_->base_, ops[i], &(*results)[i].etag);
     }
-    return true;
   }
 
-  /// Returns true only when every lock is known applied (or repaired by a
-  /// reader); on false some record still holds a pending write that only
-  /// the TSR can prove committed.  Past the commit point every item is an
-  /// independent conditional op, so the whole apply fans out as one batch; a
-  /// per-item failure means the same thing it does sequentially — leave that
-  /// lock to recovery.
-  bool RollForward(uint64_t commit_ts) {
+  /// Rolls the first `count` acquired locks forward.  Returns true only when
+  /// each is known applied (or repaired by a reader); on false some record
+  /// still holds a pending write that only the TSR can prove committed.
+  /// Past the commit point every item is an independent conditional op, so a
+  /// whole apply fans out as one batch; a crashed client's partial apply
+  /// (`count` short of all) stays one call per lock.  A per-item failure
+  /// means the same either way: leave that lock to recovery.
+  bool RollForward(uint64_t commit_ts, size_t count) {
+    std::vector<kv::WriteOp> ops;
+    ops.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      const AcquiredLock& lock = acquired_[i];
+      ops.push_back(RollForwardOp(lock.key, lock.record, lock.etag, commit_ts));
+    }
+    std::vector<kv::WriteResult> results;
+    ApplyWrites(ops, count == acquired_.size() && UseBatches(count), &results);
     bool all_applied = true;
-    if (UseBatches(acquired_.size())) {
-      std::vector<kv::WriteOp> ops;
-      ops.reserve(acquired_.size());
-      for (const auto& lock : acquired_) {
-        if (lock.record.pending_delete) {
-          ops.push_back(kv::WriteOp::CondDelete(lock.key, lock.etag));
-        } else {
-          TxRecord rolled = lock.record;
-          rolled.RollForward(commit_ts);
-          ops.push_back(
-              kv::WriteOp::CondPut(lock.key, EncodeTxRecord(rolled), lock.etag));
-        }
-      }
-      std::vector<kv::WriteResult> results;
-      store_->base_->MultiWrite(ops, &results);
-      for (size_t i = 0; i < results.size(); ++i) {
-        const Status& s = results[i].status;
-        // A Conflict means a reader recovered the lock for us after the TSR
-        // became visible — the record already carries the committed state.
-        if (!s.ok() && !s.IsConflict()) {
-          YCSBT_WARN("roll-forward of " << acquired_[i].key
-                                        << " failed: " << s.ToString());
-          all_applied = false;
-        }
-      }
-    } else {
-      for (auto& lock : acquired_) {
-        all_applied = RollForwardOne(lock, commit_ts) && all_applied;
+    for (size_t i = 0; i < results.size(); ++i) {
+      const Status& s = results[i].status;
+      // A Conflict means a reader recovered the lock for us after the TSR
+      // became visible — the record already carries the committed state.
+      if (!s.ok() && !s.IsConflict()) {
+        YCSBT_WARN("roll-forward of " << acquired_[i].key
+                                      << " failed: " << s.ToString());
+        all_applied = false;
       }
     }
     store_->ts_source_->Observe(commit_ts);
@@ -757,7 +677,7 @@ class ClientTxn : public Transaction {
   /// TSR left in place for recovery) and a non-retryable error returned:
   /// retrying a transaction whose first incarnation might still commit
   /// would apply its effects twice.
-  Status SettleAmbiguousCommit(const std::string& tsr_key, bool* committed) {
+  Status SettleAmbiguousCommit(bool* committed) {
     // A leader election is patience, not unreachability: the re-read will
     // succeed against the new leader once the election completes, so
     // NotLeader answers spend a separate (much larger) wait budget instead
@@ -766,12 +686,9 @@ class ClientTxn : public Transaction {
     // itself drives the failover forward.
     int leadership_waits = 1024;
     for (int attempt = 0; attempt < 64; ++attempt) {
-      std::string data;
-      Status g = store_->base_->Get(tsr_key, &data);
+      TsrRecord settled;
+      Status g = store_->ReadTsr(id_, &settled);
       if (g.ok()) {
-        TsrRecord settled;
-        Status ds = DecodeTsr(data, &settled);
-        if (!ds.ok()) return ds;
         *committed = settled.state == TsrRecord::State::kCommitted;
         return Status::OK();
       }
@@ -779,6 +696,9 @@ class ClientTxn : public Transaction {
         *committed = false;  // the write never landed
         return Status::OK();
       }
+      // The store never answers a read with Corruption: the TSR is there but
+      // undecodable, and no re-read will change that.
+      if (g.IsCorruption()) return g;
       if (g.IsLeadershipChange() && leadership_waits > 0) {
         --leadership_waits;
         uint64_t hint = RetryAfterUsHint(g);
@@ -790,8 +710,7 @@ class ClientTxn : public Transaction {
     }
     YCSBT_WARN("txn " << id_ << ": commit outcome unknown after TSR re-reads");
     acquired_.clear();  // a dead client releases nothing
-    state_ = State::kAborted;
-    store_->aborts_.fetch_add(1, std::memory_order_relaxed);
+    Finish(State::kAborted);
     return Status::IOError("commit outcome unknown; transaction abandoned");
   }
 
@@ -800,8 +719,7 @@ class ClientTxn : public Transaction {
   Status CrashAbandonedUncommitted(const char* where) {
     store_->injected_crashes_.fetch_add(1, std::memory_order_relaxed);
     acquired_.clear();  // a dead client releases nothing
-    state_ = State::kAborted;
-    store_->aborts_.fetch_add(1, std::memory_order_relaxed);
+    Finish(State::kAborted);
     return Status::Aborted(std::string("injected crash ") + where);
   }
 
@@ -810,13 +728,9 @@ class ClientTxn : public Transaction {
   /// locks were applied; later readers repair the rest via the TSR.
   Status CrashAbandonedCommitted(uint64_t commit_ts, size_t roll_first) {
     store_->injected_crashes_.fetch_add(1, std::memory_order_relaxed);
-    for (size_t i = 0; i < roll_first && i < acquired_.size(); ++i) {
-      RollForwardOne(acquired_[i], commit_ts);
-    }
-    store_->ts_source_->Observe(commit_ts);
+    RollForward(commit_ts, std::min(roll_first, acquired_.size()));
     acquired_.clear();  // the rest stays locked until recovery finds it
-    state_ = State::kCommitted;
-    store_->commits_.fetch_add(1, std::memory_order_relaxed);
+    Finish(State::kCommitted);
     return Status::OK();
   }
 
@@ -825,34 +739,13 @@ class ClientTxn : public Transaction {
   /// ordering dependency, so the undo fans out as one batch.  Conflicts are
   /// fine either way: a recovering reader already rolled us back.
   void ReleaseLocks() {
-    if (UseBatches(acquired_.size())) {
-      std::vector<kv::WriteOp> ops;
-      ops.reserve(acquired_.size());
-      for (const auto& lock : acquired_) {
-        if (lock.record.commit_ts == 0 && !lock.record.has_prev) {
-          // The record was created solely to carry our lock.
-          ops.push_back(kv::WriteOp::CondDelete(lock.key, lock.etag));
-        } else {
-          TxRecord restored = lock.record;
-          restored.ClearLock();
-          ops.push_back(kv::WriteOp::CondPut(lock.key, EncodeTxRecord(restored),
-                                             lock.etag));
-        }
-      }
-      std::vector<kv::WriteResult> results;
-      store_->base_->MultiWrite(ops, &results);
-    } else {
-      for (auto& lock : acquired_) {
-        if (lock.record.commit_ts == 0 && !lock.record.has_prev) {
-          store_->base_->ConditionalDelete(lock.key, lock.etag);
-        } else {
-          TxRecord restored = lock.record;
-          restored.ClearLock();
-          store_->base_->ConditionalPut(lock.key, EncodeTxRecord(restored),
-                                        lock.etag);
-        }
-      }
+    std::vector<kv::WriteOp> ops;
+    ops.reserve(acquired_.size());
+    for (const auto& lock : acquired_) {
+      ops.push_back(RollBackOp(lock.key, lock.record, lock.etag));
     }
+    std::vector<kv::WriteResult> results;
+    ApplyWrites(ops, UseBatches(ops.size()), &results);
     acquired_.clear();
   }
 
@@ -936,6 +829,19 @@ void ClientTxnStore::MultiLoadRecords(const std::vector<std::string>& keys,
   }
 }
 
+Status ClientTxnStore::ReadTsr(const std::string& owner, TsrRecord* tsr) {
+  std::string data;
+  Status s = base_->Get(TsrKey(owner), &data);
+  if (!s.ok()) return s;
+  return DecodeTsr(data, tsr);
+}
+
+Status ClientTxnStore::PlantAbortedTsr(const std::string& owner) {
+  TsrRecord aborted;
+  aborted.state = TsrRecord::State::kAborted;
+  return base_->ConditionalPut(TsrKey(owner), EncodeTsr(aborted), kv::kEtagAbsent);
+}
+
 Status ClientTxnStore::RecoverLock(const std::string& key, TxRecord* record,
                                    uint64_t* etag) {
   if (!record->Locked()) return Status::OK();
@@ -948,82 +854,111 @@ Status ClientTxnStore::RecoverLock(const std::string& key, TxRecord* record,
   // forward).  So recovery first *decides* the outcome by planting an
   // ABORTED status record; the TSR key's must-not-exist write arbitrates
   // atomically between the recoverer and the owner's commit.
-  std::string tsr_key = TsrKey(record->lock_owner);
-  bool committed = false;
-  uint64_t commit_ts = 0;
-  {
-    std::string tsr_data;
-    Status ts = base_->Get(tsr_key, &tsr_data);
-    if (ts.IsNotFound()) {
-      TsrRecord aborted;
-      aborted.state = TsrRecord::State::kAborted;
-      Status plant =
-          base_->ConditionalPut(tsr_key, EncodeTsr(aborted), kv::kEtagAbsent);
-      if (plant.ok()) {
-        ts = Status::OK();
-        tsr_data = EncodeTsr(aborted);
-      } else if (plant.IsConflict()) {
-        ts = base_->Get(tsr_key, &tsr_data);  // owner just committed/aborted
-      } else {
-        return plant;
-      }
-    }
-    if (ts.ok()) {
-      TsrRecord tsr;
-      Status ds = DecodeTsr(tsr_data, &tsr);
-      if (!ds.ok()) return ds;
-      committed = tsr.state == TsrRecord::State::kCommitted;
-      commit_ts = tsr.commit_ts;
-    } else if (ts.IsNotFound()) {
-      // Owner finished and cleaned its TSR between our Get and the plant's
-      // conflict: its locks are gone; reload and re-evaluate.
-      return LoadRecord(key, record, etag);
+  const std::string owner = record->lock_owner;
+  TsrRecord tsr;
+  Status ts = ReadTsr(owner, &tsr);
+  if (ts.IsNotFound()) {
+    Status plant = PlantAbortedTsr(owner);
+    if (plant.ok()) {
+      tsr.state = TsrRecord::State::kAborted;  // what the plant wrote
+      ts = Status::OK();
+    } else if (plant.IsConflict()) {
+      ts = ReadTsr(owner, &tsr);  // owner just committed/aborted
     } else {
-      return ts;
+      return plant;
     }
   }
+  if (ts.IsNotFound()) {
+    // Owner finished and cleaned its TSR between our Get and the plant's
+    // conflict: its locks are gone; reload and re-evaluate.
+    return LoadRecord(key, record, etag);
+  }
+  if (!ts.ok()) return ts;
 
-  Status s;
-  if (committed) {
-    if (record->pending_delete) {
-      s = base_->ConditionalDelete(key, *etag);
-      if (s.ok()) {
-        roll_forwards_.fetch_add(1, std::memory_order_relaxed);
-        return Status::NotFound(key);
-      }
-    } else {
-      TxRecord rolled = *record;
-      rolled.RollForward(commit_ts);
-      s = base_->ConditionalPut(key, EncodeTxRecord(rolled), *etag, etag);
-      if (s.ok()) {
-        roll_forwards_.fetch_add(1, std::memory_order_relaxed);
-        *record = std::move(rolled);
-        return Status::OK();
-      }
+  const bool committed = tsr.state == TsrRecord::State::kCommitted;
+  kv::WriteOp op = committed ? RollForwardOp(key, *record, *etag, tsr.commit_ts)
+                             : RollBackOp(key, *record, *etag);
+  uint64_t new_etag = 0;
+  Status s = kv::ApplyWriteOp(*base_, op, &new_etag);
+  if (s.ok()) {
+    (committed ? roll_forwards_ : roll_backs_)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (op.kind == kv::WriteOp::Kind::kConditionalDelete) {
+      return Status::NotFound(key);
     }
-  } else {
-    if (record->commit_ts == 0 && !record->has_prev) {
-      // The record existed only to carry the abandoned lock.
-      s = base_->ConditionalDelete(key, *etag);
-      if (s.ok()) {
-        roll_backs_.fetch_add(1, std::memory_order_relaxed);
-        return Status::NotFound(key);
-      }
-    } else {
-      TxRecord restored = *record;
-      restored.ClearLock();
-      s = base_->ConditionalPut(key, EncodeTxRecord(restored), *etag, etag);
-      if (s.ok()) {
-        roll_backs_.fetch_add(1, std::memory_order_relaxed);
-        *record = std::move(restored);
-        return Status::OK();
-      }
-    }
+    *etag = new_etag;
+    return DecodeTxRecord(op.value, record);  // the state just written
   }
   if (!s.IsConflict()) return s;
   // CAS lost: somebody else recovered (or the owner finished).  Reload so the
   // caller sees the fresh state.
   return LoadRecord(key, record, etag);
+}
+
+Status ClientTxnStore::ResolveForRead(const std::string& key, TxRecord* record,
+                                      uint64_t* etag, ClientTxn* waiter) {
+  for (int attempt = 0; /* exits below */; ++attempt) {
+    if (!record->Locked()) return Status::OK();
+
+    // Has the owner already decided?  A committed TSR makes the pending write
+    // live regardless of lease age; an aborted one voids it, leaving the
+    // record's committed versions authoritative.
+    TsrRecord tsr;
+    Status ts = ReadTsr(record->lock_owner, &tsr);
+    if (!ts.ok() && !ts.IsNotFound()) return ts;
+    const bool committed = ts.ok() && tsr.state == TsrRecord::State::kCommitted;
+    if (ts.ok() && !committed) return Status::OK();
+
+    if (LeaseExpired(*record, options_.lock_lease_us)) {
+      // The owner died after its commit point, or abandoned an undecided
+      // lock: repair the record in the store on its behalf, then serve from
+      // the repaired state.
+      Status rs = RecoverLock(key, record, etag);
+      if (rs.IsNotFound() || (!rs.ok() && !rs.IsBusy())) return rs;
+      if (waiter == nullptr) return Status::OK();
+      continue;
+    }
+    if (committed) {
+      // Owner is alive and mid-roll-forward: apply the pending write to our
+      // local view only.
+      if (record->pending_delete) return Status::NotFound(key);
+      record->RollForward(tsr.commit_ts);
+      return Status::OK();
+    }
+
+    // TSR absent, fresh lock: the pending write is not committed yet, which
+    // is all a no-wait reader needs to know.
+    if (waiter == nullptr) return Status::OK();
+
+    // A waiting reader re-reads the record.  If the lock moved (owner
+    // finished or someone recovered it) re-evaluate from the fresh state
+    // instead of trusting our possibly-stale copy.
+    TxRecord fresh;
+    uint64_t fresh_etag;
+    Status rl = LoadRecord(key, &fresh, &fresh_etag);
+    if (!rl.ok()) return rl;
+    if (fresh_etag != *etag) {
+      *record = std::move(fresh);
+      *etag = fresh_etag;
+      continue;
+    }
+
+    if (attempt < options_.lock_wait_retries) {
+      waiter->LockWaitSleep();
+      continue;
+    }
+
+    // Bounded politeness exhausted: settle the outcome.  If our ABORTED
+    // plant wins, the owner's commit point can never succeed and the
+    // committed versions are final; if it loses, the owner committed and
+    // the next loop iteration reads its TSR.
+    Status plant = PlantAbortedTsr(record->lock_owner);
+    if (plant.ok()) {
+      reader_aborts_.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
+    }
+    if (!plant.IsConflict()) return plant;
+  }
 }
 
 Status ClientTxnStore::LoadPut(const std::string& key, std::string_view value) {
@@ -1044,50 +979,11 @@ Status ClientTxnStore::ReadCommitted(const std::string& key, std::string* value)
   if (!s.ok()) return s;
   // Resolved exactly like a scan's row: "latest committed" is a snapshot at
   // infinity.
-  if (record.Locked()) {
-    s = ResolveLockedForScan(key, &record, &etag);
-    if (!s.ok()) return s;
-  }
+  s = ResolveForRead(key, &record, &etag, /*waiter=*/nullptr);
+  if (!s.ok()) return s;
   s = VisibleVersion(record, std::numeric_limits<uint64_t>::max(), value,
                      nullptr);
   return s.ok() ? s : Status::NotFound(key);
-}
-
-Status ClientTxnStore::ResolveLockedForScan(const std::string& key,
-                                            TxRecord* record, uint64_t* etag) {
-  // A committed TSR makes the pending write live regardless of lease age.
-  std::string tsr_data;
-  Status ts = base_->Get(TsrKey(record->lock_owner), &tsr_data);
-  if (ts.ok()) {
-    TsrRecord tsr;
-    Status ds = DecodeTsr(tsr_data, &tsr);
-    if (!ds.ok()) return ds;
-    if (tsr.state != TsrRecord::State::kCommitted) {
-      return Status::OK();  // aborted: committed versions are authoritative
-    }
-    if (LeaseExpired(*record, options_.lock_lease_us)) {
-      // The owner died after its commit point: repair the record physically
-      // on its behalf, then serve from the repaired state.
-      Status rs = RecoverLock(key, record, etag);
-      if (rs.IsNotFound()) return rs;
-      if (!rs.ok() && !rs.IsBusy()) return rs;
-      return Status::OK();
-    }
-    // Owner alive and mid-roll-forward: apply its write to our view only.
-    if (record->pending_delete) return Status::NotFound(key);
-    record->RollForward(tsr.commit_ts);
-    return Status::OK();
-  }
-  if (!ts.IsNotFound()) return ts;
-  // TSR absent: a fresh lock's pending write is simply not committed yet; an
-  // expired one is repaired (rolled back, or forward if the owner's commit
-  // races in) before the record's versions are trusted.
-  if (LeaseExpired(*record, options_.lock_lease_us)) {
-    Status rs = RecoverLock(key, record, etag);
-    if (rs.IsNotFound()) return rs;
-    if (!rs.ok() && !rs.IsBusy()) return rs;
-  }
-  return Status::OK();
 }
 
 Status ClientTxnStore::ScanSnapshot(const std::string& start_key, size_t limit,
@@ -1110,7 +1006,7 @@ Status ClientTxnStore::ScanSnapshot(const std::string& start_key, size_t limit,
       if (!ds.ok()) return ds;
       if (record.Locked()) {
         uint64_t etag = entry.etag;
-        Status rs = ResolveLockedForScan(entry.key, &record, &etag);
+        Status rs = ResolveForRead(entry.key, &record, &etag, /*waiter=*/nullptr);
         if (rs.IsNotFound()) continue;  // committed outcome deleted the key
         if (!rs.ok()) return rs;
       }

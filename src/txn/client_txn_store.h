@@ -15,6 +15,8 @@
 namespace ycsbt {
 namespace txn {
 
+class ClientTxn;
+
 /// One prefetched row of `ClientTxnStore::MultiLoadRecords`: the decoded
 /// record (when `status` is OK) plus the etag it was read at.
 struct LoadedRecord {
@@ -112,18 +114,39 @@ class ClientTxnStore : public TransactionalKV, public StatsLayer {
   void MultiLoadRecords(const std::vector<std::string>& keys,
                         std::vector<LoadedRecord>* out);
 
+  /// Reads and decodes the TSR of transaction `owner`.  NotFound when the
+  /// owner has none (undecided, or finished and cleaned up).
+  Status ReadTsr(const std::string& owner, TsrRecord* tsr);
+
+  /// Decides an undecided owner's fate: the must-not-exist put of an
+  /// ABORTED TSR.  OK means the owner can never commit; Conflict means a TSR
+  /// landed first and must be re-read.
+  Status PlantAbortedTsr(const std::string& owner);
+
   /// Repairs an expired foreign lock according to the owner's TSR.  On
   /// success `*record`/`*etag` hold the post-recovery state.  Returns Busy
   /// when the lock is fresh.
   Status RecoverLock(const std::string& key, TxRecord* record, uint64_t* etag);
 
-  /// Resolves a locked record met by a scan or by `ReadCommitted`:
-  /// committed-TSR locks are viewed rolled forward (and physically recovered
-  /// once the lease has expired), aborted/undecided locks keep their
-  /// committed versions.  NotFound means the committed outcome deleted the
-  /// record (skip it); a failed TSR read is returned as it is.
-  Status ResolveLockedForScan(const std::string& key, TxRecord* record,
-                              uint64_t* etag);
+  /// Resolves a locked record met by a read, so that afterwards its
+  /// committed versions are safe to serve: committed-TSR locks are viewed
+  /// rolled forward, aborted ones keep their committed versions, and expired
+  /// ones are recovered in the store.  NotFound means the committed outcome
+  /// deleted the record; a failed TSR read is returned as it is.
+  ///
+  /// An undecided fresh lock is where the two forms part.  With no `waiter`
+  /// (scans, `ReadCommitted`) its pending write is simply not committed yet:
+  /// the call never sleeps and never plants.  A transaction's read passes
+  /// itself as `waiter` and closes the race an absent TSR leaves open (the
+  /// owner may not have committed *yet*, or may have committed, rolled
+  /// forward and cleaned up): it re-reads the record, which catches the
+  /// cleaned-up case, waits out a bounded number of `LockWaitSleep`s, and
+  /// then decides the race by planting an ABORTED TSR.  The TSR key's
+  /// must-not-exist write is the atomic arbiter: either the owner already
+  /// committed (the plant loses and the TSR is re-read) or it can never
+  /// commit and the old version is definitively correct.
+  Status ResolveForRead(const std::string& key, TxRecord* record, uint64_t* etag,
+                        ClientTxn* waiter);
 
   std::string TsrKey(const std::string& txn_id) const {
     return options_.tsr_prefix + txn_id;

@@ -96,12 +96,12 @@ TEST(RetryStateTest, DeterministicLadderWithoutJitter) {
   p.decorrelated_jitter = false;
   RetryState state(p);
   Random64 rng(1);
-  EXPECT_EQ(state.NextBackoffUs(rng), 100u);
-  EXPECT_EQ(state.NextBackoffUs(rng), 200u);
-  EXPECT_EQ(state.NextBackoffUs(rng), 400u);
-  EXPECT_EQ(state.NextBackoffUs(rng), 800u);
-  EXPECT_EQ(state.NextBackoffUs(rng), 1000u);  // capped
-  EXPECT_EQ(state.NextBackoffUs(rng), 1000u);  // stays capped
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 100u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 200u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 400u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 800u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 1000u);  // capped
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 1000u);  // stays capped
 }
 
 TEST(RetryStateTest, JitterStaysWithinEnvelope) {
@@ -112,7 +112,7 @@ TEST(RetryStateTest, JitterStaysWithinEnvelope) {
   RetryState state(p);
   Random64 rng(42);
   for (int i = 0; i < 200; ++i) {
-    uint64_t sleep_us = state.NextBackoffUs(rng);
+    uint64_t sleep_us = state.NextBackoffUs(rng, Status::Aborted());
     EXPECT_GE(sleep_us, p.initial_backoff_us);
     EXPECT_LE(sleep_us, p.max_backoff_us);
   }
@@ -125,10 +125,10 @@ TEST(RetryStateTest, JitterActuallyVaries) {
   p.max_backoff_us = 100000;
   RetryState state(p);
   Random64 rng(7);
-  uint64_t first = state.NextBackoffUs(rng);
+  uint64_t first = state.NextBackoffUs(rng, Status::Aborted());
   bool varied = false;
   for (int i = 0; i < 50 && !varied; ++i) {
-    varied = state.NextBackoffUs(rng) != first;
+    varied = state.NextBackoffUs(rng, Status::Aborted()) != first;
   }
   EXPECT_TRUE(varied);
 }
@@ -139,7 +139,7 @@ TEST(RetryStateTest, ZeroInitialBackoffMeansNoSleep) {
   p.initial_backoff_us = 0;
   RetryState state(p);
   Random64 rng(3);
-  EXPECT_EQ(state.NextBackoffUs(rng), 0u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 0u);
 }
 
 TEST(RetryStateTest, ExhaustedByAttempts) {
@@ -218,10 +218,11 @@ TEST(RetryStateTest, ThrottleWaitsDoNotAdvanceTheExponentialLadder) {
   p.throttle_cooldown_us = 7777;
   RetryState state(p);
   Random64 rng(1);
-  EXPECT_EQ(state.NextBackoffUs(rng), 100u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 100u);
   EXPECT_EQ(state.NextBackoffUs(rng, Status::RateLimited("503")), 7777u);
   EXPECT_EQ(state.NextBackoffUs(rng, Status::RateLimited("503")), 7777u);
-  EXPECT_EQ(state.NextBackoffUs(rng), 200u);  // ladder resumed where it was
+  // The ladder resumed where it was.
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 200u);
 }
 
 TEST(RetryStateTest, ThrottleJitterStaysWithinAQuarter) {
@@ -254,14 +255,15 @@ TEST(RetryStateTest, LeadershipChangeRidesTheThrottlePathNotTheLadder) {
   ASSERT_TRUE(Status::NotLeader("election").IsLeadershipChange());
   ASSERT_TRUE(Status::NotLeader("election").IsRetryable());
   EXPECT_FALSE(Status::Unavailable("down").IsLeadershipChange());
-  EXPECT_EQ(state.NextBackoffUs(rng), 100u);
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 100u);
   EXPECT_EQ(state.NextBackoffUs(
                 rng, Status::NotLeader("election in progress")),
             3000u);
   EXPECT_EQ(state.NextBackoffUs(
                 rng, Status::NotLeader("election in progress")),
             3000u);
-  EXPECT_EQ(state.NextBackoffUs(rng), 200u);  // ladder resumed where it was
+  // The ladder resumed where it was.
+  EXPECT_EQ(state.NextBackoffUs(rng, Status::Aborted()), 200u);
 }
 
 TEST(RetryStateTest, NotLeaderRetryAfterHintOverridesTheCooldown) {

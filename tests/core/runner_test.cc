@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "common/latency_model.h"
 #include "core/core_workload.h"
 #include "db/measured_db.h"
 
@@ -275,6 +276,57 @@ TEST_F(RunnerTest, ThrottledThreadIsNotMistakenForAStall) {
   ASSERT_TRUE(runner.Run(run, &result).ok());
   EXPECT_EQ(result.operations, 4u);
   EXPECT_EQ(result.Counter("WATCHDOG STALLS"), 0u);
+}
+
+TEST_F(RunnerTest, LateStatusWakeUpIsNotAStall) {
+  // Regression: a status thread that woke late judged its missed windows
+  // back to back, 5 ms apart, and a throttled client whose pacing wait ticks
+  // every 20 ms showed no progress across two of them.  The callback below
+  // holds the status thread for ~10 windows once; the client keeps ticking
+  // throughout, so the catch-up must not be judged a stall.
+  CountingWorkload w;
+  WorkloadRunner runner(factory_.get(), &w, &measurements_);
+  RunOptions run;
+  run.threads = 1;
+  run.operation_count = 6;
+  run.target_ops_per_sec = 5.0;
+  run.status_interval_seconds = 0.05;
+  run.stall_windows = 2;
+  bool blocked = false;
+  run.status_callback = [&blocked](double, uint64_t, double) {
+    if (blocked) return;
+    blocked = true;
+    SleepMicros(500'000);
+  };
+  RunResult result;
+  ASSERT_TRUE(runner.Run(run, &result).ok());
+  EXPECT_TRUE(blocked);
+  EXPECT_EQ(result.operations, 6u);
+  EXPECT_EQ(result.Counter("WATCHDOG STALLS"), 0u);
+}
+
+TEST_F(RunnerTest, StuckThreadIsFlagged) {
+  // The positive path: a transaction that sits silent for many times
+  // `stall_windows` windows ticks no progress channel and must be flagged.
+  class StuckOnceWorkload : public CountingWorkload {
+   public:
+    TxnOpResult DoTransaction(DB& db, ThreadState* state) override {
+      if (transactions.load(std::memory_order_relaxed) == 0) SleepMicros(400'000);
+      return CountingWorkload::DoTransaction(db, state);
+    }
+  };
+  StuckOnceWorkload w;
+  WorkloadRunner runner(factory_.get(), &w, &measurements_);
+  RunOptions run;
+  run.threads = 1;
+  run.operation_count = 3;
+  run.status_interval_seconds = 0.02;
+  run.stall_windows = 2;
+  run.status_callback = [](double, uint64_t, double) {};
+  RunResult result;
+  ASSERT_TRUE(runner.Run(run, &result).ok());
+  EXPECT_EQ(result.operations, 3u);
+  EXPECT_GE(result.Counter("WATCHDOG STALLS"), 1u);
 }
 
 TEST_F(RunnerTest, PacingNeverOvershootsTheTarget) {

@@ -54,6 +54,21 @@ TEST(DBFactoryTest, InvalidTxnPropertiesRejected) {
   EXPECT_TRUE(bad_ts.Init().IsInvalidArgument());
 }
 
+TEST(DBFactoryTest, NoWaitLocksWithoutFanoutRejected) {
+  // No-wait locking is a parallel lock round; with no fan-out executor it
+  // would silently fall back to ordered locking.
+  DBFactory no_pool(Props({{"db", "txn+memkv"},
+                           {"txn.lock_acquire_mode", "nowait"}}));
+  Status s = no_pool.Init();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.ToString().find("txn.lock_acquire_mode"), std::string::npos);
+  EXPECT_NE(s.ToString().find("txn.fanout_threads"), std::string::npos);
+  DBFactory pooled(Props({{"db", "txn+memkv"},
+                          {"txn.lock_acquire_mode", "nowait"},
+                          {"txn.fanout_threads", "2"}}));
+  EXPECT_TRUE(pooled.Init().ok());
+}
+
 TEST(DBFactoryTest, TxnBindingSharesOneTransactionalStore) {
   DBFactory factory(Props({{"db", "txn+memkv"}}));
   ASSERT_TRUE(factory.Init().ok());
