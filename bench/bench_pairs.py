@@ -18,8 +18,8 @@ Each checkout builds its own perfbench binary into its own .bench_build/.
 A run that fails its correctness checks stops the script.
 
 With --trace-pairs K it then runs K traced pairs (--trace 1, 10 s, default
-seed) of cew_occ and records the median of every per-layer metric on each
-side.
+seed) of every workload of BENCHMARK.json and records, per workload, the
+median of every per-layer metric on each side.
 
 The output, BENCH_<n>.json in the change checkout, has the shape
 bench/bench_trajectory.py checks: the env record the change side's run
@@ -44,7 +44,6 @@ import sys
 
 PAIRS = 10
 TRACE_SECONDS = 10
-TRACE_WORKLOAD = "cew_occ"
 ENV_KEYS = ("nproc", "cpu_model", "compiler", "build_type", "source_revision",
             "wal_filesystem")
 
@@ -173,21 +172,23 @@ def main():
 
     if args.trace_pairs > 0:
         doc["protocol"]["per_layer"] = (
-            "--trace 1 --seconds %d, seed %d: %d alternating pairs on %s; medians"
-            % (TRACE_SECONDS, seeds[0], args.trace_pairs, TRACE_WORKLOAD))
-        key = "%s/%d/trace" % (TRACE_WORKLOAD, seeds[0])
-        runs = run_pairs(state, save, key, args.trace_pairs, checkouts, TRACE_WORKLOAD,
-                         seeds[0], TRACE_SECONDS, 1)
-        metrics = {}
-        for metric in sorted(runs[0]["parent"]["metrics"]):
-            values = {s: [r[s]["metrics"][metric] for r in runs]
-                      for s in ("parent", "change")}
-            if not any(values["parent"]) and not any(values["change"]):
-                continue  # a layer this workload bypasses
-            metrics[metric] = {s: round(statistics.median(v), 4)
-                               for s, v in values.items()}
-        doc["per_layer"] = {TRACE_WORKLOAD: {str(seeds[0]): {"runs": len(runs),
-                                                             "metrics": metrics}}}
+            "--trace 1 --seconds %d, seed %d: %d alternating pairs of every "
+            "workload; medians" % (TRACE_SECONDS, seeds[0], args.trace_pairs))
+        doc["per_layer"] = {}
+        for workload in workloads:
+            key = "%s/%d/trace" % (workload, seeds[0])
+            runs = run_pairs(state, save, key, args.trace_pairs, checkouts, workload,
+                             seeds[0], TRACE_SECONDS, 1)
+            metrics = {}
+            for metric in sorted(runs[0]["parent"]["metrics"]):
+                values = {s: [r[s]["metrics"][metric] for r in runs]
+                          for s in ("parent", "change")}
+                if not any(values["parent"]) and not any(values["change"]):
+                    continue  # a layer this workload bypasses
+                metrics[metric] = {s: round(statistics.median(v), 4)
+                                   for s, v in values.items()}
+            doc["per_layer"][workload] = {str(seeds[0]): {"runs": len(runs),
+                                                          "metrics": metrics}}
 
     env = state["env"]
     doc["env"] = {k: env["change"].get(k) for k in ENV_KEYS}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -145,19 +146,34 @@ namespace {
 constexpr char kAlphabet[] =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 
-char NextChar(Random64& rng) { return kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]; }
-
 void RandomString(Random64& rng, size_t length, std::string* out) {
   out->resize(length);
-  for (char& c : *out) c = NextChar(rng);
+  for (char& c : *out) c = kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)];
 }
 
-/// The stream a field's deterministic value is drawn from, seeded from key
-/// and field so any reader can re-derive it (YCSB's data-integrity mode).
-/// `std::hash` of a string_view equals that of the same std::string.
-Random64 DeterministicStream(std::string_view key, std::string_view field) {
-  return Random64(FNVHash64(std::hash<std::string_view>{}(key)) ^
+/// Walks the deterministic value of (key, field), `length` bytes, eight at
+/// a time (YCSB's data-integrity mode).  The stream is seeded from key and
+/// field, so any reader can re-derive it; `std::hash` of a string_view
+/// equals that of the same std::string.  Each 64-bit draw becomes eight
+/// characters: every byte keeps its low six bits and is offset to '0',
+/// giving the 64 printable symbols '0'..'o' (YCSB's RandomByteIterator
+/// expands its draws into characters the same way).  `visit(offset, chunk,
+/// n)` gets bytes [offset, offset + n) of the value, n <= 8, in `chunk`; the
+/// walk stops when it returns false.  Writers and the verifier both walk
+/// this one sequence, so they cannot drift apart.
+template <typename Visit>
+bool WalkIntegrityValue(std::string_view key, std::string_view field,
+                        size_t length, Visit visit) {
+  Random64 stream(FNVHash64(std::hash<std::string_view>{}(key)) ^
                   std::hash<std::string_view>{}(field));
+  for (size_t offset = 0; offset < length; offset += 8) {
+    const uint64_t word =
+        (stream.Next() & 0x3F3F3F3F3F3F3F3Full) + 0x3030303030303030ull;
+    char chunk[8];
+    std::memcpy(chunk, &word, sizeof(chunk));
+    if (!visit(offset, chunk, std::min<size_t>(8, length - offset))) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -184,8 +200,12 @@ size_t CoreWorkload::NextFieldLength(Random64& rng) {
 void CoreWorkload::FieldValue(Random64& rng, std::string_view key,
                               std::string_view field, std::string* out) {
   if (data_integrity_) {
-    Random64 stream = DeterministicStream(key, field);
-    RandomString(stream, field_length_, out);
+    out->resize(field_length_);
+    WalkIntegrityValue(key, field, field_length_,
+                       [out](size_t offset, const char* chunk, size_t n) {
+                         std::memcpy(out->data() + offset, chunk, n);
+                         return true;
+                       });
   } else {
     RandomString(rng, NextFieldLength(rng), out);
   }
@@ -198,13 +218,17 @@ const std::vector<std::string>* CoreWorkload::NextProjection(Random64& rng) cons
 
 bool CoreWorkload::VerifyRecord(std::string_view key, const FieldMap& record) {
   if (!data_integrity_) return true;
-  // Each stored byte is compared against the deterministic stream, so no
-  // expected value is ever built.
+  // Each stored byte is compared against the deterministic stream, a word
+  // per draw, so no expected value is ever built.
   bool clean = !record.empty();
   for (const auto& [name, value] : record) {
-    Random64 stream = DeterministicStream(key, name);
-    clean = value.size() == field_length_;
-    for (size_t i = 0; clean && i < value.size(); ++i) clean = value[i] == NextChar(stream);
+    clean = value.size() == field_length_ &&
+            WalkIntegrityValue(key, name, field_length_,
+                               [&value](size_t offset, const char* chunk, size_t n) {
+                                 const char* stored = value.data() + offset;
+                                 return n == 8 ? std::memcmp(stored, chunk, 8) == 0
+                                               : std::memcmp(stored, chunk, n) == 0;
+                               });
     if (!clean) break;
   }
   if (!clean) integrity_errors_.fetch_add(1, std::memory_order_relaxed);

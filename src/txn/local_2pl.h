@@ -1,6 +1,7 @@
 #ifndef YCSBT_TXN_LOCAL_2PL_H_
 #define YCSBT_TXN_LOCAL_2PL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -119,6 +120,11 @@ class LockManager {
 /// distribution).  Serializable for point accesses; scans read committed
 /// current values without range locks (no phantom protection), which is
 /// sufficient for the post-quiesce Tier-6 validation scan.
+///
+/// Beyond the lock table's stripes and the base store, a transaction writes
+/// no line that other threads write: its outcome counters and `start_ts`
+/// come from the calling thread's cell, and `Begin()` takes a finished
+/// transaction, buffers and all, from the thread's pool (DESIGN.md §16).
 class Local2PLStore : public TransactionalKV, public StatsLayer {
  public:
   explicit Local2PLStore(std::shared_ptr<kv::Store> base,
@@ -131,6 +137,7 @@ class Local2PLStore : public TransactionalKV, public StatsLayer {
   Status ScanCommitted(const std::string& start_key, size_t limit,
                        std::vector<TxScanEntry>* out) override;
 
+  /// Exact totals: the sums over every thread's cell.
   TxnStats stats() const;
 
   const char* name() const override { return "2pl"; }
@@ -140,13 +147,21 @@ class Local2PLStore : public TransactionalKV, public StatsLayer {
  private:
   friend class Local2PLTxn;
 
+  /// One cache line of counters.  A thread counts into the cell of its
+  /// ordinal modulo `kCells`, so up to `kCells` concurrent threads never
+  /// share a line and need no registration with the store; threads beyond
+  /// that share cells, still exactly, since every add is atomic.
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> begun{0};  ///< numbers this cell's `start_ts`
+    std::atomic<uint64_t> commits{0};
+    std::atomic<uint64_t> aborts{0};
+    std::atomic<uint64_t> lock_busy{0};
+  };
+  static constexpr size_t kCells = 64;
+
   std::shared_ptr<kv::Store> base_;
   LockManager locks_;
-  std::atomic<uint64_t> txn_counter_{1};
-
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> aborts_{0};
-  std::atomic<uint64_t> lock_busy_{0};
+  Cell cells_[kCells];
   TxnStats collected_;  ///< `stats()` as of the previous Collect
 };
 

@@ -250,6 +250,51 @@ TEST(CoreWorkloadTest, DataIntegrityDetectsCorruption) {
   EXPECT_EQ(w.data_integrity_errors(), 200u);
 }
 
+TEST(CoreWorkloadTest, DataIntegrityCatchesEveryFlippedByte) {
+  // The verifier compares a word of bytes per draw; a flip in any byte of
+  // any field, the partial last word included (100 = 12 * 8 + 4), must
+  // still fail the read, and restoring the byte must pass it again.
+  CoreWorkload w;
+  ASSERT_TRUE(w.Init(Props({{"recordcount", "1"},
+                            {"dataintegrity", "true"},
+                            {"fieldcount", "3"},
+                            {"fieldlength", "100"},
+                            {"readproportion", "1.0"},
+                            {"updateproportion", "0"}}))
+                  .ok());
+  auto store = std::make_shared<kv::ShardedStore>();
+  KvStoreDB db(store);
+  auto state = w.InitThread(0, 1);
+  ASSERT_TRUE(w.DoInsert(db, state.get()));
+  std::vector<kv::ScanEntry> entries;
+  ASSERT_TRUE(store->Scan("", 10, &entries).ok());
+  ASSERT_EQ(entries.size(), 1u);
+  const std::string& key = entries[0].key;
+  FieldMap clean;
+  ASSERT_TRUE(DecodeFields(entries[0].value, &clean).ok());
+  ASSERT_EQ(clean.size(), 3u);
+
+  uint64_t flips = 0;
+  for (const auto& [name, value] : clean) {
+    ASSERT_EQ(value.size(), 100u);
+    for (size_t i = 0; i < value.size(); ++i) {
+      FieldMap fields;
+      ASSERT_TRUE(DecodeFields(entries[0].value, &fields).ok());
+      std::string flipped(value);
+      flipped[i] ^= 1;
+      fields.Set(std::string(name), flipped);
+      ASSERT_TRUE(store->Put(key, EncodeFields(fields)).ok());
+      EXPECT_FALSE(w.DoTransaction(db, state.get()).ok)
+          << "flip of byte " << i << " of " << name << " went unseen";
+      ++flips;
+      ASSERT_EQ(w.data_integrity_errors(), flips);
+    }
+  }
+  ASSERT_TRUE(store->Put(key, entries[0].value).ok());
+  EXPECT_TRUE(w.DoTransaction(db, state.get()).ok);
+  EXPECT_EQ(w.data_integrity_errors(), 300u);
+}
+
 TEST(CoreWorkloadTest, DataIntegritySurvivesUpdatesAndInserts) {
   // Updates and run-phase inserts must write the same deterministic values,
   // or later reads would flag them.

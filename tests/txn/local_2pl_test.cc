@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
+#include "str_cat.h"
 
 namespace ycsbt {
 namespace txn {
@@ -251,6 +253,113 @@ TEST_F(Local2PLTest, UpgradeDeadlockFailsFast) {
   EXPECT_EQ(committed.load(), 1);
   EXPECT_LT(watch.ElapsedSeconds(), 5.0);
   EXPECT_EQ(engine.stats().lock_busy, 1u);
+}
+
+// Generations of threads commit, abort (explicitly and by dropping an open
+// transaction) and time out on a held lock, then exit and are followed by
+// new threads.  Twenty generations of four take more thread ordinals than
+// the store has counter cells, so later threads share cells with exited
+// ones.  The totals must be exact and every start_ts unique.
+TEST(Local2PLCellTest, StatsStayExactAcrossThreadGenerations) {
+  constexpr int kGenerations = 20;
+  constexpr int kThreads = 4;
+  constexpr int kCommits = 50;
+  constexpr int kAborts = 7;
+  constexpr int kDropped = 3;
+  constexpr int kTimeouts = 2;
+  auto base = std::make_shared<kv::ShardedStore>();
+  Local2PLStore store(base, Local2PLOptions{.lock_timeout_us = 1'000});
+  auto holder = store.Begin();
+  ASSERT_TRUE(holder->Write("held", "x").ok());
+
+  std::vector<uint64_t> start_ts;
+  for (int g = 0; g < kGenerations; ++g) {
+    std::vector<std::vector<uint64_t>> seen(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        const std::string key = StrCat("k", g, "/", t);
+        for (int i = 0; i < kCommits; ++i) {
+          auto txn = store.Begin();
+          seen[t].push_back(txn->start_ts());
+          ASSERT_TRUE(txn->Write(key, std::to_string(i)).ok());
+          ASSERT_TRUE(txn->Commit().ok());
+        }
+        for (int i = 0; i < kAborts; ++i) {
+          auto txn = store.Begin();
+          seen[t].push_back(txn->start_ts());
+          ASSERT_TRUE(txn->Write(key, "aborted").ok());
+          ASSERT_TRUE(txn->Abort().ok());
+        }
+        for (int i = 0; i < kDropped; ++i) {
+          auto txn = store.Begin();
+          seen[t].push_back(txn->start_ts());
+          ASSERT_TRUE(txn->Write(key, "dropped").ok());
+        }
+        for (int i = 0; i < kTimeouts; ++i) {
+          auto txn = store.Begin();
+          seen[t].push_back(txn->start_ts());
+          std::string value;
+          EXPECT_TRUE(txn->Read("held", &value).IsBusy());
+          ASSERT_TRUE(txn->Abort().ok());
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+    for (const auto& ts : seen) start_ts.insert(start_ts.end(), ts.begin(), ts.end());
+    std::string value;
+    for (int t = 0; t < kThreads; ++t) {
+      const std::string key = StrCat("k", g, "/", t);
+      ASSERT_TRUE(base->Get(key, &value).ok());
+      EXPECT_EQ(value, std::to_string(kCommits - 1)) << "an abort left " << key;
+    }
+  }
+  ASSERT_TRUE(holder->Commit().ok());
+
+  constexpr uint64_t kRuns = kGenerations * kThreads;
+  TxnStats stats = store.stats();
+  EXPECT_EQ(stats.commits, kRuns * kCommits + 1);
+  EXPECT_EQ(stats.aborts, kRuns * (kAborts + kDropped + kTimeouts));
+  EXPECT_EQ(stats.lock_busy, kRuns * kTimeouts);
+  std::sort(start_ts.begin(), start_ts.end());
+  EXPECT_EQ(std::adjacent_find(start_ts.begin(), start_ts.end()), start_ts.end());
+  EXPECT_EQ(start_ts.size(), kRuns * (kCommits + kAborts + kDropped + kTimeouts));
+}
+
+// A thread keeps its finished transactions for its next Begin() on any
+// store.  The store they last ran on may be destroyed first; the thread's
+// next store must then get working transactions with fresh counters, and
+// the thread's exit must free every parked one (ASan's leak check).
+TEST(Local2PLCellTest, ParkedTransactionsOutliveTheirStore) {
+  auto base = std::make_shared<kv::ShardedStore>();
+  std::thread([&] {
+    {
+      Local2PLStore first(base);
+      // More open at once than a thread parks, so the surplus is freed.
+      std::vector<std::unique_ptr<Transaction>> open;
+      for (int i = 0; i < 12; ++i) {
+        open.push_back(first.Begin());
+        ASSERT_TRUE(open.back()->Write(StrCat("first/", i), "v").ok());
+      }
+      for (int i = 0; i < 6; ++i) ASSERT_TRUE(open[i]->Commit().ok());
+      open.clear();  // the other six abort as they are dropped
+      EXPECT_EQ(first.stats().commits, 6u);
+      EXPECT_EQ(first.stats().aborts, 6u);
+    }
+    Local2PLStore second(base);
+    std::string value;
+    for (int i = 0; i < 12; ++i) {
+      auto txn = second.Begin();
+      ASSERT_TRUE(txn->Read(StrCat("first/", i), &value).ok() == (i < 6));
+      ASSERT_TRUE(txn->Write(StrCat("second/", i), "w").ok());
+      ASSERT_TRUE((i % 2 == 0 ? txn->Commit() : txn->Abort()).ok());
+    }
+    TxnStats stats = second.stats();
+    EXPECT_EQ(stats.commits, 6u);
+    EXPECT_EQ(stats.aborts, 6u);
+    EXPECT_TRUE(base->Get("second/0", &value).ok());
+    EXPECT_TRUE(base->Get("second/1", &value).IsNotFound());
+  }).join();
 }
 
 TEST(LockManagerTest, SlotsAreReusedAcrossKeys) {
