@@ -19,7 +19,7 @@ namespace ycsbt {
 class AcknowledgedCounterGenerator : public CounterGenerator {
  public:
   explicit AcknowledgedCounterGenerator(uint64_t start)
-      : CounterGenerator(start), limit_(start - 1), window_(kWindowSize, false) {}
+      : CounterGenerator(start), window_(kWindowSize, false), limit_(start - 1) {}
 
   /// Highest key number k such that every value <= k has been acknowledged.
   /// One acquire load: every client calls this per key choice, so it must
@@ -46,8 +46,10 @@ class AcknowledgedCounterGenerator : public CounterGenerator {
   static constexpr size_t kWindowSize = 1 << 16;
 
   std::mutex mu_;  ///< serialises Acknowledge; Last() reads `limit_` only
-  std::atomic<uint64_t> limit_;
   std::vector<bool> window_;
+  /// On a line of its own: every key choice reads it, and neither the
+  /// inserts' `fetch_add` on the counter nor `mu_` may invalidate it.
+  alignas(64) std::atomic<uint64_t> limit_;
 };
 
 }  // namespace ycsbt

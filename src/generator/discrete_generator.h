@@ -33,9 +33,6 @@ class DiscreteGenerator : public Generator<T> {
     return values_.back().first;  // floating-point edge
   }
 
-  /// Not meaningful for a choice generator; returns the first value.
-  T Last() const override { return values_.front().first; }
-
   bool Empty() const { return values_.empty(); }
   double total_weight() const { return total_weight_; }
 

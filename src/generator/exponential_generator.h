@@ -1,7 +1,6 @@
 #ifndef YCSBT_GENERATOR_EXPONENTIAL_GENERATOR_H_
 #define YCSBT_GENERATOR_EXPONENTIAL_GENERATOR_H_
 
-#include <atomic>
 #include <cmath>
 
 #include "generator/generator.h"
@@ -17,26 +16,21 @@ class ExponentialGenerator : public IntegerGenerator {
   static constexpr double kDefaultPercentile = 95.0;
 
   ExponentialGenerator(double percentile, double range)
-      : gamma_(-std::log(1.0 - percentile / 100.0) / range), last_(0) {}
+      : gamma_(-std::log(1.0 - percentile / 100.0) / range) {}
 
   /// Directly parameterised by the rate gamma.
-  explicit ExponentialGenerator(double gamma) : gamma_(gamma), last_(0) {}
+  explicit ExponentialGenerator(double gamma) : gamma_(gamma) {}
 
   uint64_t Next(Random64& rng) override {
     double u = rng.NextDouble();
     if (u <= 0.0) u = 1e-12;
-    uint64_t v = static_cast<uint64_t>(-std::log(u) / gamma_);
-    last_.store(v, std::memory_order_relaxed);
-    return v;
+    return static_cast<uint64_t>(-std::log(u) / gamma_);
   }
-
-  uint64_t Last() const override { return last_.load(std::memory_order_relaxed); }
 
   double gamma() const { return gamma_; }
 
  private:
   const double gamma_;
-  std::atomic<uint64_t> last_;
 };
 
 }  // namespace ycsbt

@@ -16,7 +16,11 @@ namespace ycsbt {
 /// every workload run replayable from its seeds.
 ///
 /// Implementations must be safe for concurrent `Next` calls from multiple
-/// threads (client threads share one workload object, as in YCSB).
+/// threads (client threads share one workload object, as in YCSB).  A draw
+/// writes shared state only where the distribution is made of it (a
+/// counter's position), so client threads choosing keys do not bounce a
+/// cache line.  YCSB's `lastValue` is kept only by the counters, the one
+/// place it is read.
 template <typename T>
 class Generator {
  public:
@@ -24,11 +28,6 @@ class Generator {
 
   /// Produces the next value.
   virtual T Next(Random64& rng) = 0;
-
-  /// The most recent value produced by any thread (YCSB `lastValue`).
-  /// Only generators that feed other generators (e.g. counters feeding
-  /// SkewedLatest) need meaningful semantics here.
-  virtual T Last() const = 0;
 };
 
 using IntegerGenerator = Generator<uint64_t>;
@@ -40,7 +39,6 @@ class ConstantGenerator : public Generator<T> {
   explicit ConstantGenerator(T value) : value_(value) {}
 
   T Next(Random64& /*rng*/) override { return value_; }
-  T Last() const override { return value_; }
 
  private:
   T value_;
@@ -56,7 +54,9 @@ class CounterGenerator : public IntegerGenerator {
     return counter_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  uint64_t Last() const override {
+  /// The highest value handed out (YCSB `lastValue`): the insert key
+  /// sequence's bound for key choices and SkewedLatest's basis.
+  virtual uint64_t Last() const {
     return counter_.load(std::memory_order_relaxed) - 1;
   }
 

@@ -1,8 +1,6 @@
 #ifndef YCSBT_GENERATOR_HOTSPOT_GENERATOR_H_
 #define YCSBT_GENERATOR_HOTSPOT_GENERATOR_H_
 
-#include <atomic>
-
 #include "generator/generator.h"
 
 namespace ycsbt {
@@ -22,23 +20,15 @@ class HotspotIntegerGenerator : public IntegerGenerator {
         hot_opn_fraction_(Clamp01(hot_opn_fraction)),
         hot_interval_(static_cast<uint64_t>(
             static_cast<double>(upper - lower + 1) * Clamp01(hot_set_fraction))),
-        cold_interval_(upper - lower + 1 - hot_interval_),
-        last_(lower) {}
+        cold_interval_(upper - lower + 1 - hot_interval_) {}
 
   uint64_t Next(Random64& rng) override {
-    uint64_t v;
     if (hot_interval_ > 0 && rng.NextDouble() < hot_opn_fraction_) {
-      v = lower_ + rng.Uniform(hot_interval_);
-    } else if (cold_interval_ > 0) {
-      v = lower_ + hot_interval_ + rng.Uniform(cold_interval_);
-    } else {
-      v = lower_ + rng.Uniform(hot_interval_);
+      return lower_ + rng.Uniform(hot_interval_);
     }
-    last_.store(v, std::memory_order_relaxed);
-    return v;
+    if (cold_interval_ > 0) return lower_ + hot_interval_ + rng.Uniform(cold_interval_);
+    return lower_ + rng.Uniform(hot_interval_);
   }
-
-  uint64_t Last() const override { return last_.load(std::memory_order_relaxed); }
 
   uint64_t hot_interval() const { return hot_interval_; }
 
@@ -50,7 +40,6 @@ class HotspotIntegerGenerator : public IntegerGenerator {
   const double hot_opn_fraction_;
   const uint64_t hot_interval_;
   const uint64_t cold_interval_;
-  std::atomic<uint64_t> last_;
 };
 
 }  // namespace ycsbt

@@ -1,7 +1,6 @@
 #ifndef YCSBT_GENERATOR_SCRAMBLED_ZIPFIAN_GENERATOR_H_
 #define YCSBT_GENERATOR_SCRAMBLED_ZIPFIAN_GENERATOR_H_
 
-#include <atomic>
 #include <memory>
 
 #include "generator/zipfian_generator.h"
@@ -26,20 +25,14 @@ class ScrambledZipfianGenerator : public IntegerGenerator {
         item_count_(max - min + 1),
         // Fixed large universe, like YCSB's ITEM_COUNT, with YCSB's
         // precomputed zeta constant (computing zeta(10^10) is infeasible).
-        base_(0, kUniverse - 1, ZipfianGenerator::kDefaultTheta, kZetan),
-        last_(min) {}
+        base_(0, kUniverse - 1, ZipfianGenerator::kDefaultTheta, kZetan) {}
 
   explicit ScrambledZipfianGenerator(uint64_t items)
       : ScrambledZipfianGenerator(0, items - 1) {}
 
   uint64_t Next(Random64& rng) override {
-    uint64_t rank = base_.Next(rng);
-    uint64_t v = min_ + FNVHash64(rank) % item_count_;
-    last_.store(v, std::memory_order_relaxed);
-    return v;
+    return min_ + FNVHash64(base_.Next(rng)) % item_count_;
   }
-
-  uint64_t Last() const override { return last_.load(std::memory_order_relaxed); }
 
  private:
   static constexpr uint64_t kUniverse = 10000000000ull;
@@ -49,7 +42,6 @@ class ScrambledZipfianGenerator : public IntegerGenerator {
   const uint64_t min_;
   const uint64_t item_count_;
   ZipfianGenerator base_;
-  std::atomic<uint64_t> last_;
 };
 
 }  // namespace ycsbt

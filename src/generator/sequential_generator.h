@@ -19,11 +19,6 @@ class SequentialGenerator : public IntegerGenerator {
     return lower_ + c % interval_;
   }
 
-  uint64_t Last() const override {
-    uint64_t c = counter_.load(std::memory_order_relaxed);
-    return lower_ + (c == 0 ? 0 : (c - 1) % interval_);
-  }
-
  private:
   const uint64_t lower_;
   const uint64_t interval_;

@@ -1,8 +1,6 @@
 #ifndef YCSBT_GENERATOR_SKEWED_LATEST_GENERATOR_H_
 #define YCSBT_GENERATOR_SKEWED_LATEST_GENERATOR_H_
 
-#include <atomic>
-
 #include "generator/zipfian_generator.h"
 
 namespace ycsbt {
@@ -11,29 +9,21 @@ namespace ycsbt {
 /// newest key is the most popular ("read latest" workloads, YCSB workload D).
 ///
 /// The basis counter is owned by the workload (it is the insert key
-/// sequence); this generator draws an offset from the current maximum.
+/// sequence); this generator draws an offset from its current `Last()`.
 class SkewedLatestGenerator : public IntegerGenerator {
  public:
-  explicit SkewedLatestGenerator(IntegerGenerator* basis,
+  explicit SkewedLatestGenerator(const CounterGenerator* basis,
                                  double theta = ZipfianGenerator::kDefaultTheta)
-      : basis_(basis), zipfian_(0, 0, theta), last_(0) {
-    // Initial span from the basis counter's current position.
-  }
+      : basis_(basis), zipfian_(0, 0, theta) {}
 
   uint64_t Next(Random64& rng) override {
     uint64_t max = basis_->Last();
-    uint64_t offset = zipfian_.Next(rng, max + 1);
-    uint64_t v = max - offset;
-    last_.store(v, std::memory_order_relaxed);
-    return v;
+    return max - zipfian_.Next(rng, max + 1);
   }
 
-  uint64_t Last() const override { return last_.load(std::memory_order_relaxed); }
-
  private:
-  IntegerGenerator* basis_;  // not owned
+  const CounterGenerator* basis_;  // not owned
   ZipfianGenerator zipfian_;
-  std::atomic<uint64_t> last_;
 };
 
 }  // namespace ycsbt

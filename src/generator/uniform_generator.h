@@ -1,8 +1,6 @@
 #ifndef YCSBT_GENERATOR_UNIFORM_GENERATOR_H_
 #define YCSBT_GENERATOR_UNIFORM_GENERATOR_H_
 
-#include <atomic>
-
 #include "generator/generator.h"
 
 namespace ycsbt {
@@ -11,20 +9,15 @@ namespace ycsbt {
 class UniformLongGenerator : public IntegerGenerator {
  public:
   UniformLongGenerator(uint64_t lower, uint64_t upper)
-      : lower_(lower), upper_(upper), last_(lower) {}
+      : lower_(lower), upper_(upper) {}
 
   uint64_t Next(Random64& rng) override {
-    uint64_t v = lower_ + rng.Uniform(upper_ - lower_ + 1);
-    last_.store(v, std::memory_order_relaxed);
-    return v;
+    return lower_ + rng.Uniform(upper_ - lower_ + 1);
   }
-
-  uint64_t Last() const override { return last_.load(std::memory_order_relaxed); }
 
  private:
   uint64_t lower_;
   uint64_t upper_;
-  std::atomic<uint64_t> last_;
 };
 
 }  // namespace ycsbt

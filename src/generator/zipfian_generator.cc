@@ -1,5 +1,6 @@
 #include "generator/zipfian_generator.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ycsbt {
@@ -15,7 +16,6 @@ ZipfianGenerator::ZipfianGenerator(uint64_t min, uint64_t max, double theta,
       alpha_(1.0 / (1.0 - theta)),
       half_pow_theta_(std::pow(0.5, theta)),
       count_(max - min + 1),
-      last_(min),
       zeta_n_(max - min + 1),
       zetan_(zetan),
       eta_(Eta(max - min + 1, zetan)) {}
@@ -71,19 +71,12 @@ uint64_t ZipfianGenerator::Next(Random64& rng, uint64_t item_count) {
 
   double u = rng.NextDouble();
   double uz = u * zetan;
-  uint64_t result;
-  if (uz < 1.0) {
-    result = min_;
-  } else if (uz < 1.0 + half_pow_theta_) {
-    result = min_ + 1;
-  } else {
-    result = min_ + static_cast<uint64_t>(
-                        static_cast<double>(item_count) *
-                        std::pow(eta * u - eta + 1.0, alpha_));
-    if (result > min_ + item_count - 1) result = min_ + item_count - 1;
-  }
-  last_.store(result, std::memory_order_relaxed);
-  return result;
+  if (uz < 1.0) return min_;
+  if (uz < 1.0 + half_pow_theta_) return min_ + 1;
+  uint64_t result = min_ + static_cast<uint64_t>(
+                               static_cast<double>(item_count) *
+                               std::pow(eta * u - eta + 1.0, alpha_));
+  return std::min(result, min_ + item_count - 1);
 }
 
 }  // namespace ycsbt

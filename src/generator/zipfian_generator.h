@@ -42,8 +42,6 @@ class ZipfianGenerator : public IntegerGenerator {
   /// the cached zeta; smaller counts are served with a freshly scaled zeta).
   uint64_t Next(Random64& rng, uint64_t item_count);
 
-  uint64_t Last() const override { return last_.load(std::memory_order_relaxed); }
-
   uint64_t item_count() const { return count_.load(std::memory_order_relaxed); }
   double theta() const { return theta_; }
 
@@ -70,7 +68,6 @@ class ZipfianGenerator : public IntegerGenerator {
   const double half_pow_theta_;  // 0.5^theta: draws below 1 + this are min_ + 1
 
   std::atomic<uint64_t> count_;
-  std::atomic<uint64_t> last_;
 
   std::mutex zeta_mu_;               // serialises zeta extension
   std::atomic<uint64_t> zeta_n_;     // item count zetan_ and eta_ correspond to

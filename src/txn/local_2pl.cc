@@ -21,113 +21,91 @@ Status BusyOn(std::string_view what, std::string_view key) {
 // LockManager
 // ---------------------------------------------------------------------------
 
-LockManager::LockSet::Held* LockManager::LockSet::Find(size_t hash,
-                                                       std::string_view key) {
+LockManager::LockSet::Held* LockManager::LockSet::Find(uint32_t word) {
   for (Held& held : held_) {
-    if (held.hash == hash && held.slot->key == key) return &held;
+    if (held.word == word) return &held;
   }
   return nullptr;
 }
 
+LockManager::LockManager(uint64_t timeout_us)
+    : words_(new std::atomic<uint32_t>[kWords]()), timeout_us_(timeout_us) {}
+
 Status LockManager::AcquireShared(LockSet* set, std::string_view key) {
-  return Acquire(set, key, /*exclusive=*/false, nullptr);
+  return Acquire(set, key, /*exclusive=*/false);
 }
 
-Status LockManager::AcquireExclusive(LockSet* set, std::string_view key,
-                                     bool* newly) {
-  return Acquire(set, key, /*exclusive=*/true, newly);
+Status LockManager::AcquireExclusive(LockSet* set, std::string_view key) {
+  return Acquire(set, key, /*exclusive=*/true);
 }
 
-Status LockManager::Acquire(LockSet* set, std::string_view key, bool exclusive,
-                            bool* newly) {
-  const size_t hash = std::hash<std::string_view>{}(key);
-  LockSet::Held* held = set->Find(hash, key);
-  if (held != nullptr && (held->exclusive || !exclusive)) {
-    if (newly != nullptr) *newly = false;
-    return Status::OK();
-  }
+Status LockManager::Acquire(LockSet* set, std::string_view key, bool exclusive) {
+  const auto word = static_cast<uint32_t>(std::hash<std::string_view>{}(key) % kWords);
+  LockSet::Held* held = set->Find(word);
+  if (held != nullptr && (held->exclusive || !exclusive)) return Status::OK();
   const bool upgrade = held != nullptr;  // holds S, wants X
-
-  Stripe& stripe = stripes_[hash % kStripes];
-  std::unique_lock<std::mutex> lock(stripe.mu);
-  Slot* slot = upgrade ? held->slot : nullptr;
-  if (slot == nullptr) {
-    Slot* free_slot = nullptr;
-    for (Slot& s : stripe.slots) {
-      if (s.hash == hash && s.key == key) {
-        slot = &s;
-        break;
-      }
-      if (free_slot == nullptr && s.sharers == 0 && s.waiters == 0 && !s.exclusive) {
-        free_slot = &s;
-      }
-    }
-    if (slot == nullptr) {
-      slot = free_slot != nullptr ? free_slot : &stripe.slots.emplace_back();
-      slot->hash = hash;
-      slot->key.assign(key);
-    }
+  if (!TryGrant(word, exclusive, upgrade)) {
+    Status s = Wait(word, key, exclusive, upgrade);
+    if (!s.ok()) return s;
   }
-
-  // Two sharers waiting to upgrade each wait for the other to let go of its
-  // shared lock, which neither does before it commits.
-  if (upgrade && slot->upgrading) return BusyOn("X-lock upgrade deadlock on ", key);
-  const uint32_t own_shares = upgrade ? 1 : 0;
-  auto granted = [slot, exclusive, own_shares] {
-    return !slot->exclusive && (!exclusive || slot->sharers == own_shares);
-  };
-  if (!granted()) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(timeout_us_);
-    ++slot->waiters;
-    if (upgrade) slot->upgrading = true;
-    bool ok = stripe.cv.wait_until(lock, deadline, granted);
-    --slot->waiters;
-    if (upgrade) slot->upgrading = false;
-    if (!ok) return BusyOn(exclusive ? "X-lock timeout on " : "S-lock timeout on ", key);
-  }
-  if (exclusive) {
-    slot->sharers -= own_shares;  // the upgrade consumes the shared hold
-    slot->exclusive = true;
-  } else {
-    ++slot->sharers;
-  }
-  lock.unlock();
-
   if (upgrade) {
     held->exclusive = true;
   } else {
-    set->held_.push_back({hash, slot, exclusive});
+    set->held_.push_back({word, exclusive});
   }
-  if (newly != nullptr) *newly = true;
   return Status::OK();
+}
+
+bool LockManager::TryGrant(uint32_t word, bool exclusive, bool upgrade) {
+  std::atomic<uint32_t>& lock = words_[word];
+  uint32_t now = lock.load();
+  for (;;) {
+    if ((now & kExclusive) != 0) return false;
+    uint32_t next = now + 1;
+    if (exclusive) {
+      // An upgrade consumes its own share and ends its upgrade wait.
+      if ((now & kSharers) != (upgrade ? 1u : 0u)) return false;
+      next = kExclusive;
+    }
+    if (lock.compare_exchange_weak(now, next)) return true;
+  }
+}
+
+Status LockManager::Wait(uint32_t word, std::string_view key, bool exclusive,
+                         bool upgrade) {
+  Stripe& stripe = stripes_[word % kStripes];
+  std::unique_lock<std::mutex> guard(stripe.mu);
+  // Two sharers waiting to upgrade each wait for the other to let go of its
+  // shared lock, which neither does before it commits.
+  if (upgrade && (words_[word].fetch_or(kUpgrading) & kUpgrading) != 0) {
+    return BusyOn("X-lock upgrade deadlock on ", key);
+  }
+  // Counted before the grant is retried: a release either precedes the
+  // retry, or sees the count and notifies under the mutex this wait holds.
+  stripe.waiters.fetch_add(1);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us_);
+  bool ok = stripe.cv.wait_until(guard, deadline,
+                                 [&] { return TryGrant(word, exclusive, upgrade); });
+  stripe.waiters.fetch_sub(1);
+  if (ok) return Status::OK();
+  if (upgrade) words_[word].fetch_and(~kUpgrading);
+  return BusyOn(exclusive ? "X-lock timeout on " : "S-lock timeout on ", key);
 }
 
 void LockManager::ReleaseAll(LockSet* set) {
   for (const LockSet::Held& held : set->held_) {
-    Stripe& stripe = stripes_[held.hash % kStripes];
-    bool wake = false;
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      if (held.exclusive) {
-        held.slot->exclusive = false;
-      } else {
-        --held.slot->sharers;
-      }
-      wake = held.slot->waiters > 0;
+    if (held.exclusive) {
+      words_[held.word].fetch_and(~kExclusive);
+    } else {
+      words_[held.word].fetch_sub(1);
     }
-    if (wake) stripe.cv.notify_all();
+    Stripe& stripe = stripes_[held.word % kStripes];
+    if (stripe.waiters.load() != 0) {
+      { std::lock_guard<std::mutex> lock(stripe.mu); }
+      stripe.cv.notify_all();
+    }
   }
   set->held_.clear();
-}
-
-size_t LockManager::SlotCount() {
-  size_t count = 0;
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    count += stripe.slots.size();
-  }
-  return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -247,15 +225,17 @@ class Local2PLTxn : public Transaction {
   }
 
   /// Takes the exclusive lock and, on the key's first write, snapshots its
-  /// pre-image for undo.
+  /// pre-image for undo.  The lock cannot tell a first write: another key
+  /// may have taken the same word.
   Status Prepare(const std::string& key) {
-    bool newly = false;
-    Status s = store_->locks_.AcquireExclusive(&locks_, key, &newly);
+    Status s = store_->locks_.AcquireExclusive(&locks_, key);
     if (!s.ok()) {
       cell_->lock_busy.fetch_add(1, std::memory_order_relaxed);
       return s;
     }
-    if (!newly) return Status::OK();
+    for (size_t i = 0; i < undo_count_; ++i) {
+      if (undo_[i].key == key) return Status::OK();
+    }
     if (undo_count_ == undo_.size()) undo_.emplace_back();
     UndoEntry& undo = undo_[undo_count_];
     undo.key.assign(key);

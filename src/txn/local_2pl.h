@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,84 +31,82 @@ struct Local2PLOptions {
   static Local2PLOptions FromProperties(const Properties& props);
 };
 
-/// Striped table of per-key shared/exclusive locks with waiting and timeout.
+/// Shared/exclusive locks on hashed lock words, with waiting and timeout.
 ///
-/// Keys hash to one of `kStripes` stripes, each with its own mutex,
-/// condition variable and lock slots, so transactions on different keys
-/// rarely contend, and a release wakes only its own stripe's waiters, and
-/// only when the released key has any.  A slot whose counts are all zero is
-/// free and is reused, keeping its key's capacity, by the next key that
-/// hashes to its stripe: a warmed-up table locks and unlocks without
-/// allocating.
+/// A key locks word `std::hash<std::string_view>{}(key) % kWords` of a fixed
+/// array: one 32-bit atomic holding an exclusive bit, an upgrading bit and a
+/// sharer count.  A grant is one CAS on the word and a release one atomic
+/// subtract or and, so an uncontended lock writes no line but its word's.
+/// Two keys that share a word share its lock; that false conflict only makes
+/// a transaction wait where it need not, never admits a conflicting access,
+/// and between two held keys has odds of 1 in `kWords` (DESIGN.md §16).
+///
+/// A request that cannot be granted waits on the condition variable of the
+/// word's stripe (`kStripes` of them, each with a waiter count), and a
+/// release takes the stripe mutex and notifies only when that count is
+/// nonzero.  The clock is read only to start a wait.
 ///
 /// Deadlocks are resolved by timeout (a waiter that exceeds
 /// `lock_timeout_us` gives up with Busy and its transaction aborts) — the
 /// classic embedded-engine answer, contrasting with the client-coordinated
 /// library's *ordered locking*, which cannot deadlock in the first place.
-/// The one deadlock visible at a single key — two sharers that both want to
+/// The one deadlock visible at a single word — two sharers that both want to
 /// upgrade — fails the second upgrader at once instead of after the timeout.
 class LockManager {
- private:
-  struct Slot {
-    size_t hash = 0;
-    std::string key;
-    uint32_t sharers = 0;
-    uint32_t waiters = 0;
-    bool exclusive = false;
-    /// A sharer is waiting to upgrade; a second one could never proceed.
-    bool upgrading = false;
-  };
-
  public:
+  static constexpr size_t kWords = size_t{1} << 14;
   static constexpr size_t kStripes = 64;
 
-  /// The locks one transaction holds.  Not thread-safe: one per
-  /// transaction, like the transaction itself.  A held slot is never reused
-  /// for another key, so the set points at slots instead of copying keys.
+  /// The words one transaction holds.  Not thread-safe: one per
+  /// transaction, like the transaction itself.
   class LockSet {
    private:
     friend class LockManager;
 
     struct Held {
-      size_t hash = 0;
-      Slot* slot = nullptr;
+      uint32_t word = 0;
       bool exclusive = false;
     };
 
-    Held* Find(size_t hash, std::string_view key);
+    Held* Find(uint32_t word);
 
     std::vector<Held> held_;
   };
 
-  explicit LockManager(uint64_t timeout_us) : timeout_us_(timeout_us) {}
+  explicit LockManager(uint64_t timeout_us);
 
-  /// Acquires a shared lock on `key` into `set`; a no-op when `set` already
-  /// holds `key` in either mode.  Busy on timeout.
+  /// Acquires a shared lock on `key`'s word into `set`; a no-op when `set`
+  /// already holds the word in either mode.  Busy on timeout.
   Status AcquireShared(LockSet* set, std::string_view key);
 
-  /// Acquires (or upgrades to) an exclusive lock on `key` into `set`; Busy
-  /// on timeout or on a certain upgrade deadlock.  On success `*newly` tells
-  /// whether `set` did not already hold `key` exclusively.
-  Status AcquireExclusive(LockSet* set, std::string_view key, bool* newly);
+  /// Acquires (or upgrades to) an exclusive lock on `key`'s word into `set`;
+  /// a no-op when `set` already holds it exclusively.  Busy on timeout or on
+  /// a certain upgrade deadlock.
+  Status AcquireExclusive(LockSet* set, std::string_view key);
 
   /// Releases every lock in `set` (commit/abort) and empties it.
   void ReleaseAll(LockSet* set);
 
-  /// Slots allocated over all stripes.  Bounded by the most keys locked or
-  /// waited for at once, not by the number of distinct keys ever locked.
-  size_t SlotCount();
-
  private:
+  static constexpr uint32_t kExclusive = 1u << 31;
+  /// A sharer is waiting to upgrade; a second one could never proceed.
+  static constexpr uint32_t kUpgrading = 1u << 30;
+  static constexpr uint32_t kSharers = kUpgrading - 1;
+
   struct alignas(64) Stripe {
+    std::atomic<uint32_t> waiters{0};
     std::mutex mu;
     std::condition_variable cv;
-    /// A deque keeps slot addresses stable as the stripe grows; slots are
-    /// never removed.
-    std::deque<Slot> slots;
   };
 
-  Status Acquire(LockSet* set, std::string_view key, bool exclusive, bool* newly);
+  Status Acquire(LockSet* set, std::string_view key, bool exclusive);
+  /// Grants the mode if the word allows it now: one CAS, retried only while
+  /// the word changes under it.
+  bool TryGrant(uint32_t word, bool exclusive, bool upgrade);
+  /// Waits on the word's stripe until `TryGrant` succeeds or the timeout.
+  Status Wait(uint32_t word, std::string_view key, bool exclusive, bool upgrade);
 
+  const std::unique_ptr<std::atomic<uint32_t>[]> words_;
   Stripe stripes_[kStripes];
   const uint64_t timeout_us_;
 };
@@ -121,8 +118,8 @@ class LockManager {
 /// current values without range locks (no phantom protection), which is
 /// sufficient for the post-quiesce Tier-6 validation scan.
 ///
-/// Beyond the lock table's stripes and the base store, a transaction writes
-/// no line that other threads write: its outcome counters and `start_ts`
+/// Beyond its keys' lock words and the base store, a transaction writes no
+/// line that other threads write: its outcome counters and `start_ts`
 /// come from the calling thread's cell, and `Begin()` takes a finished
 /// transaction, buffers and all, from the thread's pool (DESIGN.md §16).
 class Local2PLStore : public TransactionalKV, public StatsLayer {

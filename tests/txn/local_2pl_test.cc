@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -255,6 +257,44 @@ TEST_F(Local2PLTest, UpgradeDeadlockFailsFast) {
   EXPECT_EQ(engine.stats().lock_busy, 1u);
 }
 
+// Two keys that hash to one lock word share its lock.  Taking the second
+// key's exclusive lock is then a no-op, yet its first write must still save
+// its pre-image, and the shared word must keep out another writer of either
+// key until the outcome.
+TEST_F(Local2PLTest, KeysSharingALockWordKeepTheirOwnUndo) {
+  auto word_of = [](const std::string& key) {
+    return std::hash<std::string_view>{}(key) % LockManager::kWords;
+  };
+  const std::string a = "shared/a";
+  std::string b;
+  for (int i = 0; b.empty(); ++i) {
+    std::string candidate = StrCat("shared/", i);
+    if (word_of(candidate) == word_of(a)) b = candidate;
+  }
+  store_->LoadPut(a, "a0");
+  store_->LoadPut(b, "b0");
+  Local2PLStore engine(base_, Local2PLOptions{.lock_timeout_us = 20'000});
+
+  auto txn = engine.Begin();
+  std::string value;
+  ASSERT_TRUE(txn->Read(a, &value).ok());
+  ASSERT_TRUE(txn->Write(a, "a1").ok());
+  ASSERT_TRUE(txn->Write(b, "b1").ok());
+  for (const std::string& key : {a, b}) {
+    auto contender = engine.Begin();
+    Stopwatch watch;
+    EXPECT_TRUE(contender->Write(key, "denied").IsBusy()) << key;
+    EXPECT_GE(watch.ElapsedMicros(), 15'000u) << key;
+    contender->Abort();
+  }
+  ASSERT_TRUE(txn->Abort().ok());
+  ASSERT_TRUE(engine.ReadCommitted(a, &value).ok());
+  EXPECT_EQ(value, "a0");
+  ASSERT_TRUE(engine.ReadCommitted(b, &value).ok());
+  EXPECT_EQ(value, "b0");
+  EXPECT_EQ(engine.stats().lock_busy, 2u);
+}
+
 // Generations of threads commit, abort (explicitly and by dropping an open
 // transaction) and time out on a held lock, then exit and are followed by
 // new threads.  Twenty generations of four take more thread ordinals than
@@ -362,21 +402,24 @@ TEST(Local2PLCellTest, ParkedTransactionsOutliveTheirStore) {
   }).join();
 }
 
-TEST(LockManagerTest, SlotsAreReusedAcrossKeys) {
-  // The lock table keeps no state for unlocked keys: 10k lock-and-release
-  // rounds on distinct keys leave at most one slot per stripe.
+TEST(LockManagerTest, DistinctKeysLeaveNoLockBehind) {
+  // 10k lock-and-release rounds on distinct keys must leave every word
+  // free: all the keys are then free for an exclusive lock at once.
   LockManager locks(/*timeout_us=*/1'000);
   for (int i = 0; i < 10'000; ++i) {
     LockManager::LockSet set;
-    bool newly = false;
-    ASSERT_TRUE(locks.AcquireExclusive(&set, "key" + std::to_string(i), &newly).ok());
+    ASSERT_TRUE(locks.AcquireExclusive(&set, StrCat("key", i)).ok());
     locks.ReleaseAll(&set);
   }
-  EXPECT_LE(locks.SlotCount(), LockManager::kStripes);
+  LockManager::LockSet all;
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_TRUE(locks.AcquireExclusive(&all, StrCat("key", i)).ok()) << i;
+  }
+  locks.ReleaseAll(&all);
 }
 
 // Many threads lock random key sets in random modes, including upgrades,
-// over more keys than stripes so stripes are shared.  Shadow counters,
+// over more keys than wait stripes so waiters share stripes.  Shadow counters,
 // raised after each grant and lowered before each release, must never show
 // a writer beside another holder.
 TEST(Local2PLStressTest, LockModesStayExclusiveAcrossStripes) {
@@ -415,9 +458,7 @@ TEST(Local2PLStressTest, LockModesStayExclusiveAcrossStripes) {
             held.emplace_back(k, false);
           }
           if (mode != 0) {
-            bool newly = false;
-            if (!locks.AcquireExclusive(&set, keys[k], &newly).ok()) break;
-            if (!newly) failed = true;
+            if (!locks.AcquireExclusive(&set, keys[k]).ok()) break;
             if (mode == 2) {
               shadow[k].readers.fetch_sub(1);
               held.back().second = true;
@@ -443,11 +484,9 @@ TEST(Local2PLStressTest, LockModesStayExclusiveAcrossStripes) {
   // Nothing leaked: every key is free for an exclusive lock at once.
   LockManager::LockSet all;
   for (const auto& key : keys) {
-    bool newly = false;
-    ASSERT_TRUE(locks.AcquireExclusive(&all, key, &newly).ok()) << key;
+    ASSERT_TRUE(locks.AcquireExclusive(&all, key).ok()) << key;
   }
   locks.ReleaseAll(&all);
-  EXPECT_LE(locks.SlotCount(), static_cast<size_t>(kKeys));
 }
 
 }  // namespace
