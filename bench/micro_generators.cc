@@ -99,6 +99,21 @@ void BM_AcknowledgedCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_AcknowledgedCounter);
 
+// One counter shared by the threads as by a read-latest workload's clients:
+// every key choice reads `Last()`, and one operation in 20 inserts (`Next`,
+// then `Acknowledge`).
+void BM_AcknowledgedCounterShared(benchmark::State& state) {
+  static AcknowledgedCounterGenerator gen(0);
+  Random64 rng(10);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    if (++i % 20 == 0) gen.Acknowledge(gen.Next(rng));
+    benchmark::DoNotOptimize(gen.Last());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AcknowledgedCounterShared)->Threads(1)->Threads(2)->UseRealTime();
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,7 +1,6 @@
 #include "txn/local_2pl.h"
 
 #include <chrono>
-#include <functional>
 #include <new>
 
 namespace ycsbt {
@@ -40,7 +39,7 @@ Status LockManager::AcquireExclusive(LockSet* set, std::string_view key) {
 }
 
 Status LockManager::Acquire(LockSet* set, std::string_view key, bool exclusive) {
-  const auto word = static_cast<uint32_t>(std::hash<std::string_view>{}(key) % kWords);
+  const uint32_t word = WordOf(key);
   LockSet::Held* held = set->Find(word);
   if (held != nullptr && (held->exclusive || !exclusive)) return Status::OK();
   const bool upgrade = held != nullptr;  // holds S, wants X
@@ -65,7 +64,9 @@ bool LockManager::TryGrant(uint32_t word, bool exclusive, bool upgrade) {
     if (exclusive) {
       // An upgrade consumes its own share and ends its upgrade wait.
       if ((now & kSharers) != (upgrade ? 1u : 0u)) return false;
-      next = kExclusive;
+      next = kExclusive | (now & kWaiting);
+    } else if ((now & kUpgrading) != 0) {
+      return false;  // the upgrade goes first
     }
     if (lock.compare_exchange_weak(now, next)) return true;
   }
@@ -73,37 +74,45 @@ bool LockManager::TryGrant(uint32_t word, bool exclusive, bool upgrade) {
 
 Status LockManager::Wait(uint32_t word, std::string_view key, bool exclusive,
                          bool upgrade) {
+  std::atomic<uint32_t>& lock = words_[word];
   Stripe& stripe = stripes_[word % kStripes];
   std::unique_lock<std::mutex> guard(stripe.mu);
   // Two sharers waiting to upgrade each wait for the other to let go of its
   // shared lock, which neither does before it commits.
-  if (upgrade && (words_[word].fetch_or(kUpgrading) & kUpgrading) != 0) {
+  if (upgrade && (lock.fetch_or(kUpgrading) & kUpgrading) != 0) {
     return BusyOn("X-lock upgrade deadlock on ", key);
   }
-  // Counted before the grant is retried: a release either precedes the
-  // retry, or sees the count and notifies under the mutex this wait holds.
-  stripe.waiters.fetch_add(1);
+  // The word is marked before each retry, under the mutex: a release either
+  // precedes the retry, or finds the mark and notifies under the mutex this
+  // wait holds until it sleeps.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us_);
-  bool ok = stripe.cv.wait_until(guard, deadline,
-                                 [&] { return TryGrant(word, exclusive, upgrade); });
-  stripe.waiters.fetch_sub(1);
+  bool ok = stripe.cv.wait_until(guard, deadline, [&] {
+    lock.fetch_or(kWaiting);
+    return TryGrant(word, exclusive, upgrade);
+  });
   if (ok) return Status::OK();
-  if (upgrade) words_[word].fetch_and(~kUpgrading);
+  if (upgrade) {
+    lock.fetch_and(~kUpgrading);
+    stripe.cv.notify_all();  // sharers held off by the upgrade may go ahead
+  }
   return BusyOn(exclusive ? "X-lock timeout on " : "S-lock timeout on ", key);
+}
+
+void LockManager::Wake(uint32_t word) {
+  Stripe& stripe = stripes_[word % kStripes];
+  {
+    std::lock_guard<std::mutex> guard(stripe.mu);
+    words_[word].fetch_and(~kWaiting);
+  }
+  stripe.cv.notify_all();
 }
 
 void LockManager::ReleaseAll(LockSet* set) {
   for (const LockSet::Held& held : set->held_) {
-    if (held.exclusive) {
-      words_[held.word].fetch_and(~kExclusive);
-    } else {
-      words_[held.word].fetch_sub(1);
-    }
-    Stripe& stripe = stripes_[held.word % kStripes];
-    if (stripe.waiters.load() != 0) {
-      { std::lock_guard<std::mutex> lock(stripe.mu); }
-      stripe.cv.notify_all();
-    }
+    std::atomic<uint32_t>& lock = words_[held.word];
+    const uint32_t before =
+        held.exclusive ? lock.fetch_and(~kExclusive) : lock.fetch_sub(1);
+    if ((before & kWaiting) != 0) Wake(held.word);
   }
   set->held_.clear();
 }

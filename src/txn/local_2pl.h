@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,18 +34,19 @@ struct Local2PLOptions {
 
 /// Shared/exclusive locks on hashed lock words, with waiting and timeout.
 ///
-/// A key locks word `std::hash<std::string_view>{}(key) % kWords` of a fixed
-/// array: one 32-bit atomic holding an exclusive bit, an upgrading bit and a
-/// sharer count.  A grant is one CAS on the word and a release one atomic
-/// subtract or and, so an uncontended lock writes no line but its word's.
+/// A key locks word `WordOf(key)`, its `std::hash` modulo `kWords`, of a
+/// fixed array: one 32-bit atomic holding an exclusive bit, an upgrading bit,
+/// a waiting bit and a sharer count.  A grant is one CAS on the word and a
+/// release one atomic subtract or and, so an uncontended lock writes no line
+/// but its word's.
 /// Two keys that share a word share its lock; that false conflict only makes
 /// a transaction wait where it need not, never admits a conflicting access,
 /// and between two held keys has odds of 1 in `kWords` (DESIGN.md §16).
 ///
-/// A request that cannot be granted waits on the condition variable of the
-/// word's stripe (`kStripes` of them, each with a waiter count), and a
-/// release takes the stripe mutex and notifies only when that count is
-/// nonzero.  The clock is read only to start a wait.
+/// A request that cannot be granted marks its word waiting and sleeps on the
+/// condition variable of the word's stripe (`kStripes` of them); a release
+/// that finds the mark clears it under the stripe mutex and notifies.  The
+/// clock is read only to start a wait.
 ///
 /// Deadlocks are resolved by timeout (a waiter that exceeds
 /// `lock_timeout_us` gives up with Busy and its transaction aborts) — the
@@ -52,6 +54,8 @@ struct Local2PLOptions {
 /// library's *ordered locking*, which cannot deadlock in the first place.
 /// The one deadlock visible at a single word — two sharers that both want to
 /// upgrade — fails the second upgrader at once instead of after the timeout.
+/// A pending upgrade holds off new sharers, so a stream of readers of a hot
+/// key cannot starve a read-modify-write of it.
 class LockManager {
  public:
   static constexpr size_t kWords = size_t{1} << 14;
@@ -75,6 +79,11 @@ class LockManager {
 
   explicit LockManager(uint64_t timeout_us);
 
+  /// The word `key` locks.
+  static uint32_t WordOf(std::string_view key) {
+    return static_cast<uint32_t>(std::hash<std::string_view>{}(key) % kWords);
+  }
+
   /// Acquires a shared lock on `key`'s word into `set`; a no-op when `set`
   /// already holds the word in either mode.  Busy on timeout.
   Status AcquireShared(LockSet* set, std::string_view key);
@@ -89,12 +98,14 @@ class LockManager {
 
  private:
   static constexpr uint32_t kExclusive = 1u << 31;
-  /// A sharer is waiting to upgrade; a second one could never proceed.
+  /// A sharer is waiting to upgrade: a second one could never proceed, and
+  /// no new sharer is granted until it has.
   static constexpr uint32_t kUpgrading = 1u << 30;
-  static constexpr uint32_t kSharers = kUpgrading - 1;
+  /// A request sleeps on the word's stripe: the next release notifies.
+  static constexpr uint32_t kWaiting = 1u << 29;
+  static constexpr uint32_t kSharers = kWaiting - 1;
 
   struct alignas(64) Stripe {
-    std::atomic<uint32_t> waiters{0};
     std::mutex mu;
     std::condition_variable cv;
   };
@@ -105,6 +116,8 @@ class LockManager {
   bool TryGrant(uint32_t word, bool exclusive, bool upgrade);
   /// Waits on the word's stripe until `TryGrant` succeeds or the timeout.
   Status Wait(uint32_t word, std::string_view key, bool exclusive, bool upgrade);
+  /// Clears the word's waiting mark and wakes its stripe.
+  void Wake(uint32_t word);
 
   const std::unique_ptr<std::atomic<uint32_t>[]> words_;
   Stripe stripes_[kStripes];

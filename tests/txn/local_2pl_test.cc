@@ -4,8 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
-#include <string_view>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -257,19 +256,47 @@ TEST_F(Local2PLTest, UpgradeDeadlockFailsFast) {
   EXPECT_EQ(engine.stats().lock_busy, 1u);
 }
 
+TEST_F(Local2PLTest, PendingUpgradeHoldsOffNewReaders) {
+  // A reader that arrives while a sharer waits to upgrade must wait for the
+  // upgrade, not join the sharers: otherwise a stream of readers of a hot
+  // key holds a read-modify-write off until its timeout.  Here the late
+  // reader therefore sees the upgrader's value.
+  store_->LoadPut("k", "v0");
+  Local2PLStore engine(base_, Local2PLOptions{.lock_timeout_us = 10'000'000});
+  std::string value;
+  auto upgrader = engine.Begin();
+  auto other = engine.Begin();
+  ASSERT_TRUE(upgrader->Read("k", &value).ok());
+  ASSERT_TRUE(other->Read("k", &value).ok());
+  std::thread upgrade([&] {
+    ASSERT_TRUE(upgrader->Write("k", "v1").ok());
+    ASSERT_TRUE(upgrader->Commit().ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::string late_value;
+  std::thread late([&] {
+    auto txn = engine.Begin();
+    ASSERT_TRUE(txn->Read("k", &late_value).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(other->Commit().ok());
+  upgrade.join();
+  late.join();
+  EXPECT_EQ(late_value, "v1");
+  EXPECT_EQ(engine.stats().lock_busy, 0u);
+}
+
 // Two keys that hash to one lock word share its lock.  Taking the second
 // key's exclusive lock is then a no-op, yet its first write must still save
 // its pre-image, and the shared word must keep out another writer of either
 // key until the outcome.
 TEST_F(Local2PLTest, KeysSharingALockWordKeepTheirOwnUndo) {
-  auto word_of = [](const std::string& key) {
-    return std::hash<std::string_view>{}(key) % LockManager::kWords;
-  };
   const std::string a = "shared/a";
   std::string b;
   for (int i = 0; b.empty(); ++i) {
     std::string candidate = StrCat("shared/", i);
-    if (word_of(candidate) == word_of(a)) b = candidate;
+    if (LockManager::WordOf(candidate) == LockManager::WordOf(a)) b = candidate;
   }
   store_->LoadPut(a, "a0");
   store_->LoadPut(b, "b0");
