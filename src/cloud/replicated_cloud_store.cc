@@ -89,7 +89,7 @@ void ReplicatedCloudStore::Collect(LayerStats* out) {
 
 bool ReplicatedCloudStore::VisibleLocked(const PendingApply& p) const {
   if (opts_.replica_lag_ops > 0) return seq_ >= p.visible_seq;
-  return WallMicros() >= p.visible_at_us;
+  return SteadyNanos() >= p.visible_at_ns;
 }
 
 void ReplicatedCloudStore::DrainLocked(std::deque<PendingApply>* q) {
@@ -114,13 +114,13 @@ bool ReplicatedCloudStore::FrontLocked(int region, const std::string& key,
 }
 
 bool ReplicatedCloudStore::ElectionOverLocked() const {
-  if (election_deadline_us_ != 0) return WallMicros() >= election_deadline_us_;
+  if (election_deadline_ns_ != 0) return SteadyNanos() >= election_deadline_ns_;
   return election_rejects_left_ == 0;
 }
 
 void ReplicatedCloudStore::CompleteElectionLocked() {
   in_election_ = false;
-  election_deadline_us_ = 0;
+  election_deadline_ns_ = 0;
   lost_tail_left_ = 0;
   leader_ = (leader_ + 1) % opts_.regions;
   ++stats_.failovers;
@@ -156,10 +156,10 @@ void ReplicatedCloudStore::TickLocked(bool is_write) {
     in_election_ = true;
     lost_tail_left_ = script_.lost_tail;
     if (script_.election_us > 0) {
-      election_deadline_us_ = WallMicros() + script_.election_us;
+      election_deadline_ns_ = SteadyNanos() + script_.election_us * 1000;
       election_rejects_left_ = 0;
     } else {
-      election_deadline_us_ = 0;
+      election_deadline_ns_ = 0;
       election_rejects_left_ = script_.election_ops;
     }
   }
@@ -168,16 +168,17 @@ void ReplicatedCloudStore::TickLocked(bool is_write) {
 
 Status ReplicatedCloudStore::NotLeaderRejectLocked() {
   ++stats_.not_leader_rejects;
-  if (election_deadline_us_ == 0 && election_rejects_left_ > 0) {
+  if (election_deadline_ns_ == 0 && election_rejects_left_ > 0) {
     --election_rejects_left_;
   }
   std::string msg = "not leader: election in progress; redirect=region-" +
                     std::to_string((leader_ + 1) % opts_.regions);
-  if (election_deadline_us_ != 0) {
-    uint64_t now = WallMicros();
-    uint64_t remaining =
-        election_deadline_us_ > now ? election_deadline_us_ - now : 1;
-    msg += "; retry_after_us=" + std::to_string(remaining);
+  if (election_deadline_ns_ != 0) {
+    uint64_t now = SteadyNanos();
+    uint64_t remaining_us = election_deadline_ns_ > now
+                                ? (election_deadline_ns_ - now + 999) / 1000
+                                : 1;
+    msg += "; retry_after_us=" + std::to_string(remaining_us);
   }
   return Status::NotLeader(msg);
 }
@@ -318,7 +319,7 @@ void ReplicatedCloudStore::ReplicateLocked(const std::string& key,
     } else if (opts_.replica_lag_us > 0) {
       uint64_t draw =
           opts_.replica_lag_us / 2 + rng_.Uniform(opts_.replica_lag_us + 1);
-      p.visible_at_us = WallMicros() + draw;
+      p.visible_at_ns = SteadyNanos() + draw * 1000;
       stats_.replica_lag.Add(static_cast<int64_t>(draw));
     }
     regions_[static_cast<size_t>(r)].pending[key].push_back(std::move(p));

@@ -80,7 +80,7 @@ struct ReplicationStats {
   uint64_t failovers = 0;          ///< completed elections (leader moved)
   uint64_t lost_tail_writes = 0;   ///< applied-but-unacked election writes
   uint64_t partition_rejects = 0;  ///< requests refused by a partition
-  /// Drawn replication lag per record: microseconds in wall-clock mode,
+  /// Drawn replication lag per record: microseconds in time-based mode,
   /// trailing requests in count-based mode.
   Histogram replica_lag;
 };
@@ -107,14 +107,14 @@ struct ReplicationStats {
 ///   - at write arrival `leader_crash_at` the leader crashes and an
 ///     election opens; writes (and leader-mode reads) are refused with
 ///     `Status::NotLeader` carrying a `redirect=region-N` hint (plus
-///     `retry_after_us=` when the election is wall-clock scripted);
+///     `retry_after_us=` when the election is time-scripted);
 ///   - the first `lost_tail` writes of the election window are APPLIED but
 ///     answered `Timeout` — the crashed leader's unreplicated tail, which
 ///     clients must settle as ambiguous commits via TSR re-read;
 ///   - the election completes after `election_ops` NotLeader rejections
-///     (count-based, deterministic) or `election_us` wall-clock; the next
-///     region takes leadership and first drains its own apply backlog, so
-///     no committed write is lost;
+///     (count-based, deterministic) or `election_us` of steady-clock time;
+///     the next region takes leadership and first drains its own apply
+///     backlog, so no committed write is lost;
 ///   - independently, region `partition_region` can be cut off at request
 ///     arrival `partition_at`, answering `Unavailable` until
 ///     `partition_ops` rejections have been charged to it (the circuit
@@ -176,7 +176,7 @@ class ReplicatedCloudStore : public kv::Store, public StatsLayer {
     std::string value;        ///< pre-image bytes
     uint64_t etag = 0;        ///< pre-image etag
     uint64_t visible_seq = 0; ///< count-based horizon (global write seq)
-    uint64_t visible_at_us = 0;  ///< wall-clock horizon
+    uint64_t visible_at_ns = 0;  ///< time-based horizon (`SteadyNanos`)
   };
 
   struct Region {
@@ -261,7 +261,7 @@ class ReplicatedCloudStore : public kv::Store, public StatsLayer {
   bool crash_fired_ = false;
   bool in_election_ = false;
   uint64_t election_rejects_left_ = 0;  ///< count-based completion budget
-  uint64_t election_deadline_us_ = 0;   ///< wall-clock completion horizon
+  uint64_t election_deadline_ns_ = 0;   ///< time-based horizon (`SteadyNanos`)
   uint64_t lost_tail_left_ = 0;
   bool partition_fired_ = false;
   bool partition_active_ = false;

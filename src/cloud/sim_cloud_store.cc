@@ -166,59 +166,6 @@ Status SimCloudStore::BeginRequest(bool is_write, const std::string& key) {
   return Status::OK();
 }
 
-Status SimCloudStore::Get(const std::string& key, std::string* value,
-                          uint64_t* etag) {
-  Status s = BeginRequest(/*is_write=*/false, key);
-  if (!s.ok()) return s;
-  s = backing_->Get(key, value, etag);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status SimCloudStore::Put(const std::string& key, std::string_view value,
-                          uint64_t* etag_out) {
-  Status s = BeginRequest(/*is_write=*/true, key);
-  if (!s.ok()) return s;
-  s = backing_->Put(key, value, etag_out);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status SimCloudStore::ConditionalPut(const std::string& key, std::string_view value,
-                                     uint64_t expected_etag, uint64_t* etag_out) {
-  Status s = BeginRequest(/*is_write=*/true, key);
-  if (!s.ok()) return s;
-  s = backing_->ConditionalPut(key, value, expected_etag, etag_out);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status SimCloudStore::Delete(const std::string& key) {
-  Status s = BeginRequest(/*is_write=*/true, key);
-  if (!s.ok()) return s;
-  s = backing_->Delete(key);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status SimCloudStore::ConditionalDelete(const std::string& key,
-                                        uint64_t expected_etag) {
-  Status s = BeginRequest(/*is_write=*/true, key);
-  if (!s.ok()) return s;
-  s = backing_->ConditionalDelete(key, expected_etag);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status SimCloudStore::Scan(const std::string& start_key, size_t limit,
-                           std::vector<kv::ScanEntry>* out) {
-  Status s = BeginRequest(/*is_write=*/false, start_key);
-  if (!s.ok()) return s;
-  s = backing_->Scan(start_key, limit, out);
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
-}
-
 size_t SimCloudStore::Count() const { return backing_->Count(); }
 
 }  // namespace cloud

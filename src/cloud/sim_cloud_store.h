@@ -12,6 +12,7 @@
 #include "common/rate_limiter.h"
 #include "common/stats_layer.h"
 #include "kv/store.h"
+#include "kv/store_decorator.h"
 
 namespace ycsbt {
 namespace cloud {
@@ -123,21 +124,11 @@ struct CloudStats {
 /// request whose queueing delay would outlive the deadline is rejected
 /// immediately as `RateLimited` (with a `retry_after_us=` hint) instead of
 /// sleeping out a wait whose answer is already useless.
-class SimCloudStore : public kv::Store, public StatsLayer {
+class SimCloudStore : public kv::StoreDecorator<SimCloudStore>, public StatsLayer {
  public:
   explicit SimCloudStore(CloudProfile profile,
                          std::shared_ptr<kv::Store> backing = nullptr);
 
-  Status Get(const std::string& key, std::string* value,
-             uint64_t* etag = nullptr) override;
-  Status Put(const std::string& key, std::string_view value,
-             uint64_t* etag_out = nullptr) override;
-  Status ConditionalPut(const std::string& key, std::string_view value,
-                        uint64_t expected_etag, uint64_t* etag_out = nullptr) override;
-  Status Delete(const std::string& key) override;
-  Status ConditionalDelete(const std::string& key, uint64_t expected_etag) override;
-  Status Scan(const std::string& start_key, size_t limit,
-              std::vector<kv::ScanEntry>* out) override;
   size_t Count() const override;
 
   const CloudProfile& profile() const { return profile_; }
@@ -156,6 +147,19 @@ class SimCloudStore : public kv::Store, public StatsLayer {
   void ScaleLatency(double factor);
 
  private:
+  friend class kv::StoreDecorator<SimCloudStore>;
+
+  /// The one body of every request: `BeginRequest`, then `call` on the
+  /// backing store, then the in-flight decrement.
+  template <typename Call>
+  Status Request(Op op, const std::string& key, const Call& call) {
+    Status s = BeginRequest(IsWrite(op), key);
+    if (!s.ok()) return s;
+    s = call(*backing_);
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    return s;
+  }
+
   /// Front half of every request; returns RateLimited when the container
   /// queue is saturated.  `is_write` selects the latency model; `key`
   /// selects the container (hash partitioning).

@@ -82,19 +82,10 @@ bool ClosedEconomyWorkload::ParseBalance(const FieldMap& fields, int64_t* balanc
   return ParseBalanceText(fields.Get(kBalanceField), balance);
 }
 
-bool ClosedEconomyWorkload::DoInsert(DB& db, ThreadState* state) {
+bool ClosedEconomyWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
   uint64_t key_num = load_sequence_->Next(state->rng);
   // The integer division remainder lands on the first account so the loaded
   // sum is exactly totalcash.
-  int64_t balance = initial_balance_;
-  if (key_num == insert_start_) {
-    balance += total_cash_ - initial_balance_ * static_cast<int64_t>(record_count());
-  }
-  return WriteBalance(db, state, BuildKeyName(key_num, &state->key), balance).ok();
-}
-
-bool ClosedEconomyWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
-  uint64_t key_num = load_sequence_->Next(state->rng);
   int64_t balance = initial_balance_;
   if (key_num == insert_start_) {
     balance += total_cash_ - initial_balance_ * static_cast<int64_t>(record_count());

@@ -61,7 +61,6 @@ class ClosedEconomyWorkload : public CoreWorkload {
   Status Init(const Properties& props) override;
   std::unique_ptr<ThreadState> InitThread(int thread_id, int thread_count) override;
 
-  bool DoInsert(DB& db, ThreadState* state) override;
   bool BuildNextInsert(ThreadState* state, LoadRecord* record) override;
   Status Validate(DB& db, uint64_t operations_executed,
                   ValidationResult* result) override;

@@ -262,16 +262,7 @@ uint64_t CoreWorkload::NextKeyNum(Random64& rng) {
   return key_num;
 }
 
-bool CoreWorkload::DoInsert(DB& db, ThreadState* state) {
-  uint64_t key_num = load_sequence_->Next(state->rng);
-  const std::string& key = BuildKeyName(key_num, &state->key);
-  BuildValues(state, key, &state->row);
-  return db.Insert(table_, key, state->row).ok();
-}
-
 bool CoreWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
-  // Same draws in the same order as DoInsert, so a bulk-loaded table is
-  // byte-identical to a per-op-loaded one.
   uint64_t key_num = load_sequence_->Next(state->rng);
   record->table = table_;
   BuildKeyName(key_num, &record->key);

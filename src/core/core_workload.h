@@ -131,7 +131,6 @@ class CoreWorkload : public Workload {
 
   Status Init(const Properties& props) override;
 
-  bool DoInsert(DB& db, ThreadState* state) override;
   bool BuildNextInsert(ThreadState* state, LoadRecord* record) override;
   TxnOpResult DoTransaction(DB& db, ThreadState* state) override;
   bool NextTransactionReadOnly(ThreadState* state) override;

@@ -151,7 +151,6 @@ Status WorkloadRunner::BulkLoadPhase(const LoadOptions& options) {
   // have written.
   std::vector<std::vector<std::pair<std::string, std::string>>> parts(
       static_cast<size_t>(threads));
-  std::atomic<bool> unsupported{false};
   std::vector<std::thread> pool;
   pool.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
@@ -162,10 +161,7 @@ Status WorkloadRunner::BulkLoadPhase(const LoadOptions& options) {
       out.reserve(quota);
       Workload::LoadRecord record;
       for (uint64_t i = 0; i < quota; ++i) {
-        if (!workload_->BuildNextInsert(state.get(), &record)) {
-          unsupported.store(true, std::memory_order_relaxed);
-          return;
-        }
+        workload_->BuildNextInsert(state.get(), &record);
         out.emplace_back(
             KvStoreDB::ComposeKey(record.table, record.key),
             factory_->EncodeBulkValue(EncodeFields(record.values)));
@@ -173,9 +169,6 @@ Status WorkloadRunner::BulkLoadPhase(const LoadOptions& options) {
     });
   }
   for (auto& th : pool) th.join();
-  if (unsupported.load()) {
-    return Status::NotSupported("workload has no data-form load stream");
-  }
 
   std::vector<std::pair<std::string, std::string>> records;
   records.reserve(total);
@@ -214,17 +207,11 @@ Status WorkloadRunner::BulkLoadPhase(const LoadOptions& options) {
 Status WorkloadRunner::Load(const LoadOptions& options) {
   if (options.bulk_batch > 0) {
     if (!options.wrap_in_transactions && factory_->SupportsBulkLoad()) {
-      Status s = BulkLoadPhase(options);
-      // NotSupported = no data-form stream for this workload; every other
-      // status — success or a real ingest failure — is final.
-      if (!s.IsNotSupported()) return s;
-      YCSBT_WARN("bulkload.batch set but the workload has no bulk load "
-                 "stream; falling back to per-op inserts");
-    } else {
-      YCSBT_WARN("bulkload.batch set but the binding cannot bulk load "
-                 "(transactional load or no local engine); falling back to "
-                 "per-op inserts");
+      return BulkLoadPhase(options);
     }
+    YCSBT_WARN("bulkload.batch set but the binding cannot bulk load "
+               "(transactional load or no local engine); falling back to "
+               "per-op inserts");
   }
   int threads = std::max(options.threads, 1);
   uint64_t total = workload_->record_count();

@@ -62,9 +62,8 @@ struct LoadOptions {
   bool wrap_in_transactions = false;
   /// Records per engine `BulkLoad` frame (`bulkload.batch`); 0 keeps the
   /// per-op DoInsert path.  The sorted fast path needs a binding whose
-  /// factory `SupportsBulkLoad()`, a workload implementing `BuildNextInsert`
-  /// and non-transactional loading; otherwise the runner warns once and
-  /// falls back to per-op inserts.
+  /// factory `SupportsBulkLoad()` and non-transactional loading; otherwise
+  /// the runner warns once and falls back to per-op inserts.
   uint64_t bulk_batch = 0;
 };
 
@@ -211,9 +210,7 @@ class WorkloadRunner {
  private:
   /// The sorted bulk-load fast path: collects every thread's deterministic
   /// record stream via `BuildNextInsert`, sorts the engine-level keys, and
-  /// feeds `ShardedStore::BulkLoad` in `bulk_batch`-record frames.  Returns
-  /// NotSupported when the workload has no data-form load stream (the caller
-  /// then runs the per-op path).
+  /// feeds `ShardedStore::BulkLoad` in `bulk_batch`-record frames.
   Status BulkLoadPhase(const LoadOptions& options);
 
   DBFactory* factory_;

@@ -21,9 +21,10 @@ std::unique_ptr<Workload::ThreadState> Workload::InitThread(int thread_id,
                                        static_cast<uint64_t>(thread_id));
 }
 
-bool Workload::BuildNextInsert(ThreadState* /*state*/, LoadRecord* /*record*/) {
-  // Workloads without a data-form load stream fall back to per-op DoInsert.
-  return false;
+bool Workload::DoInsert(DB& db, ThreadState* state) {
+  LoadRecord& record = state->load;
+  return BuildNextInsert(state, &record) &&
+         db.Insert(record.table, record.key, record.values).ok();
 }
 
 Status Workload::Validate(DB& /*db*/, uint64_t /*operations_executed*/,

@@ -69,6 +69,13 @@ class Workload {
  public:
   virtual ~Workload() = default;
 
+  /// One record of the load phase in data form.
+  struct LoadRecord {
+    std::string table;
+    std::string key;
+    FieldMap values;
+  };
+
   /// Per-thread scratch state (RNG, in-flight buffers); created once per
   /// client thread, passed back into every DoInsert/DoTransaction call.
   class ThreadState {
@@ -89,6 +96,7 @@ class Workload {
     FieldMap row;
     std::vector<std::string> keys;
     std::vector<MultiReadRow> rows;
+    LoadRecord load;  ///< `DoInsert`'s record
   };
 
   /// Reads workload parameters.  Called once before any thread starts.
@@ -103,25 +111,17 @@ class Workload {
   /// Base RNG seed (the `seed` property; implementations read it in Init).
   uint64_t base_seed() const { return base_seed_; }
 
-  /// One load-phase insert.  Returns false on failure (the run aborts).
-  virtual bool DoInsert(DB& db, ThreadState* state) = 0;
+  /// One load-phase insert: the next `BuildNextInsert` record, written with
+  /// `DB::Insert`.  Returns false on failure (the run aborts).
+  bool DoInsert(DB& db, ThreadState* state);
 
-  /// One record of the load phase in data form, for bulk ingestion.
-  struct LoadRecord {
-    std::string table;
-    std::string key;
-    FieldMap values;
-  };
-
-  /// Produces the record the next `DoInsert` on this thread would write,
-  /// WITHOUT touching the DB — the sorted-bulk-load path: the runner
-  /// collects records from every thread, sorts them, and feeds the engine's
-  /// `BulkLoad` directly.  Returns false when the thread's load quota is not
-  /// expressible as plain records (the workload then keeps the per-op
-  /// `DoInsert` path).  Implementations must draw from the same deterministic
-  /// streams as `DoInsert`, so a bulk-loaded table is byte-identical to a
-  /// per-op-loaded one.  Default: false (no bulk path).
-  virtual bool BuildNextInsert(ThreadState* state, LoadRecord* record);
+  /// Draws the next record of this thread's load stream, WITHOUT touching
+  /// the DB.  It is the workload's one definition of its initial table: the
+  /// per-op load writes each record through `DoInsert`, and the sorted bulk
+  /// load collects every thread's records, sorts them and feeds the
+  /// engine's `BulkLoad` directly, so both load the same rows.  Every
+  /// implementation returns true.
+  virtual bool BuildNextInsert(ThreadState* state, LoadRecord* record) = 0;
 
   /// One run-phase transaction (one or more DB operations).
   virtual TxnOpResult DoTransaction(DB& db, ThreadState* state) = 0;

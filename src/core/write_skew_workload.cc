@@ -57,10 +57,13 @@ std::string WriteSkewWorkload::PairKey(uint64_t pair, int side) const {
   return buf;
 }
 
-bool WriteSkewWorkload::DoInsert(DB& db, ThreadState* state) {
-  uint64_t record = load_sequence_->Next(state->rng);
-  std::string key = PairKey(record / 2, static_cast<int>(record % 2));
-  return db.Insert(table_, key, BalanceRecord(initial_balance_)).ok();
+bool WriteSkewWorkload::BuildNextInsert(ThreadState* state, LoadRecord* record) {
+  uint64_t n = load_sequence_->Next(state->rng);
+  record->table = table_;
+  record->key = PairKey(n / 2, static_cast<int>(n % 2));
+  record->values.clear();
+  record->values.Set(kField, BalanceText(initial_balance_).view());
+  return true;
 }
 
 TxnOpResult WriteSkewWorkload::DoTransaction(DB& db, ThreadState* state) {

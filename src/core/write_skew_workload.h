@@ -48,7 +48,7 @@ class WriteSkewWorkload : public Workload {
   WriteSkewWorkload() = default;
 
   Status Init(const Properties& props) override;
-  bool DoInsert(DB& db, ThreadState* state) override;
+  bool BuildNextInsert(ThreadState* state, LoadRecord* record) override;
   TxnOpResult DoTransaction(DB& db, ThreadState* state) override;
   Status Validate(DB& db, uint64_t operations_executed,
                   ValidationResult* result) override;

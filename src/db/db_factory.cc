@@ -38,8 +38,7 @@ void DBFactory::MaybeInjectFaults() {
 
 void DBFactory::MaybeAddResilience() {
   kv::ResilienceOptions options = kv::ResilienceOptions::FromProperties(props_);
-  bool deadline_wanted = options.deadline_fail_fast &&
-                         kRetryDeadlineUs.Get<uint64_t>(props_) > 0;
+  bool deadline_wanted = kRetryDeadlineUs.Get<uint64_t>(props_) > 0;
   if (!options.breaker.enabled && !options.hedge_enabled && !deadline_wanted) {
     return;
   }
@@ -64,7 +63,7 @@ void DBFactory::MaybeAttachExecutor() {
   // Same seed the workload generators use, so one `seed` property pins the
   // entire run (worker RNG draws included).
   rpc_executor_ = std::make_shared<RpcExecutor>(
-      threads, kTxnMaxInflight.Get<int>(props_), kSeed.Get<uint64_t>(props_));
+      threads, /*max_inflight=*/0, kSeed.Get<uint64_t>(props_));
   Register(rpc_executor_.get());
   if (cloud_ != nullptr) cloud_->set_executor(rpc_executor_);
   if (local_engine_ != nullptr) local_engine_->set_executor(rpc_executor_);
@@ -109,7 +108,6 @@ Status DBFactory::Init() {
   name_ = kDb.Get<std::string>(props_);
 
   if (name_ == "basic") {
-    basic_delay_us_ = kBasicDbDelayUs.Get<uint64_t>(props_);
     initialized_ = true;
     return Status::OK();
   }
@@ -188,7 +186,7 @@ Status DBFactory::Init() {
 
 std::unique_ptr<DB> DBFactory::CreateClient() {
   if (!initialized_) return nullptr;
-  if (name_ == "basic") return std::make_unique<BasicDB>(basic_delay_us_);
+  if (name_ == "basic") return std::make_unique<BasicDB>();
   if (txn_kv_ != nullptr) return std::make_unique<TxnDB>(txn_kv_);
   return std::make_unique<KvStoreDB>(front_store_);
 }

@@ -29,8 +29,6 @@ inline constexpr std::string_view kDbNames[] = {
     "occ+memkv"};
 inline constexpr PropertyDecl kDb =
     EnumProperty("db", "basic", kDbNames, "the DB binding (table below)");
-inline constexpr PropertyDecl kBasicDbDelayUs =
-    UintProperty("basicdb.delay_us", 0, "sleep per BasicDB operation");
 inline constexpr std::string_view kTimestampSources[] = {"hlc", "oracle"};
 inline constexpr PropertyDecl kTxnTimestamps = EnumProperty(
     "txn.timestamps", "hlc", kTimestampSources,
@@ -41,11 +39,8 @@ inline constexpr PropertyDecl kTxnOracleRttUs = DoubleProperty(
 inline constexpr PropertyDecl kTxnFanoutThreads = IntProperty(
     "txn.fanout_threads", 0, 0, kIntMax,
     "pool threads fanning out batched store ops (0 = sequential)");
-inline constexpr PropertyDecl kTxnMaxInflight = IntProperty(
-    "txn.max_inflight", 0, 0, kIntMax, "per-batch in-flight cap (0 = pool size)");
 inline constexpr const PropertyDecl* kDBFactoryProperties[] = {
-    &kDb, &kBasicDbDelayUs, &kTxnTimestamps, &kTxnOracleRttUs, &kTxnFanoutThreads,
-    &kTxnMaxInflight};
+    &kDb, &kTxnTimestamps, &kTxnOracleRttUs, &kTxnFanoutThreads};
 
 /// Builds the run's shared substrate from properties and hands each client
 /// thread its own DB binding — the "DB client" box of the YCSB+T
@@ -88,7 +83,7 @@ inline constexpr const PropertyDecl* kDBFactoryProperties[] = {
 /// points below the store.
 ///
 /// When `breaker.enabled`, `hedge.enabled` or a per-transaction deadline
-/// (`retry.deadline_us` with `deadline.enforce`) is configured, the store —
+/// (`retry.deadline_us`) is configured, the store —
 /// including any fault decorator, so the breaker sees injected throttles —
 /// is additionally wrapped in a `kv::ResilientStore` (circuit breakers,
 /// hedged reads, deadline fail-fast; `breaker.*`/`hedge.*` properties).
@@ -206,7 +201,6 @@ class DBFactory {
   txn::ClientTxnStore* client_txn_store_ = nullptr;  // owned via txn_kv_
   txn::OccEngine* occ_engine_ = nullptr;             // owned via txn_kv_
   std::vector<StatsLayer*> stats_layers_;
-  uint64_t basic_delay_us_ = 0;
   bool initialized_ = false;
 };
 

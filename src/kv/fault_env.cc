@@ -29,9 +29,7 @@ StorageFaultOptions StorageFaultOptions::FromProperties(
   o.sync_fail_at = kSyncFailAt.Get<uint64_t>(props);
   o.sync_fail_rate = kSyncFailRate.Get<double>(props);
   o.enospc_after_bytes = kEnospcAfterBytes.Get<uint64_t>(props);
-  o.truncate_fail_at = kTruncateFailAt.Get<uint64_t>(props);
   o.read_flip_offset = kReadFlipOffset.Get<int64_t>(props);
-  o.read_flip_rate = kReadFlipRate.Get<double>(props);
   o.read_flip_file = kReadFlipFile.Get<std::string>(props);
   o.crash_point = kCrashPoint.Get<std::string>(props);
   o.crash_point_pass = kCrashPointPass.Get<uint64_t>(props);
@@ -232,27 +230,15 @@ Status FaultInjectingEnv::ReadFileToString(const std::string& path,
                                            std::string* out) {
   if (crashed()) return CrashedStatus();
   Status s = base_->ReadFileToString(path, out);
-  if (!s.ok() || !enabled() || out->empty()) return s;
-
+  if (!s.ok() || !enabled() || out->empty() || options_.read_flip_offset < 0 ||
+      !PathMatches(path, options_.read_flip_file)) {
+    return s;
+  }
+  const size_t flip_at =
+      static_cast<size_t>(options_.read_flip_offset) % out->size();
+  (*out)[flip_at] ^= static_cast<char>(1u << (flip_at & 7));
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t ticket = ++read_ticket_;
-  if (!PathMatches(path, options_.read_flip_file)) return s;
-
-  int64_t flip_at = -1;
-  if (options_.read_flip_offset >= 0) {
-    flip_at = static_cast<int64_t>(
-        static_cast<uint64_t>(options_.read_flip_offset) % out->size());
-  } else if (options_.read_flip_rate > 0.0 &&
-             TicketDraw(options_.seed, ticket, /*salt=*/17) <
-                 options_.read_flip_rate) {
-    flip_at = static_cast<int64_t>(Mix64(options_.seed ^ (ticket * 0x9E37ull)) %
-                                   out->size());
-  }
-  if (flip_at >= 0) {
-    stats_.read_flips++;
-    (*out)[static_cast<size_t>(flip_at)] ^=
-        static_cast<char>(1u << (static_cast<size_t>(flip_at) & 7));
-  }
+  stats_.read_flips++;
   return s;
 }
 
@@ -298,11 +284,6 @@ Status FaultInjectingEnv::TruncateFile(const std::string& path, uint64_t size) {
 
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_.load(std::memory_order_relaxed)) return CrashedStatus();
-  const uint64_t ticket = ++truncate_ticket_;
-  if (options_.truncate_fail_at == ticket) {
-    stats_.truncate_failures++;
-    return Injected("truncate failure");
-  }
   return base_->TruncateFile(path, size);
 }
 

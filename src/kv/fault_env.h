@@ -37,14 +37,9 @@ inline constexpr PropertyDecl kSyncFailRate = DoubleProperty(
 inline constexpr PropertyDecl kEnospcAfterBytes = UintProperty(
     "storage.fault.enospc_after_bytes", 0,
     "byte budget across armed appends; the crossing append gets ENOSPC");
-inline constexpr PropertyDecl kTruncateFailAt = UintProperty(
-    "storage.fault.truncate_fail_at", 0, "Nth armed file truncation fails (0 = off)");
 inline constexpr PropertyDecl kReadFlipOffset = IntProperty(
     "storage.fault.read_flip_offset", -1, -1, kNoLimit,
     "flip one bit at this offset of every armed whole-file read (-1 = off)");
-inline constexpr PropertyDecl kReadFlipRate = DoubleProperty(
-    "storage.fault.read_flip_rate", 0.0, 0.0, 1.0,
-    "seeded per-read chance of one bit flip at a seeded offset");
 inline constexpr PropertyDecl kReadFlipFile = StringProperty(
     "storage.fault.read_flip_file", "", "substring filter for flips (empty = all files)");
 /// Every `MaybeCrashPoint` name in the engine, plus "" for none.
@@ -70,8 +65,8 @@ inline constexpr PropertyDecl kDropUnsyncedOnCrash = BoolProperty(
     "a crash also drops every byte written since the file's last sync");
 inline constexpr const PropertyDecl* kStorageFaultProperties[] = {
     &kStorageFaultSeed, &kTornWriteAt, &kWriteErrorRate, &kSyncFailAt, &kSyncFailRate,
-    &kEnospcAfterBytes, &kTruncateFailAt, &kReadFlipOffset, &kReadFlipRate,
-    &kReadFlipFile, &kCrashPoint, &kCrashPointPass, &kCrashWriteOffset, &kCrashFile,
+    &kEnospcAfterBytes, &kReadFlipOffset, &kReadFlipFile, &kCrashPoint,
+    &kCrashPointPass, &kCrashWriteOffset, &kCrashFile,
     &kDropUnsyncedOnCrash};
 
 /// Configuration of the storage fault layer, from the `storage.fault.*`
@@ -88,9 +83,7 @@ struct StorageFaultOptions {
   uint64_t sync_fail_at = kSyncFailAt.Default<uint64_t>();
   double sync_fail_rate = kSyncFailRate.Default<double>();
   uint64_t enospc_after_bytes = kEnospcAfterBytes.Default<uint64_t>();
-  uint64_t truncate_fail_at = kTruncateFailAt.Default<uint64_t>();
   int64_t read_flip_offset = kReadFlipOffset.Default<int64_t>();
-  double read_flip_rate = kReadFlipRate.Default<double>();
   std::string read_flip_file;
 
   std::string crash_point;
@@ -102,8 +95,7 @@ struct StorageFaultOptions {
   bool Any() const {
     return torn_write_at > 0 || write_error_rate > 0.0 || sync_fail_at > 0 ||
            sync_fail_rate > 0.0 || enospc_after_bytes > 0 ||
-           truncate_fail_at > 0 || read_flip_offset >= 0 ||
-           read_flip_rate > 0.0 || !crash_point.empty() ||
+           read_flip_offset >= 0 || !crash_point.empty() ||
            crash_write_offset >= 0;
   }
 
@@ -119,7 +111,6 @@ struct StorageFaultStats {
   uint64_t write_errors = 0;     ///< clean append failures injected
   uint64_t sync_failures = 0;    ///< fsyncgate failures injected
   uint64_t enospc_failures = 0;  ///< ENOSPC rejections injected
-  uint64_t truncate_failures = 0;
   uint64_t read_flips = 0;       ///< bit flips served to readers
   uint64_t crash_points_seen = 0;  ///< named crash-point passes observed
   bool crashed = false;            ///< the env froze (simulated kernel crash)
@@ -127,7 +118,7 @@ struct StorageFaultStats {
 
   uint64_t TotalInjected() const {
     return torn_writes + write_errors + sync_failures + enospc_failures +
-           truncate_failures + read_flips + (crashed ? 1 : 0);
+           read_flips + (crashed ? 1 : 0);
   }
 };
 
@@ -209,8 +200,6 @@ class FaultInjectingEnv : public Env, public StatsLayer {
   std::map<std::string, uint64_t> point_passes_;
   uint64_t append_ticket_ = 0;
   uint64_t sync_ticket_ = 0;
-  uint64_t truncate_ticket_ = 0;
-  uint64_t read_ticket_ = 0;
   uint64_t bytes_appended_ = 0;
 
   StorageFaultStats stats_;

@@ -142,50 +142,6 @@ bool FaultInjectingStore::ShouldCrash(CrashPoint point) {
   return false;
 }
 
-Status FaultInjectingStore::Get(const std::string& key, std::string* value,
-                                uint64_t* etag) {
-  Status s = BeginRequest();
-  if (!s.ok()) return s;
-  return base_->Get(key, value, etag);
-}
-
-Status FaultInjectingStore::Put(const std::string& key, std::string_view value,
-                                uint64_t* etag_out) {
-  Status s = BeginRequest();
-  if (!s.ok()) return s;
-  s = base_->Put(key, value, etag_out);
-  if (s.ok() && LoseReply()) return Status::Timeout("injected: reply lost");
-  return s;
-}
-
-Status FaultInjectingStore::ConditionalPut(const std::string& key,
-                                           std::string_view value,
-                                           uint64_t expected_etag,
-                                           uint64_t* etag_out) {
-  Status s = BeginRequest();
-  if (!s.ok()) return s;
-  s = base_->ConditionalPut(key, value, expected_etag, etag_out);
-  if (s.ok() && LoseReply()) return Status::Timeout("injected: reply lost");
-  return s;
-}
-
-Status FaultInjectingStore::Delete(const std::string& key) {
-  Status s = BeginRequest();
-  if (!s.ok()) return s;
-  s = base_->Delete(key);
-  if (s.ok() && LoseReply()) return Status::Timeout("injected: reply lost");
-  return s;
-}
-
-Status FaultInjectingStore::ConditionalDelete(const std::string& key,
-                                              uint64_t expected_etag) {
-  Status s = BeginRequest();
-  if (!s.ok()) return s;
-  s = base_->ConditionalDelete(key, expected_etag);
-  if (s.ok() && LoseReply()) return Status::Timeout("injected: reply lost");
-  return s;
-}
-
 void FaultInjectingStore::MultiGet(const std::vector<std::string>& keys,
                                    std::vector<MultiGetResult>* results) {
   AdmitInOrder(
@@ -204,13 +160,6 @@ void FaultInjectingStore::MultiWrite(const std::vector<WriteOp>& ops,
           r->status = Status::Timeout("injected: reply lost");
         }
       });
-}
-
-Status FaultInjectingStore::Scan(const std::string& start_key, size_t limit,
-                                 std::vector<ScanEntry>* out) {
-  Status s = BeginRequest();
-  if (!s.ok()) return s;
-  return base_->Scan(start_key, limit, out);
 }
 
 size_t FaultInjectingStore::Count() const { return base_->Count(); }

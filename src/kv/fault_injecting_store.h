@@ -10,6 +10,7 @@
 #include "common/property_schema.h"
 #include "common/stats_layer.h"
 #include "kv/store.h"
+#include "kv/store_decorator.h"
 
 namespace ycsbt {
 namespace kv {
@@ -114,7 +115,9 @@ struct FaultStats {
 /// The same object implements `CrashInjector`, so the transaction library
 /// can consult the identical deterministic schedule at its commit-pipeline
 /// crash points.
-class FaultInjectingStore : public Store, public CrashInjector, public StatsLayer {
+class FaultInjectingStore : public StoreDecorator<FaultInjectingStore>,
+                            public CrashInjector,
+                            public StatsLayer {
  public:
   FaultInjectingStore(std::shared_ptr<Store> base, FaultOptions options);
 
@@ -134,19 +137,6 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
   void Collect(LayerStats* out) override;
   void Arm(bool armed) override { set_enabled(armed); }
 
-  // kv::Store interface.
-  Status Get(const std::string& key, std::string* value,
-             uint64_t* etag = nullptr) override;
-  Status Put(const std::string& key, std::string_view value,
-             uint64_t* etag_out = nullptr) override;
-  Status ConditionalPut(const std::string& key, std::string_view value,
-                        uint64_t expected_etag,
-                        uint64_t* etag_out = nullptr) override;
-  Status Delete(const std::string& key) override;
-  Status ConditionalDelete(const std::string& key,
-                           uint64_t expected_etag) override;
-  Status Scan(const std::string& start_key, size_t limit,
-              std::vector<ScanEntry>* out) override;
   /// Batch ops go through `AdmitInOrder`: every item pays its own fault
   /// gate and, for mutations, its own lost-reply draw, in item order.
   void MultiGet(const std::vector<std::string>& keys,
@@ -159,6 +149,21 @@ class FaultInjectingStore : public Store, public CrashInjector, public StatsLaye
   bool ShouldCrash(CrashPoint point) override;
 
  private:
+  friend class StoreDecorator<FaultInjectingStore>;
+
+  /// The one body of every single-key request: the pre-op gate, then
+  /// `call` on the base store, then (mutations only) the lost-reply draw.
+  template <typename Call>
+  Status Request(Op op, const std::string& /*key*/, const Call& call) {
+    Status s = BeginRequest();
+    if (!s.ok()) return s;
+    s = call(*base_);
+    if (IsWrite(op) && s.ok() && LoseReply()) {
+      return Status::Timeout("injected: reply lost");
+    }
+    return s;
+  }
+
   /// Pre-op fault gate shared by every request.  OK = proceed to the base
   /// op; anything else is the injected rejection.
   Status BeginRequest();

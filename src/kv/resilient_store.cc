@@ -21,7 +21,6 @@ ResilienceOptions ResilienceOptions::FromProperties(const Properties& props) {
   o.hedge_delay_max_us =
       std::max(kHedgeDelayMaxUs.Get<uint64_t>(props), o.hedge_delay_min_us);
   o.hedge_workers = kHedgeWorkers.Get<int>(props);
-  o.deadline_fail_fast = kDeadlineEnforce.Get<bool>(props);
   return o;
 }
 
@@ -42,7 +41,7 @@ ResilientStore::~ResilientStore() = default;
 
 Status ResilientStore::Preflight(const std::string& key, Admission* admission) {
   if (OpExempt()) return Status::OK();
-  if (options_.deadline_fail_fast && OpDeadlineExpired()) {
+  if (OpDeadlineExpired()) {
     deadline_rejects_.fetch_add(1, std::memory_order_relaxed);
     return Status::Timeout("op deadline expired; request abandoned");
   }

@@ -37,13 +37,9 @@ inline constexpr PropertyDecl kHedgeDelayMaxUs = UintProperty(
     "cap of the adaptive delay (raised to the floor when below it)");
 inline constexpr PropertyDecl kHedgeWorkers =
     IntProperty("hedge.workers", 4, 1, kIntMax, "pool threads running hedged primaries");
-/// Only bites when the runner installs a deadline from retry.deadline_us.
-inline constexpr PropertyDecl kDeadlineEnforce = BoolProperty(
-    "deadline.enforce", true,
-    "fail ops fast once the propagated per-transaction deadline expires");
 inline constexpr const PropertyDecl* kResilienceProperties[] = {
     &kHedgeEnabled, &kHedgeDelayUs, &kHedgePercentile, &kHedgeDelayMinUs,
-    &kHedgeDelayMaxUs, &kHedgeWorkers, &kDeadlineEnforce};
+    &kHedgeDelayMaxUs, &kHedgeWorkers};
 
 /// Configuration of the overload-tolerance decorator: `breaker.*` is the
 /// per-backend circuit breaker (see `CircuitBreakerOptions`), the rest the
@@ -56,7 +52,6 @@ struct ResilienceOptions {
   uint64_t hedge_delay_min_us = kHedgeDelayMinUs.Default<uint64_t>();
   uint64_t hedge_delay_max_us = kHedgeDelayMaxUs.Default<uint64_t>();
   int hedge_workers = kHedgeWorkers.Default<int>();
-  bool deadline_fail_fast = kDeadlineEnforce.Default<bool>();
 
   static ResilienceOptions FromProperties(const Properties& props);
 };

@@ -428,16 +428,16 @@ Status ShardedStore::MultiPut(
   return Status::OK();
 }
 
-ShardedStore::Shard& ShardedStore::ShardFor(const std::string& key) {
+ShardedStore::Shard& ShardedStore::ShardFor(std::string_view key) {
   return *shards_[ShardIndex(key)];
 }
 
-size_t ShardedStore::ShardIndex(const std::string& key) const {
-  uint64_t h = FNVHash64(std::hash<std::string>{}(key));
+size_t ShardedStore::ShardIndex(std::string_view key) const {
+  uint64_t h = FNVHash64(std::hash<std::string_view>{}(key));
   return h % shards_.size();
 }
 
-Status ShardedStore::LogMutation(WalRecord::Kind kind, const std::string& key,
+Status ShardedStore::LogMutation(WalRecord::Kind kind, std::string_view key,
                                  std::string_view value, uint64_t etag) {
   if (!wal_enabled()) return Status::OK();
   if (poisoned_.load(std::memory_order_acquire)) return poison_status_;
@@ -469,38 +469,55 @@ Status ShardedStore::Get(const std::string& key, std::string* value,
 
 Status ShardedStore::Put(const std::string& key, std::string_view value,
                          uint64_t* etag_out) {
-  if (!open_) return Status::IOError("store not opened");
-  if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  // Drawn under the shard lock, like every mutation's etag (see `MultiPut`).
-  uint64_t etag = NextEtag();
-  Status s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
-  if (!s.ok()) return s;
-  shard.map.Upsert(key, Entry{std::string(value), etag});
-  if (etag_out != nullptr) *etag_out = etag;
-  return Status::OK();
+  return Write(WriteOp::Kind::kPut, key, value, kEtagAbsent, etag_out);
 }
 
 Status ShardedStore::ConditionalPut(const std::string& key, std::string_view value,
                                     uint64_t expected_etag, uint64_t* etag_out) {
+  return Write(WriteOp::Kind::kConditionalPut, key, value, expected_etag, etag_out);
+}
+
+Status ShardedStore::Delete(const std::string& key) {
+  return Write(WriteOp::Kind::kDelete, key, {}, kEtagAbsent, nullptr);
+}
+
+Status ShardedStore::ConditionalDelete(const std::string& key,
+                                       uint64_t expected_etag) {
+  return Write(WriteOp::Kind::kConditionalDelete, key, {}, expected_etag, nullptr);
+}
+
+Status ShardedStore::Write(WriteOp::Kind kind, std::string_view key,
+                           std::string_view value, uint64_t expected_etag,
+                           uint64_t* etag_out) {
   if (!open_) return Status::IOError("store not opened");
-  if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
+  const bool put =
+      kind == WriteOp::Kind::kPut || kind == WriteOp::Kind::kConditionalPut;
+  if (put && key.empty()) return Status::InvalidArgument("empty keys are reserved");
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   Entry* entry = shard.map.Find(key);
-  if (expected_etag == kEtagAbsent) {
-    if (entry != nullptr) return Status::Conflict("key exists: " + key);
-  } else {
-    if (entry == nullptr) return Status::Conflict("key absent: " + key);
-    if (entry->etag != expected_etag) {
-      return Status::Conflict("etag mismatch on " + key);
+  if (kind == WriteOp::Kind::kConditionalPut && expected_etag == kEtagAbsent) {
+    if (entry != nullptr) return Status::Conflict("key exists: " + std::string(key));
+  } else if (kind != WriteOp::Kind::kPut) {
+    if (entry == nullptr) {
+      return kind == WriteOp::Kind::kDelete
+                 ? Status::NotFound(key)
+                 : Status::Conflict("key absent: " + std::string(key));
+    }
+    if (kind != WriteOp::Kind::kDelete && entry->etag != expected_etag) {
+      return Status::Conflict("etag mismatch on " + std::string(key));
     }
   }
-  uint64_t etag = NextEtag();
-  Status s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
+  // Drawn under the shard lock, like every mutation's etag (see `MultiPut`).
+  // Deletes consume an etag too, so the log is totally ordered per key and
+  // checkpoint watermarks can filter replay exactly.
+  const uint64_t etag = NextEtag();
+  Status s = LogMutation(put ? WalRecord::Kind::kPut : WalRecord::Kind::kDelete,
+                         key, value, etag);
   if (!s.ok()) return s;
-  if (entry != nullptr) {
+  if (!put) {
+    shard.map.Erase(key);
+  } else if (entry != nullptr) {
     // Overwrite through the pointer the check found (stable under the shard
     // lock): no second lookup, and the value keeps its buffer.
     entry->value.assign(value.data(), value.size());
@@ -509,33 +526,6 @@ Status ShardedStore::ConditionalPut(const std::string& key, std::string_view val
     shard.map.Upsert(key, Entry{std::string(value), etag});
   }
   if (etag_out != nullptr) *etag_out = etag;
-  return Status::OK();
-}
-
-Status ShardedStore::Delete(const std::string& key) {
-  if (!open_) return Status::IOError("store not opened");
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  if (shard.map.Find(key) == nullptr) return Status::NotFound(key);
-  // Deletes consume an etag too, so the log is totally ordered per key and
-  // checkpoint watermarks can filter replay exactly.
-  Status s = LogMutation(WalRecord::Kind::kDelete, key, "", NextEtag());
-  if (!s.ok()) return s;
-  shard.map.Erase(key);
-  return Status::OK();
-}
-
-Status ShardedStore::ConditionalDelete(const std::string& key,
-                                       uint64_t expected_etag) {
-  if (!open_) return Status::IOError("store not opened");
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const Entry* entry = shard.map.Find(key);
-  if (entry == nullptr) return Status::Conflict("key absent: " + key);
-  if (entry->etag != expected_etag) return Status::Conflict("etag mismatch on " + key);
-  Status s = LogMutation(WalRecord::Kind::kDelete, key, "", NextEtag());
-  if (!s.ok()) return s;
-  shard.map.Erase(key);
   return Status::OK();
 }
 

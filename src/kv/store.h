@@ -342,8 +342,8 @@ class ShardedStore : public Store, public StatsLayer {
     SkipList<Entry> map;
   };
 
-  Shard& ShardFor(const std::string& key);
-  size_t ShardIndex(const std::string& key) const;
+  Shard& ShardFor(std::string_view key);
+  size_t ShardIndex(std::string_view key) const;
   /// WAL commit-path configuration derived from the store options.
   WalOptions MakeWalOptions() const;
   /// Lifts the etag source to at least `etag` (replay keeps it ahead of
@@ -353,8 +353,14 @@ class ShardedStore : public Store, public StatsLayer {
   Env* EnvOrDefault() const {
     return options_.env != nullptr ? options_.env : Env::Default();
   }
-  Status LogMutation(WalRecord::Kind kind, const std::string& key,
+  Status LogMutation(WalRecord::Kind kind, std::string_view key,
                      std::string_view value, uint64_t etag);
+  /// The one body of every single-key write: finds the entry once, checks
+  /// `kind`'s condition, then draws the etag, logs the frame and applies it
+  /// under the shard lock.  `value` is ignored by deletes and
+  /// `expected_etag` by the unconditional kinds.
+  Status Write(WriteOp::Kind kind, std::string_view key, std::string_view value,
+               uint64_t expected_etag, uint64_t* etag_out);
   /// Applies one replayed record; returns the number of entries actually
   /// applied (0 when the watermark filtered the whole frame).
   size_t ApplyReplayed(const WalRecord& record, uint64_t skip_upto_etag);

@@ -176,7 +176,7 @@ TEST(PropertySchemaTest, DeclaredKeysAreExactlyTheFormerRegistry) {
       "arrival.flash.duration_s", "arrival.flash.multiplier",
       "arrival.hotspot_shift.at_s", "arrival.hotspot_shift.multiplier",
       "arrival.max_backlog", "arrival.process", "arrival.rate", "arrival.shape",
-      "basicdb.delay_us", "batch.size", "batch.size_distribution",
+      "batch.size", "batch.size_distribution",
       "batchinsertproportion", "batchreadproportion",
       "breaker.cooldown_rejects", "breaker.cooldown_us", "breaker.enabled",
       "breaker.failure_ratio", "breaker.min_samples", "breaker.probes",
@@ -188,7 +188,7 @@ TEST(PropertySchemaTest, DeclaredKeysAreExactlyTheFormerRegistry) {
       "cloud.latency_scale", "cloud.local_region", "cloud.max_queue_delay_us",
       "cloud.rate_limit", "cloud.read_mode", "cloud.regions",
       "cloud.replica_lag_ops", "cloud.replica_lag_us", "dataintegrity", "db",
-      "deadline.enforce", "deleteproportion", "dotransactions",
+      "deleteproportion", "dotransactions",
       "exponential.frac", "exponential.percentile", "fault.crash_points",
       "fault.crash_rate", "fault.error_rate", "fault.latency_spike_rate",
       "fault.latency_spike_us", "fault.lost_reply_rate", "fault.seed",
@@ -216,18 +216,18 @@ TEST(PropertySchemaTest, DeclaredKeysAreExactlyTheFormerRegistry) {
       "storage.fault.crash_write_offset",
       "storage.fault.drop_unsynced_on_crash",
       "storage.fault.enospc_after_bytes", "storage.fault.read_flip_file",
-      "storage.fault.read_flip_offset", "storage.fault.read_flip_rate",
+      "storage.fault.read_flip_offset",
       "storage.fault.seed", "storage.fault.sync_fail_at",
       "storage.fault.sync_fail_rate", "storage.fault.torn_write_at",
-      "storage.fault.truncate_fail_at", "storage.fault.write_error_rate",
+      "storage.fault.write_error_rate",
       "suite.load", "suite.name", "suite.operations_per_thread",
       "suite.output_dir", "suite.repeats", "table", "target", "threads",
       "totalcash", "txn.cleanup_tsr", "txn.fanout_threads", "txn.isolation",
       "txn.lease_us", "txn.lock_acquire_mode", "txn.lock_wait_delay_us",
-      "txn.lock_wait_jitter", "txn.lock_wait_max_delay_us", "txn.max_inflight",
+      "txn.lock_wait_jitter", "txn.lock_wait_max_delay_us",
       "txn.oracle_rtt_us", "txn.timestamps", "updateproportion", "workload",
       "writeallfields", "writeskew.initial", "zeropadding", "zipfian.theta"};
-  ASSERT_EQ(registry.size(), 157u);
+  ASSERT_EQ(registry.size(), 152u);
   std::set<std::string_view> declared;
   for (PropertyList list : AllPropertyLists()) {
     for (const PropertyDecl* d : list) declared.insert(d->name);

@@ -246,7 +246,7 @@ class SlowWorkload : public Workload {
  public:
   Status Init(const Properties&) override { return Status::OK(); }
 
-  bool DoInsert(DB&, ThreadState*) override { return true; }
+  bool BuildNextInsert(ThreadState*, LoadRecord*) override { return true; }
 
   TxnOpResult DoTransaction(DB&, ThreadState*) override {
     transactions.fetch_add(1, std::memory_order_relaxed);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 
 #include "common/latency_model.h"
 #include "core/core_workload.h"
+#include "core/workload_factory.h"
+#include "db/field_codec.h"
 #include "db/measured_db.h"
 
 namespace ycsbt {
@@ -24,7 +27,7 @@ class CountingWorkload : public Workload {
  public:
   Status Init(const Properties&) override { return Status::OK(); }
 
-  bool DoInsert(DB&, ThreadState*) override {
+  bool BuildNextInsert(ThreadState*, LoadRecord*) override {
     inserts.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -400,6 +403,65 @@ TEST_F(RunnerTest, AbortRateComputed) {
   EXPECT_DOUBLE_EQ(result.abort_rate(), 0.25);
   RunResult empty;
   EXPECT_DOUBLE_EQ(empty.abort_rate(), 0.0);
+}
+
+/// The engine rows two load threads leave for `props` on `memkv`: per-op
+/// when `bulk_batch` is 0, sorted-bulk in `bulk_batch`-record frames else.
+std::vector<kv::ScanEntry> LoadedRows(Properties props, uint64_t bulk_batch) {
+  props.Set("db", "memkv");
+  DBFactory factory(props);
+  EXPECT_TRUE(factory.Init().ok());
+  std::unique_ptr<Workload> workload;
+  EXPECT_TRUE(CreateWorkload(props, &workload).ok());
+  Measurements measurements;
+  WorkloadRunner runner(&factory, workload.get(), &measurements);
+  LoadOptions load;
+  load.threads = 2;
+  load.bulk_batch = bulk_batch;
+  EXPECT_TRUE(runner.Load(load).ok());
+  std::vector<kv::ScanEntry> rows;
+  EXPECT_TRUE(factory.local_engine()
+                  ->Scan("", std::numeric_limits<size_t>::max(), &rows)
+                  .ok());
+  return rows;
+}
+
+// Each workload has one load stream, so a per-op load and a bulk load of
+// the same seed write the same rows.  The values are pure functions of the
+// key (core with data integrity, CEW's balances, write skew's pairs), so
+// the two load threads' race for key numbers cannot change them.
+TEST(LoadIdentityTest, PerOpAndBulkLoadsWriteTheSameRows) {
+  const Properties workloads[] = {
+      Props({{"workload", "core"}, {"recordcount", "300"},
+             {"dataintegrity", "true"}, {"seed", "7"}}),
+      // 300 accounts do not divide 90,007: the first holds the remainder.
+      Props({{"workload", "closed_economy"}, {"recordcount", "300"},
+             {"totalcash", "90007"}, {"seed", "7"}}),
+      Props({{"workload", "write_skew"}, {"recordcount", "300"}, {"seed", "7"}})};
+  for (const Properties& props : workloads) {
+    SCOPED_TRACE(props.Get("workload", ""));
+    std::vector<kv::ScanEntry> per_op = LoadedRows(props, 0);
+    std::vector<kv::ScanEntry> bulk = LoadedRows(props, 64);
+    ASSERT_EQ(per_op.size(), 300u);
+    ASSERT_EQ(bulk.size(), per_op.size());
+    for (size_t i = 0; i < per_op.size(); ++i) {
+      EXPECT_EQ(bulk[i].key, per_op[i].key);
+      EXPECT_EQ(bulk[i].value, per_op[i].value) << per_op[i].key;
+    }
+  }
+
+  // CEW's loaded balances add up to exactly totalcash.
+  for (uint64_t bulk_batch : {0, 64}) {
+    int64_t total = 0;
+    for (const kv::ScanEntry& row : LoadedRows(workloads[1], bulk_batch)) {
+      FieldMap fields;
+      ASSERT_TRUE(DecodeFields(row.value, &fields).ok());
+      int64_t balance = 0;
+      ASSERT_TRUE(ParseBalanceText(fields.Get("field0"), &balance));
+      total += balance;
+    }
+    EXPECT_EQ(total, 90007) << "bulkload.batch=" << bulk_batch;
+  }
 }
 
 }  // namespace

@@ -193,18 +193,40 @@ TEST_F(PersistentStoreTest, RecoversAfterRestart) {
   {
     ShardedStore store(PersistentOptions());
     ASSERT_TRUE(store.Open().ok());
+    uint64_t etag = 0;
     ASSERT_TRUE(store.Put("a", "1").ok());
     ASSERT_TRUE(store.Put("b", "2").ok());
-    ASSERT_TRUE(store.Put("a", "updated").ok());
+    ASSERT_TRUE(store.Put("a", "updated", &etag).ok());
+    // Overwrites assign in place; a shorter value reuses the longer buffer.
+    ASSERT_TRUE(store.ConditionalPut("a", "cas", etag).ok());
     ASSERT_TRUE(store.Delete("b").ok());
   }
   ShardedStore revived(PersistentOptions());
   ASSERT_TRUE(revived.Open().ok());
   std::string value;
   ASSERT_TRUE(revived.Get("a", &value).ok());
-  EXPECT_EQ(value, "updated");
+  EXPECT_EQ(value, "cas");
   EXPECT_TRUE(revived.Get("b", &value).IsNotFound());
   EXPECT_EQ(revived.Count(), 1u);
+}
+
+TEST_F(PersistentStoreTest, FailedWritesDrawNoEtagAndLogNoFrame) {
+  ShardedStore store(PersistentOptions());
+  ASSERT_TRUE(store.Open().ok());
+  uint64_t etag = 0;
+  ASSERT_TRUE(store.Put("k", "v", &etag).ok());
+  ASSERT_EQ(store.DrainWalStats().appends, 1u);
+  EXPECT_TRUE(store.Put("", "v").IsInvalidArgument());
+  EXPECT_TRUE(store.ConditionalPut("k", "w", kEtagAbsent).IsConflict());
+  EXPECT_TRUE(store.ConditionalPut("k", "w", etag + 99).IsConflict());
+  EXPECT_TRUE(store.ConditionalPut("absent", "w", etag).IsConflict());
+  EXPECT_TRUE(store.Delete("absent").IsNotFound());
+  EXPECT_TRUE(store.ConditionalDelete("absent", etag).IsConflict());
+  EXPECT_TRUE(store.ConditionalDelete("k", etag + 99).IsConflict());
+  EXPECT_EQ(store.DrainWalStats().appends, 0u);
+  uint64_t next = 0;
+  ASSERT_TRUE(store.Put("k", "w", &next).ok());
+  EXPECT_EQ(next, etag + 1);
 }
 
 TEST_F(PersistentStoreTest, ReopensWritableAfterTornTail) {
